@@ -1,48 +1,22 @@
-"""Numba acceleration switch.
+"""Optional numba compilation of the loops in _kernels.
 
-Hot kernels are written once as plain functions over numpy arrays and
-compiled with ``numba.njit`` when available.  Setting the environment
-variable ``PERCOLAB_NO_NUMBA=1`` (before import) forces the pure-numpy
-interpreter path; the same functions then run undecorated.  Useful for
-debugging kernels and for benchmarking the compiled speedup
-(see benchmarks/bench_kernels.py).
+``njit(f)`` is ``numba.njit(cache=True)(f)`` when numba imports and
+``f`` itself otherwise; the kernels are plain functions over numpy
+arrays either way.
 """
 
 from __future__ import annotations
 
-import os
+__all__ = ["njit"]
 
-__all__ = ["HAS_NUMBA", "NUMBA_DISABLED", "njit"]
+try:
+    from numba import njit as _numba_njit
+except ImportError:
 
-NUMBA_DISABLED = os.environ.get("PERCOLAB_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-}
-
-HAS_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit as _numba_njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    def njit(*args, **kwargs):
-        kwargs.setdefault("cache", True)
-        return _numba_njit(*args, **kwargs)
+    def njit(func):
+        return func
 
 else:
 
-    def njit(*args, **kwargs):
-        # identity decorator: kernels run as plain python over numpy arrays
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+    def njit(func):
+        return _numba_njit(cache=True)(func)

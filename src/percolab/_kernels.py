@@ -1,7 +1,10 @@
-"""Hot loops shared by percolation, census and verify.
+"""Loops with no numpy/scipy primitive, shared by percolation, census
+and verify: the sequential walks (dfs_explore, cycle_scan, bfs_grow),
+whose every step depends on the last, and the small-subgraph counters
+behind the exact tree counts.
 
-Every kernel is a plain function over preallocated numpy arrays,
-compiled with numba when enabled (see _accel).  Keep signatures
+Each kernel is a plain function over preallocated numpy arrays, compiled
+with numba when it is installed (see _accel).  Keep signatures
 primitive: flat int32 adjacency, bool masks, scalar ints.
 """
 
@@ -13,14 +16,11 @@ from ._accel import njit
 
 __all__ = [
     "bfs_grow",
-    "census_accumulate",
     "cycle_scan",
     "dfs_explore",
-    "distinct_external",
     "induced_p4_count",
     "induced_star_count",
     "tree_p4_count",
-    "union_find_components",
 ]
 
 
@@ -97,59 +97,6 @@ def dfs_explore(nbrs, d, order, coins, state, comp, accepted_order, epoch_starts
 
 
 @njit
-def union_find_components(nbrs, d, mask, parent):
-    """Union-find over induced edges; roots become component minima."""
-    n = mask.size
-    for i in range(n):
-        parent[i] = i
-    for u in range(n):
-        if mask[u]:
-            base = u * d
-            for j in range(d):
-                w = nbrs[base + j]
-                if w > u and mask[w]:
-                    ru = u
-                    while parent[ru] != ru:
-                        parent[ru] = parent[parent[ru]]
-                        ru = parent[ru]
-                    rw = w
-                    while parent[rw] != rw:
-                        parent[rw] = parent[parent[rw]]
-                        rw = parent[rw]
-                    if ru < rw:
-                        parent[rw] = ru
-                    elif rw < ru:
-                        parent[ru] = rw
-    for v in range(n):
-        if mask[v]:
-            r = v
-            while parent[r] != r:
-                r = parent[r]
-            # full compression so parent[v] is the component minimum
-            c = v
-            while parent[c] != r:
-                nxt = parent[c]
-                parent[c] = r
-                c = nxt
-
-
-@njit
-def census_accumulate(nbrs, d, mask, parent, sizes, edges):
-    """Per-root vertex and induced-edge tallies (after union_find_components)."""
-    n = mask.size
-    for v in range(n):
-        if mask[v]:
-            sizes[parent[v]] += 1
-    for u in range(n):
-        if mask[u]:
-            base = u * d
-            for j in range(d):
-                w = nbrs[base + j]
-                if w > u and mask[w]:
-                    edges[parent[u]] += 1
-
-
-@njit
 def cycle_scan(nbrs, d, mask, depth, parent):
     """DFS forest over the induced subgraph; longest back-edge cycle.
 
@@ -190,40 +137,6 @@ def cycle_scan(nbrs, d, mask, depth, parent):
                 else:
                     top -= 1
     return best, best_u, best_v
-
-
-@njit
-def distinct_external(nbrs, d, members, stamp, token):
-    """|N_G(S) \\ S| for S given as an index array, using a stamp scratch."""
-    m = members.size
-    for i in range(m):
-        stamp[members[i]] = token  # member mark
-    count = 0
-    for i in range(m):
-        base = members[i] * d
-        for j in range(d):
-            w = nbrs[base + j]
-            if stamp[w] < token:
-                stamp[w] = token + 1  # neighbor mark
-                count += 1
-    return count
-
-
-@njit
-def distinct_external_masked(nbrs, d, members, allowed, stamp, token):
-    """|N(S) \\ S| restricted to vertices with allowed[w] true."""
-    m = members.size
-    for i in range(m):
-        stamp[members[i]] = token
-    count = 0
-    for i in range(m):
-        base = members[i] * d
-        for j in range(d):
-            w = nbrs[base + j]
-            if stamp[w] < token and allowed[w]:
-                stamp[w] = token + 1
-                count += 1
-    return count
 
 
 @njit

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .graph_core import RegularGraph
-from .percolation import PercolationSample
+from .percolation import PercolationSample, components_oracle
 
 __all__ = [
     "ComponentCensus",
@@ -89,14 +89,15 @@ def take_census(g: RegularGraph, sample: PercolationSample, k_max: int = 4) -> C
         raise ValueError("k_max must be at least 1")
     mask = sample.membership
     n = g.n
-    parent = np.empty(n, dtype=np.int64)
-    _kernels.union_find_components(g.neighbors, g.d, mask, parent)
-    size_acc = np.zeros(n, dtype=np.int64)
-    edge_acc = np.zeros(n, dtype=np.int64)
-    _kernels.census_accumulate(g.neighbors, g.d, mask, parent, size_acc, edge_acc)
-    roots = np.flatnonzero(mask & (parent == np.arange(n)))
-    sizes = size_acc[roots]
-    edges = edge_acc[roots]
+    kept = np.flatnonzero(mask)
+    labels = components_oracle(g, sample)[kept]
+    # kept is ascending, so a label's first kept vertex is its smallest member
+    _, first = np.unique(labels, return_index=True)
+    roots = kept[first]
+    sizes = np.bincount(labels).astype(np.int64)
+    # each induced edge is seen from both ends
+    degrees = np.count_nonzero(mask[g.nbrs2d[kept]], axis=1)
+    edges = np.bincount(labels, weights=degrees).astype(np.int64) // 2
     order = np.lexsort((roots, -sizes))
     roots, sizes, edges = roots[order], sizes[order], edges[order]
 

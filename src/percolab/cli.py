@@ -127,7 +127,9 @@ def _cmd_theory(args) -> int:
     rows = [{"field": k, "value": v} for k, v in d.items()]
     rows += [{"field": f"T{i + 1}_pred", "value": v} for i, v in enumerate(tk)]
     rows += [{"field": f"T{i + 1}_pred_finite_d", "value": v} for i, v in enumerate(tk_fd)]
-    rows += [{"field": f"window[{k}]", "value": v} for k, v in admissible.items()]
+    # whether alpha lies in each claim's window: a fact, not a pass/fail
+    rows += [{"field": f"window[{k}]", "value": "yes" if v else "no"}
+             for k, v in admissible.items()]
     _print_table(rows, ("field", "value"))
     return 0
 

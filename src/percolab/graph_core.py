@@ -1,10 +1,9 @@
 """Immutable d-regular simple graphs and elementary set queries.
 
-The adjacency is stored in compressed sparse row form: ``offsets`` has
-n+1 cumulative indices (regularity makes them uniform, but the explicit
-array keeps slicing generic) and ``neighbors`` is the flat length-n*d
-array of neighbor ids, each row sorted ascending.  Sorted rows give a
-canonical serialization and O(log d) edge membership tests.
+The adjacency is stored as ``neighbors``, the flat length-n*d array of
+neighbor ids in which row v is ``neighbors[v*d:(v+1)*d]``, sorted
+ascending: regularity makes the row offsets implicit.  Sorted rows give
+a canonical serialization and O(log d) edge membership tests.
 
 Vertex ids are dense 0-based integers.
 
@@ -53,17 +52,15 @@ class RegularGraph:
         Vertex count.
     d : int
         Common degree, >= 1.
-    offsets : np.ndarray
-        int64 array of n+1 cumulative indices into ``neighbors``.
     neighbors : np.ndarray
-        int32 flat array of length n*d; row i is sorted ascending.
+        int32 flat array of length n*d; row i is ``neighbors[i*d:(i+1)*d]``,
+        sorted ascending.
     blowup_factor : int or None
         Set by the blow-up generator; None for every other origin.
     """
 
     n: int
     d: int
-    offsets: np.ndarray
     neighbors: np.ndarray
     blowup_factor: int | None = field(default=None)
 
@@ -115,11 +112,9 @@ class RegularGraph:
         if d > 1 and np.any(np.diff(rows, axis=1) <= 0):
             bad = int(np.argmax(np.any(np.diff(rows, axis=1) <= 0, axis=1)))
             raise RegularityError(f"repeated neighbor at vertex {bad}")
-        offsets = np.arange(n + 1, dtype=np.int64) * d
         return cls(
             n=n,
             d=d,
-            offsets=offsets,
             neighbors=np.ascontiguousarray(nbrs, dtype=np.int32),
             blowup_factor=blowup_factor,
         )
@@ -133,7 +128,8 @@ class RegularGraph:
         return self.neighbors.reshape(self.n, self.d)
 
     def neighbors_of(self, v: int) -> np.ndarray:
-        return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
+        lo = int(v) * self.d
+        return self.neighbors[lo : lo + self.d]
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors_of(u)

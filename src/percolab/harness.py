@@ -125,8 +125,9 @@ class ExperimentConfig:
             raise ValueError("mixing/corollary_2_3 checkers need spectrum=true")
 
     def to_dict(self) -> dict:
-        # workers is scheduling, not experiment identity: records must be
-        # byte-identical across pool sizes, so it stays out of the file
+        # workers and out are scheduling and storage, not experiment
+        # identity: records must be byte-identical across pool sizes and
+        # output paths, so they stay out of the file
         return {
             "gen": _gen_to_dict(self.gen),
             "epsilon": self.epsilon,
@@ -134,7 +135,6 @@ class ExperimentConfig:
             "regime": self.regime,
             "trials": self.trials,
             "seed": self.master_seed,
-            "out": self.out,
             "k_max": self.k_max,
             "checkers": list(self.checkers),
             "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
@@ -294,6 +294,8 @@ def _run_trial(
     seed = trial_seed(cfg.master_seed, trial_index)
     if cfg.regen_graph:
         g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, trial_index)))
+        if cfg.spectrum:  # the parent graph's lambda does not certify this one
+            spect = compute_spectrum(g, tol=cfg.spectrum_tol)
     stream = CoinStream(g.n, cfg.p, seed)
     trace = run_dfs(g, stream)
     sample = PercolationSample.from_membership(cfg.p, seed, trace.accepted_mask())
@@ -541,7 +543,7 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
         "p": cfg.p,
         "prediction": pred.to_dict(),
         "spectrum": None if spect is None else spect.to_dict(),
-        "format": 1,
+        "format": 2,
     }
 
     have = _read_existing(cfg.out, config_obj) if resume else {}

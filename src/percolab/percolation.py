@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .graph_core import RegularGraph
@@ -254,16 +256,24 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> Dfs
 
 
 def components_oracle(g: RegularGraph, sample: PercolationSample) -> np.ndarray:
-    """Union-find labeling: component ids 0..k-1 by smallest member vertex,
-    -1 for vertices outside the sample.  Independent of run_dfs."""
+    """Component labels of the retained induced subgraph from scipy's
+    connected_components: ids 0..k-1 by smallest member vertex, -1 for
+    vertices outside the sample.  Independent of run_dfs."""
     mask = sample.membership
-    parent = np.empty(g.n, dtype=np.int64)
-    _kernels.union_find_components(g.neighbors, g.d, mask, parent)
     labels = np.full(g.n, -1, dtype=np.int64)
-    if sample.retained_count:
-        roots = parent[mask]
-        uniq, inv = np.unique(roots, return_inverse=True)
-        labels[mask] = inv
+    kept = np.flatnonzero(mask)
+    if kept.size:
+        rows = g.nbrs2d[kept]
+        hit = mask[rows]
+        local = np.empty(g.n, dtype=np.int64)
+        local[kept] = np.arange(kept.size)
+        indptr = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
+        adj = csr_matrix(
+            (np.ones(indptr[-1], dtype=np.int8), local[rows[hit]], indptr),
+            shape=(kept.size, kept.size),
+        )
+        _, labels[kept] = connected_components(adj, directed=False)
     return labels
 
 

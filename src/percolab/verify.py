@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .census import ComponentCensus
 from .generators import blowup_pair_index
-from .graph_core import RegularGraph, VertexSet, edge_count_between
+from .graph_core import RegularGraph, VertexSet, edge_count_between, external_neighborhood
 from .percolation import CoinStream, PercolationSample, components_oracle
 from .rng import TAG_GROWTH, TAG_PAIRS, TAG_SUBSETS, make_generator
 from .spectral import SpectrumReport, delta_of_alpha
@@ -153,13 +153,10 @@ def check_lemma_2_4(
         meta["ratio_le_delta"] = report.ratio <= delta_of_alpha(alpha)
     rng = make_generator(seed, TAG_SUBSETS)
     out = ViolationReport("lemma_2_4", subsets, meta=meta)
-    stamp = np.full(n, -1, dtype=np.int64)
-    token = 0
     for i in range(subsets):
         m = int(rng.integers(m_lo, m_hi + 1))
-        members = rng.choice(retained_idx, size=m, replace=False).astype(np.int64)
-        ext = int(_kernels.distinct_external(g.neighbors, d, members, stamp, token))
-        token += 2
+        members = rng.choice(retained_idx, size=m, replace=False)
+        ext = external_neighborhood(g, VertexSet.from_indices(n, members)).cardinality
         target = n * (1.0 - math.exp(-d * m / n))
         hi = (1.0 + 2.0 * alpha) * target
         lo = (1.0 - 2.0 * alpha) * target
@@ -183,14 +180,11 @@ def check_blowup_pairs(g: RegularGraph, sizes=None) -> ViolationReport:
         sizes = sorted({2, max(2, (n // (3 * d)) // 2 * 2), n_blocks // 2 * 2})
         sizes = [s for s in sizes if s >= 2]
     out = ViolationReport("blowup_pairs", len(sizes), meta={"sizes": list(sizes)})
-    stamp = np.full(n, -1, dtype=np.int64)
-    token = 0
     for s in sizes:
         if s % 2 or s > n:
             raise ValueError(f"pair-union size must be even and at most n, got {s}")
         members = np.arange(s, dtype=np.int64)  # first s/2 blocks, whole pairs
-        ext = int(_kernels.distinct_external(g.neighbors, d, members, stamp, token))
-        token += 2
+        ext = external_neighborhood(g, VertexSet.from_indices(n, members)).cardinality
         bound = s * d / 2
         if ext > bound:
             out.add(f"pair union |S|={s}", ext, bound)
@@ -207,8 +201,7 @@ def clique_expansion_demo(g: RegularGraph, alpha: float, m: int | None = None) -
     if m < 1 or m > d + 1:
         raise ValueError("subset must fit inside one clique")
     members = np.arange(m, dtype=np.int64)  # cliques are contiguous blocks
-    stamp = np.full(g.n, -1, dtype=np.int64)
-    ext = int(_kernels.distinct_external(g.neighbors, d, members, stamp, 0))
+    ext = external_neighborhood(g, VertexSet.from_indices(g.n, members)).cardinality
     window_lo = (1.0 - 2.0 * alpha) * g.n * (1.0 - math.exp(-d * m / g.n))
     return {
         "m": m,
@@ -332,9 +325,6 @@ def check_giant_expansion(
     targets = np.unique(np.linspace(lo, hi, num=max(2, min(samples, hi - lo + 1))).astype(np.int64))
     in_set = np.zeros(n, dtype=np.uint8)
     queue = np.empty(n, dtype=np.int64)
-    stamp = np.full(n, -1, dtype=np.int64)
-    retained = sample.membership
-    token = 0
     min_seen = math.inf
     for i in range(samples):
         target = int(targets[i % targets.size])
@@ -343,10 +333,8 @@ def check_giant_expansion(
         members = queue[:size].copy()
         in_set[members] = 0
         assert size == target, "connected component must reach any size below its own"
-        ext = int(
-            _kernels.distinct_external_masked(g.neighbors, d, members, retained, stamp, token)
-        )
-        token += 2
+        outside = external_neighborhood(g, VertexSet.from_indices(n, members)).mask
+        ext = int(np.count_nonzero(outside & sample.membership))
         min_seen = min(min_seen, ext)
         if ext < threshold:
             out.add(f"sample {i} |S|={size}", ext, threshold)

@@ -59,6 +59,10 @@ def test_theory_command(capsys):
     out = capsys.readouterr().out
     assert "L1_pred" in out and "3764.38" in out
     assert "T1_pred" in out and "window" in out
+    # alpha-window flags are admissibility facts, shown as yes/no
+    assert "FAIL" not in out
+    window_rows = [line.split() for line in out.splitlines() if line.startswith("window[")]
+    assert window_rows and all(row[1] in ("yes", "no") for row in window_rows)
 
 
 def test_sweep_and_compare_roundtrip(tmp_path, capsys):

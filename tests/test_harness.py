@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from percolab.generators import GenSpec
+from percolab import harness
+from percolab.generators import GenSpec, generate
 from percolab.harness import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
@@ -14,7 +15,9 @@ from percolab.harness import (
     run_sweep,
 )
 from percolab.rng import trial_seed
+from percolab.spectral import compute_spectrum
 from percolab.theory import predict
+from percolab.verify import _effective_lambda
 
 
 def _small_cfg(out=None, **kw):
@@ -171,6 +174,40 @@ def test_sweep_resume_from_torn_file(tmp_path):
     assert open(out, "r", encoding="utf-8").read() == whole
 
 
+def test_sweep_output_path_invisible_in_records(tmp_path):
+    (tmp_path / "elsewhere").mkdir()
+    out_a = str(tmp_path / "a.jsonl")
+    out_b = str(tmp_path / "elsewhere" / "b.jsonl")
+    run_sweep(_small_cfg(out=out_a, checkers=("stream",)))
+    run_sweep(_small_cfg(out=out_b, checkers=("stream",)))
+    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+    assert open(out_a + ".csv", "rb").read() == open(out_b + ".csv", "rb").read()
+    head = json.loads(open(out_a, encoding="utf-8").readline())
+    assert "out" not in head["config"] and head["format"] == 2
+
+
+def test_sweep_resume_from_renamed_torn_file(tmp_path, monkeypatch):
+    out = str(tmp_path / "first.jsonl")
+    cfg = _small_cfg(out=out, trials=5)
+    run_sweep(cfg)
+    whole = open(out, "r", encoding="utf-8").read()
+    lines = whole.split("\n")
+    renamed = str(tmp_path / "renamed.jsonl")
+    with open(renamed, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
+    ran = []
+    real = harness._run_trial
+
+    def counting(g, c, spect, i):
+        ran.append(i)
+        return real(g, c, spect, i)
+
+    monkeypatch.setattr(harness, "_run_trial", counting)
+    run_sweep(replace(cfg, out=renamed), resume=True)
+    assert ran == [2, 3, 4]  # the two intact trial lines were reused
+    assert open(renamed, "r", encoding="utf-8").read() == whole
+
+
 def test_sweep_resume_rejects_other_config(tmp_path):
     out = str(tmp_path / "mix.jsonl")
     run_sweep(_small_cfg(out=out))
@@ -224,6 +261,20 @@ def test_sweep_regen_graph_varies_instances(tmp_path):
     ca = [r["census"] for r in a if r["kind"] == "trial"]
     cb = [r["census"] for r in b if r["kind"] == "trial"]
     assert ca != cb
+
+
+def test_sweep_regen_graph_certifies_each_graph_with_its_own_spectrum(tmp_path):
+    out = str(tmp_path / "regen_spec.jsonl")
+    cfg = _small_cfg(out=out, trials=2, regen_graph=True, spectrum=True,
+                     checkers=("mixing", "corollary_2_3"), pairs=20)
+    run_sweep(cfg)
+    recs = [json.loads(x) for x in open(out, encoding="utf-8").read().splitlines()]
+    parent_lam = _effective_lambda(compute_spectrum(generate(cfg.gen), tol=cfg.spectrum_tol))
+    for t in (r for r in recs if r["kind"] == "trial"):
+        g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, t["trial_index"])))
+        own_lam = _effective_lambda(compute_spectrum(g, tol=cfg.spectrum_tol))
+        assert own_lam != parent_lam
+        assert [c["meta"]["lambda_eff"] for c in t["checks"]] == [own_lam, own_lam]
 
 
 # ----------------------------------------------------------------------

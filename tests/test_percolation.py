@@ -1,8 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -136,7 +131,7 @@ def test_epochs_are_components(rr_small):
         flips = stream.flips.copy()
         tr = run_dfs(g, stream)
         # accepted set is exactly the heads pattern in visit order; compare
-        # partitions against the union-find oracle on the same vertex set
+        # partitions against the scipy oracle on the same vertex set
         sample = PercolationSample.from_membership(0.4, seed, tr.accepted_mask())
         labels = components_oracle(g, sample)
         assert np.array_equal(
@@ -172,26 +167,3 @@ def test_canonicalize_labels():
     raw = np.array([2, 2, -1, 0, 0, 1])
     assert canonicalize_labels(raw).tolist() == [0, 0, -1, 3, 3, 5]
     assert canonicalize_labels(np.array([-1, -1])).tolist() == [-1, -1]
-
-
-def test_numba_and_fallback_paths_agree(tmp_path):
-    """The pure-numpy fallback must produce bit-identical traces."""
-    script = (
-        "import json, numpy as np\n"
-        "from percolab.generators import GenSpec, generate\n"
-        "from percolab.percolation import CoinStream, run_dfs\n"
-        "g = generate(GenSpec('random_regular', n=400, d=6, seed=11))\n"
-        "tr = run_dfs(g, CoinStream(g.n, 0.45, 5))\n"
-        "print(json.dumps({'comp': tr.component_of.tolist(),"
-        " 'starts': tr.epoch_starts.tolist(),"
-        " 'queries': tr.queries_per_epoch.tolist()}))\n"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, PERCOLAB_NO_NUMBA=flag)
-        res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        )
-        assert res.returncode == 0, res.stderr
-        outs.append(json.loads(res.stdout))
-    assert outs[0] == outs[1]
