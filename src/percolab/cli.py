@@ -2,13 +2,15 @@
 
 Subcommands: generate, spectrum, percolate, sweep, verify, theory,
 compare.  Sweep options mirror the flat key=value config file keys; a
-flag given on the command line wins over the file.
+flag given on the command line wins over the file.  ``--log-level``,
+given before the subcommand, sets what the library logs to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from .census import take_census
@@ -30,6 +32,7 @@ from .verify import (
     check_lemma_2_4,
     check_mixing,
     check_stream_properties,
+    giant_expansion_window,
 )
 
 _BOOL = argparse.BooleanOptionalAction
@@ -171,6 +174,8 @@ def _cmd_verify(args) -> int:
     else:
         sign = -1.0 if args.regime == "sub" else 1.0
         p = (1.0 + sign * args.epsilon) / g.d
+    if "giant_expansion" in checkers:  # fail before any spectrum or sampling
+        giant_expansion_window(g.n, g.d, p * g.d - 1.0, args.alpha)
     spect = None
     if any(c in ("mixing", "corollary_2_3") for c in checkers):
         spect = compute_spectrum(g, tol=args.spectrum_tol)
@@ -215,6 +220,8 @@ def _cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="percolab",
                                  description="site-percolation laboratory for regular graphs")
+    ap.add_argument("--log-level", choices=("warning", "info", "debug"), default="warning",
+                    dest="log_level", help="what the library logs to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="build a graph and write it to a file")
@@ -297,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

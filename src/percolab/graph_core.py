@@ -106,8 +106,14 @@ class RegularGraph:
             raise RegularityError(
                 f"vertex {bad} has degree {int(deg[bad])}, expected {d}"
             )
-        order = np.lexsort((dst, src))
-        nbrs = dst[order]
+        # one in-place sort of the int64 key src*n + dst orders the entries
+        # by (src, dst), so key % n holds the sorted rows back to back
+        key = src
+        key *= n
+        key += dst
+        del dst
+        key.sort()
+        nbrs = np.remainder(key, n, out=key)
         rows = nbrs.reshape(n, d)
         if d > 1 and np.any(np.diff(rows, axis=1) <= 0):
             bad = int(np.argmax(np.any(np.diff(rows, axis=1) <= 0, axis=1)))
@@ -115,7 +121,7 @@ class RegularGraph:
         return cls(
             n=n,
             d=d,
-            neighbors=np.ascontiguousarray(nbrs, dtype=np.int32),
+            neighbors=nbrs.astype(np.int32),
             blowup_factor=blowup_factor,
         )
 

@@ -37,6 +37,7 @@ from .verify import (
     check_lemma_2_4,
     check_mixing,
     check_stream_properties,
+    giant_expansion_window,
 )
 
 __all__ = [
@@ -91,10 +92,17 @@ class ExperimentConfig:
     beta_test: float = 0.01
 
     @property
+    def size(self) -> tuple[int, int]:
+        """(n, d) of the graph ``gen`` builds; a blow-up may leave both 0."""
+        if self.gen.family == "blowup" and not (self.gen.n and self.gen.d):
+            s = self.gen.blowup_factor
+            return s * self.gen.base.n, s * self.gen.base.d
+        return self.gen.n, self.gen.d
+
+    @property
     def p(self) -> float:
-        d = self.gen.d if self.gen.d else (self.gen.blowup_factor * self.gen.base.d)
         sign = -1.0 if self.regime == "sub" else 1.0
-        return (1.0 + sign * self.epsilon) / d
+        return (1.0 + sign * self.epsilon) / self.size[1]
 
     def tol(self, metric: str) -> float:
         if metric in self.tolerances:
@@ -123,6 +131,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown checker id {c!r}; known: {CHECKER_IDS}")
         if any(c in self.checkers for c in _SPECTRUM_CHECKERS) and not self.spectrum:
             raise ValueError("mixing/corollary_2_3 checkers need spectrum=true")
+        if "giant_expansion" in self.checkers:
+            n, d = self.size
+            giant_expansion_window(n, d, self.p * d - 1.0, self.alpha)
 
     def to_dict(self) -> dict:
         # workers and out are scheduling and storage, not experiment

@@ -32,6 +32,7 @@ __all__ = [
     "check_mixing",
     "check_stream_properties",
     "clique_expansion_demo",
+    "giant_expansion_window",
 ]
 
 _MAX_WITNESSES = 200
@@ -273,6 +274,30 @@ def check_stream_properties(
     return out
 
 
+def giant_expansion_window(n: int, d: int, epsilon: float, alpha: float) -> tuple[int, int]:
+    """Subset sizes [ceil(16 alpha n/d), floor((x - 9 alpha) n/d)] that
+    ``check_giant_expansion`` grows S to, with x = x(min(eps, 1)).
+
+    The window is non-empty only if alpha <= x/25 (0.01505 at eps=0.2),
+    up to rounding at small n/d.  Raises ValueError, naming that bound,
+    when it is empty or the retention is not supercritical (eps <= 0).
+    """
+    if epsilon <= 0:
+        raise ValueError(
+            f"giant_expansion needs a supercritical retention probability, got eps={epsilon:g}"
+        )
+    x = solve_x(min(epsilon, 1.0))
+    lo = math.ceil(16.0 * alpha * n / d)
+    hi = math.floor((x - 9.0 * alpha) * n / d)
+    if lo > hi:
+        bound = math.floor(x / 25.0 * 1e5) / 1e5  # rounded down: every alpha it admits is <= x/25
+        raise ValueError(
+            f"giant_expansion needs alpha <= {bound:g} at eps={epsilon:g}: "
+            f"empty subset-size window [{lo}, {hi}] for alpha={alpha} at n={n} d={d}"
+        )
+    return lo, hi
+
+
 def check_giant_expansion(
     g: RegularGraph,
     sample: PercolationSample,
@@ -292,14 +317,7 @@ def check_giant_expansion(
     not a certificate.
     """
     n, d = g.n, g.d
-    epsilon = sample.p * d - 1.0
-    if epsilon <= 0:
-        raise ValueError("retention probability is not supercritical")
-    x = solve_x(min(epsilon, 1.0))
-    lo = math.ceil(16.0 * alpha * n / d)
-    hi = math.floor((x - 9.0 * alpha) * n / d)
-    if lo > hi:
-        raise ValueError(f"empty subset-size window [{lo}, {hi}] for alpha={alpha}")
+    lo, hi = giant_expansion_window(n, d, sample.p * d - 1.0, alpha)
     labels = components_oracle(g, sample)
     giant = census.largest
     if giant <= lo:

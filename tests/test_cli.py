@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import percolab
 from percolab.cli import main
 from percolab.graph_core import read_graph
 
@@ -29,6 +33,24 @@ def test_generate_hypercube(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote" in out and "n=16" in out.replace(" ", "")
     assert read_graph(path).d == 4
+
+
+def test_debug_log_level_reports_pairing_attempts(graph_file, tmp_path):
+    path = str(tmp_path / "logged.graph")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "percolab.cli", "--log-level", "debug", "generate",
+         "--family", "random_regular", "--n", "300", "--d", "6", "--graph-seed", "4",
+         "--out", path],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert "pairing attempt 1" in proc.stderr
+    assert "n=300 d=6 seed=4" in proc.stderr
+    assert "pairing attempt" not in proc.stdout
+    # logging leaves the graph file as the default level writes it
+    with open(path, "rb") as a, open(graph_file, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_spectrum_command(graph_file, capsys):
@@ -134,6 +156,14 @@ def test_verify_command(graph_file, capsys):
     assert rc == 0
     assert {r["checker"] for r in reports} == {"stream", "mixing"}
     assert all(r["pass"] for r in reports)
+
+
+def test_verify_giant_expansion_names_admissible_alpha(graph_file, capsys):
+    rc = main(["verify", "--graph", graph_file, "--checker", "giant_expansion", "--seed", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "giant_expansion needs alpha <= 0.01505 at eps=0.2" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_unknown_checker(graph_file, capsys):

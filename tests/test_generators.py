@@ -1,9 +1,13 @@
+import hashlib
+import logging
+
 import numpy as np
 import pytest
 
 from percolab.generators import (
     GenSpec,
     GenSpecError,
+    _first_occurrence,
     blowup_pair_index,
     cycle_graph,
     generate,
@@ -102,3 +106,48 @@ def test_reference_graphs(petersen, c6):
     with pytest.raises(GenSpecError):
         cycle_graph(2)
     assert petersen_graph().structurally_equal(petersen)
+
+
+def test_first_occurrence_matches_full_unique():
+    rng = np.random.default_rng(3)
+    for n, size in ((5, 6), (40, 300), (1000, 2000), (10**6, 50)):
+        lo = rng.integers(0, n, size)
+        key = lo * n + np.maximum(lo, rng.integers(0, n, size))
+        _, idx = np.unique(key, return_index=True)
+        expected = np.zeros(size, dtype=bool)
+        expected[idx] = True
+        assert np.array_equal(_first_occurrence(key, n), expected)
+
+
+# SHA-256 of ``neighbors`` (int32 bytes) for fixed specs, paired with the
+# number of pairing attempts a random_regular spec takes.  A change to the
+# sampler that alters a single RNG call or a single accept decision moves
+# these hashes.
+_PINNED = [
+    (GenSpec("random_regular", n=2000, d=8, seed=7), 1,
+     "2317b7869a1a796cb4dd40a9eba477fb9d1f42458230cf0c764c66ee6740dd8b"),
+    (GenSpec("random_regular", n=20000, d=20, seed=1), 3,
+     "330567bb48d6f26e477424e250e33e2af815ebabc000ca30fcd8e8da8ab18aef"),
+    (GenSpec("random_regular", n=50000, d=10, seed=1), 2,
+     "444b0e1193d3cf93ce01233d087ab04c2ed42f35c256ad5ed9228bdc441f880f"),
+    (GenSpec("random_regular", n=100, d=20, seed=3), 1,
+     "c85c26018c2cc35fbd95de3c7b992873bc08e4624cd8f6b0cefe258dc026eb4e"),
+    (GenSpec("hypercube", n=1024, d=10), 0,
+     "e65ebdc96b61e2a50ebdf66eb2e38037b4dbcdb08bd386a63d0aa82842967509"),
+    (GenSpec("clique_union", n=60, d=5), 0,
+     "7fb4715b357716e0345cf1d0624640734cfdb1141cedf38f3b6cf2c6c5e68365"),
+    (GenSpec("blowup", blowup_factor=3, base=GenSpec("random_regular", n=30, d=4, seed=2)), 2,
+     "7dc38f2ec275046fb3886c4bef7eeec8c63e08dcf024149f43eb172c731306a5"),
+]
+
+
+@pytest.mark.parametrize("spec,attempts,digest", _PINNED,
+                         ids=[f"{s.family}-{s.n}-{s.d}-{s.seed}" for s, _, _ in _PINNED])
+def test_generation_is_pinned(spec, attempts, digest, caplog):
+    with caplog.at_level(logging.DEBUG, logger="percolab.generators"):
+        g = generate(spec)
+    assert g.neighbors.dtype == np.int32
+    assert hashlib.sha256(g.neighbors.tobytes()).hexdigest() == digest
+    tried = [r for r in caplog.records if "pairing attempt" in r.getMessage()]
+    assert len(tried) == attempts
+    assert all("dead end" in r.getMessage() for r in tried[:-1])

@@ -74,6 +74,19 @@ def test_from_edges_rejects_out_of_range():
         RegularGraph.from_edges(4, 3, u, v)
 
 
+def test_from_edges_ignores_edge_order(rr_small):
+    u, v = rr_small.edge_list()
+    perm = np.random.default_rng(5).permutation(u.size)
+    # shuffled order, and each edge given either way round
+    flip = np.random.default_rng(6).random(u.size) < 0.5
+    su = np.where(flip, v, u)[perm]
+    sv = np.where(flip, u, v)[perm]
+    g = RegularGraph.from_edges(rr_small.n, rr_small.d, su, sv)
+    assert g.neighbors.dtype == np.int32
+    assert np.array_equal(g.neighbors, rr_small.neighbors)
+    assert g.structurally_equal(RegularGraph.from_edges(rr_small.n, rr_small.d, u, v))
+
+
 def test_degree_one_graph_allowed():
     g = RegularGraph.from_edges(4, 1, np.array([0, 2]), np.array([1, 3]))
     assert g.d == 1 and g.has_edge(2, 3)

@@ -117,6 +117,28 @@ def test_config_p_by_regime():
     assert _small_cfg(regime="super").p == pytest.approx(1.2 / 8)
 
 
+def test_giant_expansion_config_rejected_before_generation(tmp_path, monkeypatch):
+    # at eps = 0.2 the window [16a, x - 9a] n/d is empty unless a <= x/25
+    def no_generate(spec):
+        raise AssertionError("generate ran for a config that cannot pass validation")
+
+    monkeypatch.setattr(harness, "generate", no_generate)
+    cfg = _small_cfg(out=str(tmp_path / "g.jsonl"), regime="super", checkers=("giant_expansion",))
+    with pytest.raises(ValueError, match=r"giant_expansion needs alpha <= 0\.01505 at eps=0\.2"):
+        run_sweep(cfg)
+    with pytest.raises(ValueError, match="supercritical"):
+        _small_cfg(regime="sub", alpha=0.01, checkers=("giant_expansion",)).validate()
+    mapping = {"family": "random_regular", "n": 500, "d": 8, "epsilon": 0.2,
+               "regime": "super", "trials": 1, "seed": 0, "checkers": "giant_expansion"}
+    with pytest.raises(ValueError, match="empty subset-size window"):
+        config_from_mapping(mapping)
+    # the admissible side of the bound, and a blow-up whose n, d are left blank
+    config_from_mapping(dict(mapping, n=20000, alpha=0.01))
+    config_from_mapping({"family": "blowup", "blowup_factor": 2, "base_n": 10000,
+                         "base_d": 4, "epsilon": 0.2, "trials": 1, "seed": 0,
+                         "alpha": 0.01, "checkers": "giant_expansion"})
+
+
 def test_workers_do_not_enter_serialized_config():
     a = _small_cfg(workers=1).to_dict()
     b = _small_cfg(workers=8).to_dict()
