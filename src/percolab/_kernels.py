@@ -1,6 +1,7 @@
 """Loops with no numpy/scipy primitive, shared by percolation, census
-and verify: the sequential walks (dfs_explore, cycle_scan, bfs_grow),
-whose every step depends on the last, and the small-subgraph counters
+and verify: the two sequential walks, whose every step depends on the
+last (dfs_explore, the one depth-first search, which also gives the
+census its long-cycle bound; bfs_grow), and the small-subgraph counters
 behind the exact tree counts.
 
 Each kernel is a plain function over preallocated numpy arrays, compiled
@@ -16,7 +17,6 @@ from ._accel import njit
 
 __all__ = [
     "bfs_grow",
-    "cycle_scan",
     "dfs_explore",
     "induced_p4_count",
     "induced_star_count",
@@ -32,15 +32,17 @@ W_REJECTED = 3
 
 
 @njit
-def dfs_explore(nbrs, d, order, coins, state, comp, accepted_order, epoch_starts, queries):
+def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch_starts, queries):
     """Stack exploration driven by one coin per first-touched vertex.
 
     nbrs: flat (n*d) neighbor table, each row sorted by scan priority.
-    order: vertex ids in root-selection priority order.
-    coins: uint8 coin stream, one entry per vertex overall.
-    Outputs written in place; returns (coins_used, n_epochs, n_accepted).
+    order: vertex ids in root-selection priority order (may be shorter
+    than n); state may start vertices as W_REJECTED to keep them out.
+    coins: uint8 coin stream, one entry per touched vertex.
+    Outputs written in place, depth[w] = stack depth when w was pushed
+    (0 for a root); returns (coins_used, n_epochs, n_accepted).
     """
-    n = order.size
+    n = state.size
     stack = np.empty(n, dtype=np.int64)
     ptr = np.zeros(n, dtype=np.int64)
     top = -1
@@ -71,12 +73,13 @@ def dfs_explore(nbrs, d, order, coins, state, comp, accepted_order, epoch_starts
                     n_acc += 1
                     top += 1
                     stack[top] = w
+                    depth[w] = top
                 else:
                     state[w] = W_REJECTED
         else:
-            while cursor < n and state[order[cursor]] != T_UNVISITED:
+            while cursor < order.size and state[order[cursor]] != T_UNVISITED:
                 cursor += 1
-            if cursor == n:
+            if cursor == order.size:
                 break
             r = order[cursor]
             heads = coins[coin_i]
@@ -86,6 +89,7 @@ def dfs_explore(nbrs, d, order, coins, state, comp, accepted_order, epoch_starts
                 queries[n_epochs - 1] = 1
                 state[r] = U_STACK
                 comp[r] = n_epochs - 1
+                depth[r] = 0
                 accepted_order[n_acc] = r
                 n_acc += 1
                 top = 0
@@ -94,49 +98,6 @@ def dfs_explore(nbrs, d, order, coins, state, comp, accepted_order, epoch_starts
                 state[r] = W_REJECTED
             coin_i += 1
     return coin_i, n_epochs, n_acc
-
-
-@njit
-def cycle_scan(nbrs, d, mask, depth, parent):
-    """DFS forest over the induced subgraph; longest back-edge cycle.
-
-    Returns (best_len, deep_end, high_end); best_len 0 when acyclic.
-    """
-    n = mask.size
-    visited = np.zeros(n, dtype=np.uint8)
-    ptr = np.zeros(n, dtype=np.int64)
-    stack = np.empty(n, dtype=np.int64)
-    best = 0
-    best_u = -1
-    best_v = -1
-    for s in range(n):
-        if mask[s] and visited[s] == 0:
-            visited[s] = 1
-            depth[s] = 0
-            parent[s] = -1
-            top = 0
-            stack[0] = s
-            while top >= 0:
-                v = stack[top]
-                if ptr[v] < d:
-                    w = nbrs[v * d + ptr[v]]
-                    ptr[v] += 1
-                    if mask[w]:
-                        if visited[w] == 0:
-                            visited[w] = 1
-                            parent[w] = v
-                            depth[w] = depth[v] + 1
-                            top += 1
-                            stack[top] = w
-                        elif w != parent[v] and depth[w] < depth[v]:
-                            cand = depth[v] - depth[w] + 1
-                            if cand > best:
-                                best = cand
-                                best_u = v
-                                best_v = w
-                else:
-                    top -= 1
-    return best, best_u, best_v
 
 
 @njit

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .graph_core import RegularGraph
-from .percolation import PercolationSample, components_oracle
+from .percolation import PercolationSample, _explore, components_oracle
 
 __all__ = [
     "ComponentCensus",
@@ -38,7 +38,8 @@ class ComponentCensus:
     tree_counts[k] is the number of tree components on exactly k
     vertices for k <= k_max (index 0 unused).  Stragglers are retained
     vertices (edges) outside the largest component and outside small
-    tree components.
+    tree components.  labels are the components_oracle labels (-1 off
+    the sample); the largest component is labels == labels[roots[0]].
     """
 
     n: int
@@ -55,6 +56,7 @@ class ComponentCensus:
     straggler_vertices: int
     straggler_edges: int
     cycle_lb: int
+    labels: np.ndarray
 
     @property
     def num_components(self) -> int:
@@ -90,14 +92,16 @@ def take_census(g: RegularGraph, sample: PercolationSample, k_max: int = 4) -> C
     mask = sample.membership
     n = g.n
     kept = np.flatnonzero(mask)
-    labels = components_oracle(g, sample)[kept]
+    all_labels = components_oracle(g, sample)
+    labels = all_labels[kept]
     # kept is ascending, so a label's first kept vertex is its smallest member
     _, first = np.unique(labels, return_index=True)
     roots = kept[first]
     sizes = np.bincount(labels).astype(np.int64)
+    rows = g.nbrs2d[kept]
+    hit = mask[rows]
     # each induced edge is seen from both ends
-    degrees = np.count_nonzero(mask[g.nbrs2d[kept]], axis=1)
-    edges = np.bincount(labels, weights=degrees).astype(np.int64) // 2
+    edges = np.bincount(labels, weights=np.count_nonzero(hit, axis=1)).astype(np.int64) // 2
     order = np.lexsort((roots, -sizes))
     roots, sizes, edges = roots[order], sizes[order], edges[order]
 
@@ -120,7 +124,7 @@ def take_census(g: RegularGraph, sample: PercolationSample, k_max: int = 4) -> C
     else:
         strag_v = strag_e = 0
 
-    (cycle_lb, _, _), _, _ = _cycle_scan(g, mask)
+    cycle_lb, _, _, _ = _longest_back_edge(g, mask, kept, rows, hit)
 
     return ComponentCensus(
         n=n,
@@ -136,34 +140,52 @@ def take_census(g: RegularGraph, sample: PercolationSample, k_max: int = 4) -> C
         retained_edges=retained_edges,
         straggler_vertices=strag_v,
         straggler_edges=strag_e,
-        cycle_lb=int(cycle_lb),
+        cycle_lb=cycle_lb,
+        labels=all_labels,
     )
 
 
-def _cycle_scan(g: RegularGraph, mask: np.ndarray):
-    depth = np.full(g.n, -1, dtype=np.int64)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    return _kernels.cycle_scan(g.neighbors, g.d, mask, depth, parent), depth, parent
+def _longest_back_edge(g: RegularGraph, mask, kept, rows, hit):
+    """Longest back edge of the DFS forest that dfs_explore builds over
+    the sample (roots ascending, every coin heads, the rest rejected).
+    rows = g.nbrs2d[kept] and hit = mask[rows].  An undirected DFS has
+    no cross edges, so the back edges are the induced edges whose depth
+    gap is 2 or more; each closes a cycle of gap + 1 vertices.  Returns
+    (length, deep end, high end, depth), length 0 when acyclic."""
+    state = np.where(mask, _kernels.T_UNVISITED, _kernels.W_REJECTED).astype(np.uint8)
+    coins = np.ones(kept.size, dtype=np.uint8)
+    depth = _explore(g.neighbors, g.d, kept, coins, state)[2]
+    gap = np.where(hit, depth[kept][:, None] - depth[rows], 0)
+    if not gap.size or gap.max() < 2:
+        return 0, -1, -1, depth
+    i, j = divmod(int(gap.argmax()), g.d)
+    return int(gap[i, j]) + 1, int(kept[i]), int(rows[i, j]), depth
 
 
 def longest_cycle_lower_bound(g: RegularGraph, sample: PercolationSample, with_witness: bool = False):
-    """Best back-edge cycle found by one depth-first sweep of the retained
-    subgraph: a lower bound on the true longest cycle length (0 if the
+    """Longest cycle closed by one back edge of a depth-first forest of
+    the retained subgraph (the forest dfs_explore builds with every coin
+    heads): a lower bound on the true longest cycle length (0 if the
     subgraph is a forest).  With with_witness=True also returns the
     vertex sequence of a cycle achieving the bound, or None."""
-    (res, depth, parent) = _cycle_scan(g, sample.membership)
-    best, deep_end, top_end = res
+    mask = sample.membership
+    kept = np.flatnonzero(mask)
+    rows = g.nbrs2d[kept]
+    best, deep_end, high_end, depth = _longest_back_edge(g, mask, kept, rows, mask[rows])
     if not with_witness:
-        return int(best)
+        return best
     if best == 0:
         return 0, None
-    cycle = [int(deep_end)]
-    v = int(deep_end)
-    while v != int(top_end):
-        v = int(parent[v])
+    # climb to high_end: a vertex's one neighbour a level up is its parent
+    # (no cross edges; depth is -1 off the sample)
+    cycle = [deep_end]
+    v = deep_end
+    while v != high_end:
+        row = g.nbrs2d[v]
+        v = int(row[depth[row] == depth[v] - 1][0])
         cycle.append(v)
-    cycle.reverse()  # ancestor first; the back edge deep_end -> top_end closes it
-    return int(best), cycle
+    cycle.reverse()  # ancestor first; the back edge deep_end -> high_end closes it
+    return best, cycle
 
 
 def validate_cycle(g: RegularGraph, cycle, sample: PercolationSample | None = None) -> bool:

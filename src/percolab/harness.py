@@ -229,8 +229,6 @@ def load_config_file(path: str) -> dict:
     return mapping
 
 
-_GEN_KEYS = ("family", "n", "d", "graph_seed", "blowup_factor",
-             "base_family", "base_n", "base_d", "base_seed")
 _INT_KEYS = ("n", "d", "graph_seed", "blowup_factor", "base_n", "base_d", "base_seed",
              "trials", "seed", "k_max", "workers", "pairs", "subsets", "samples")
 
@@ -343,12 +341,14 @@ _WORKER_STATE: dict = {}
 
 
 def _trial_worker(trial_index: int) -> dict:
+    """One trial on the sweep in _WORKER_STATE, serial or in a pool worker."""
     rec = _run_trial(
         _WORKER_STATE["graph"],
         _WORKER_STATE["cfg"],
         _WORKER_STATE["spect"],
         trial_index,
     )
+    log.info("trial %d: %.3fs", trial_index, rec.wall_time)
     return rec.to_json_obj()
 
 
@@ -561,18 +561,16 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     missing = [i for i in range(cfg.trials) if i not in have]
 
     _warm_kernels()
-    if cfg.workers > 1 and missing:
-        _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.workers) as pool:
-            fresh = pool.map(_trial_worker, missing, chunksize=1)
+    _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
+    try:
+        if cfg.workers > 1 and missing:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(cfg.workers) as pool:
+                fresh = pool.map(_trial_worker, missing, chunksize=1)
+        else:
+            fresh = [_trial_worker(i) for i in missing]
+    finally:
         _WORKER_STATE.clear()
-    else:
-        fresh = []
-        for i in missing:
-            rec = _run_trial(graph, cfg, spect, i)
-            log.info("trial %d: %.3fs", i, rec.wall_time)
-            fresh.append(rec.to_json_obj())
     for i, obj in zip(missing, fresh):
         have[i] = obj
     trials = [have[i] for i in range(cfg.trials)]

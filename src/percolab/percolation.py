@@ -155,25 +155,37 @@ def run_dfs(g: RegularGraph, stream: CoinStream, priority=None) -> DfsTrace:
         raise ValueError(f"stream has {stream.n} coins, graph needs {g.n}")
     order, nbrs = _priority_order(g, priority)
     n = g.n
-    state = np.zeros(n, dtype=np.uint8)
-    comp = np.full(n, -1, dtype=np.int32)
-    accepted_order = np.empty(n, dtype=np.int32)
-    epoch_starts = np.empty(n, dtype=np.int64)
-    queries = np.zeros(n, dtype=np.int64)
-    used, n_epochs, n_acc = _kernels.dfs_explore(
-        nbrs, g.d, order, stream.flips, state, comp, accepted_order, epoch_starts, queries
+    used, comp, _, accepted_order, epoch_starts, queries = _explore(
+        nbrs, g.d, order, stream.flips, np.zeros(n, dtype=np.uint8)
     )
     assert used == n, "exploration must consume exactly one coin per vertex"
-    stream.consumed = int(used)
+    stream.consumed = used
     return DfsTrace(
-        epoch_starts=epoch_starts[:n_epochs].copy(),
+        epoch_starts=epoch_starts,
         component_of=comp,
-        accepted_order=accepted_order[:n_acc].copy(),
-        queries_per_epoch=queries[:n_epochs].copy(),
-        accepted_count=int(n_acc),
-        rejected_count=int(n - n_acc),
-        consumed=int(used),
+        accepted_order=accepted_order,
+        queries_per_epoch=queries,
+        accepted_count=accepted_order.size,
+        rejected_count=n - accepted_order.size,
+        consumed=used,
     )
+
+
+def _explore(nbrs, d, order, coins, state):
+    """dfs_explore with fresh outputs: (coins_used, comp, depth,
+    accepted_order, epoch_starts, queries), the last three trimmed;
+    comp and depth are -1 off the forest."""
+    n = state.size
+    comp = np.full(n, -1, dtype=np.int32)
+    depth = np.full(n, -1, dtype=np.int32)
+    acc = np.empty(n, dtype=np.int32)
+    starts = np.empty(n, dtype=np.int64)
+    queries = np.zeros(n, dtype=np.int64)
+    used, n_epochs, n_acc = _kernels.dfs_explore(
+        nbrs, d, order, coins, state, comp, depth, acc, starts, queries
+    )
+    return (int(used), comp, depth,
+            acc[:n_acc].copy(), starts[:n_epochs].copy(), queries[:n_epochs].copy())
 
 
 def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> DfsTrace:

@@ -18,7 +18,7 @@ from . import _kernels
 from .census import ComponentCensus
 from .generators import blowup_pair_index
 from .graph_core import RegularGraph, VertexSet, edge_count_between, external_neighborhood
-from .percolation import CoinStream, PercolationSample, components_oracle
+from .percolation import CoinStream, PercolationSample
 from .rng import TAG_GROWTH, TAG_PAIRS, TAG_SUBSETS, make_generator
 from .spectral import SpectrumReport, delta_of_alpha
 from .theory import solve_x
@@ -318,14 +318,11 @@ def check_giant_expansion(
     """
     n, d = g.n, g.d
     lo, hi = giant_expansion_window(n, d, sample.p * d - 1.0, alpha)
-    labels = components_oracle(g, sample)
     giant = census.largest
     if giant <= lo:
         raise ValueError(f"largest component ({giant}) does not reach the window start {lo}")
     hi = min(hi, giant - 1)  # keep S a proper subset so the neighborhood can be nonempty
-    counts = np.bincount(labels[labels >= 0])
-    giant_label = int(counts.argmax())
-    allowed = labels == giant_label
+    allowed = census.labels == census.labels[census.roots[0]]
     giant_members = np.flatnonzero(allowed)
 
     threshold = beta_test * alpha ** 2 / math.log(1.0 / alpha) * n / d

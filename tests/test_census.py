@@ -12,7 +12,7 @@ from percolab.census import (
     take_census,
     validate_cycle,
 )
-from percolab.generators import GenSpec, generate
+from percolab.generators import GenSpec, generate, petersen_graph
 from percolab.percolation import PercolationSample, sample_vertices
 
 
@@ -69,6 +69,8 @@ def test_census_orders_by_size_then_root(cliques60):
     assert c.sizes.tolist() == [3, 3, 2]
     assert c.roots[0] < c.roots[1]  # tie broken by vertex id
     assert c.largest == 3 and c.second_largest == 3
+    assert np.flatnonzero(c.labels == c.labels[c.roots[0]]).tolist() == [0, 1, 2]
+    assert (c.labels >= 0).sum() == 8
 
 
 def test_census_straggler_accounting(q4):
@@ -145,6 +147,49 @@ def test_cycle_bound_matches_census(q4):
     for seed in range(6):
         sample = sample_vertices(q4.n, 0.7, seed)
         assert take_census(q4, sample).cycle_lb == longest_cycle_lower_bound(q4, sample)
+
+
+_BLOWUP = GenSpec("blowup", blowup_factor=2, base=GenSpec("random_regular", n=30, d=4, seed=2))
+
+# cycle_lb at p = 0, 0.2, 0.35, 0.6, 1 for sample seeds 0 and 3, as the
+# stand-alone cycle scan that preceded the dfs_explore forest computed them
+_PINNED_CYCLE_LB = [
+    (GenSpec("random_regular", n=200, d=6, seed=1), [0, 0, 4, 6, 7, 31, 65, 83, 168, 168]),
+    (GenSpec("random_regular", n=1000, d=10, seed=2),
+     [0, 0, 55, 55, 181, 245, 436, 480, 855, 855]),
+    (GenSpec("hypercube", n=16, d=4), [0, 0, 0, 0, 0, 4, 6, 6, 12, 12]),
+    ("petersen", [0, 0, 0, 0, 0, 0, 5, 5, 9, 9]),
+    (GenSpec("clique_union", n=60, d=5), [0, 0, 3, 3, 4, 4, 6, 5, 6, 6]),
+    (_BLOWUP, [0, 0, 3, 0, 15, 18, 27, 28, 48, 48]),
+    (GenSpec("blowup", blowup_factor=3, base=GenSpec("hypercube", n=8, d=3)),
+     [0, 0, 0, 0, 6, 10, 10, 12, 18, 18]),
+]
+
+
+@pytest.mark.parametrize("gspec,pinned", _PINNED_CYCLE_LB)
+def test_cycle_bound_pinned_with_valid_witness(gspec, pinned):
+    g = petersen_graph() if gspec == "petersen" else generate(gspec)
+    cases = [(p, seed) for p in (0.0, 0.2, 0.35, 0.6, 1.0) for seed in (0, 3)]
+    for (p, seed), expected in zip(cases, pinned):
+        sample = sample_vertices(g.n, p, seed)
+        assert longest_cycle_lower_bound(g, sample) == expected, (p, seed)
+        assert take_census(g, sample).cycle_lb == expected
+        lb, cyc = longest_cycle_lower_bound(g, sample, with_witness=True)
+        assert lb == expected
+        if expected:
+            assert len(cyc) == lb and validate_cycle(g, cyc, sample)
+        else:
+            assert cyc is None
+
+
+def test_cycle_bound_empty_and_full_blowup():
+    g = generate(_BLOWUP)
+    empty = _members(g, [])
+    assert longest_cycle_lower_bound(g, empty, with_witness=True) == (0, None)
+    assert take_census(g, empty).cycle_lb == 0
+    lb, cyc = longest_cycle_lower_bound(g, _full(g), with_witness=True)
+    assert lb == 48 == take_census(g, _full(g)).cycle_lb
+    assert len(cyc) == lb and validate_cycle(g, cyc, _full(g))
 
 
 def test_validate_cycle_rejections(c6, k4):

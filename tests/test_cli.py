@@ -53,6 +53,21 @@ def test_debug_log_level_reports_pairing_attempts(graph_file, tmp_path):
         assert a.read() == b.read()
 
 
+def test_pool_workers_log_each_trial(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "percolab.cli", "--log-level", "info", "sweep",
+         "--family", "random_regular", "--n", "400", "--d", "8", "--graph-seed", "2",
+         "--epsilon", "0.6", "--regime", "sub", "--seed", "11", "--trials", "3",
+         "--workers", "2", "--out", str(tmp_path / "r.jsonl")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    lines = [x for x in proc.stderr.splitlines() if "percolab.harness: trial " in x]
+    assert sorted(x.split(": trial ")[1].split(":")[0] for x in lines) == ["0", "1", "2"]
+    assert "trial 0:" not in proc.stdout
+
+
 def test_spectrum_command(graph_file, capsys):
     rc = main(["spectrum", "--graph", graph_file, "--method", "dense"])
     assert rc == 0
