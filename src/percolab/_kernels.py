@@ -4,16 +4,17 @@ last (dfs_explore, the one depth-first search, which also gives the
 census its long-cycle bound; bfs_grow), and the small-subgraph counters
 behind the exact tree counts.
 
-Each kernel is a plain function over preallocated numpy arrays, compiled
-with numba when it is installed (see _accel).  Keep signatures
-primitive: flat int32 adjacency, bool masks, scalar ints.
+Each kernel is a plain function over preallocated flat arrays: numba
+compiles it and passes numpy arrays when it is installed, and otherwise
+the interpreter runs it on memoryviews of the same arrays (see _accel).
+So a body only indexes, assigns and takes ``len`` of its arrays, and
+allocates nothing: the caller passes every output and scratch array.
+Keep signatures primitive: flat int32 adjacency, bool masks, scalar ints.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ._accel import njit
+from ._accel import njit, njit_nested
 
 __all__ = [
     "bfs_grow",
@@ -32,7 +33,8 @@ W_REJECTED = 3
 
 
 @njit
-def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch_starts, queries):
+def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch_starts, queries,
+                stack, ptr):
     """Stack exploration driven by one coin per first-touched vertex.
 
     nbrs: flat (n*d) neighbor table, each row sorted by scan priority.
@@ -40,11 +42,10 @@ def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch
     than n); state may start vertices as W_REJECTED to keep them out.
     coins: uint8 coin stream, one entry per touched vertex.
     Outputs written in place, depth[w] = stack depth when w was pushed
-    (0 for a root); returns (coins_used, n_epochs, n_accepted).
+    (0 for a root); stack (length n) and ptr (length n, zeros) are
+    scratch.  Returns (coins_used, n_epochs, n_accepted).
     """
-    n = state.size
-    stack = np.empty(n, dtype=np.int64)
-    ptr = np.zeros(n, dtype=np.int64)
+    n_order = len(order)
     top = -1
     cursor = 0
     coin_i = 0
@@ -77,9 +78,9 @@ def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch
                 else:
                     state[w] = W_REJECTED
         else:
-            while cursor < order.size and state[order[cursor]] != T_UNVISITED:
+            while cursor < n_order and state[order[cursor]] != T_UNVISITED:
                 cursor += 1
-            if cursor == order.size:
+            if cursor == n_order:
                 break
             r = order[cursor]
             heads = coins[coin_i]
@@ -128,7 +129,7 @@ def bfs_grow(nbrs, d, allowed, start, target, in_set, queue):
     return size
 
 
-@njit
+@njit_nested
 def _has_edge(nbrs, d, u, v):
     lo = u * d
     hi = lo + d

@@ -86,11 +86,23 @@ class ComponentCensus:
         }
 
 
-def take_census(g: RegularGraph, sample: PercolationSample, k_max: int = 4) -> ComponentCensus:
+def take_census(
+    g: RegularGraph, sample: PercolationSample, k_max: int = 4, depth: np.ndarray | None = None
+) -> ComponentCensus:
+    """Census of the sample's induced subgraph.  depth, if given, is the
+    depth array of a depth-first forest of exactly that subgraph, such
+    as DfsTrace.depth of the exploration that drew the sample; the
+    long-cycle bound is read from it instead of walking the sample again
+    (see _longest_back_edge).  Labels come from components_oracle either
+    way, independent of the exploration."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     mask = sample.membership
     n = g.n
+    if depth is None:
+        depth = _sample_forest_depth(g, mask)
+    elif depth.shape != (n,) or not np.array_equal(depth >= 0, mask):
+        raise ValueError("forest depth must be a length-n array, >= 0 exactly on the sample")
     kept = np.flatnonzero(mask)
     all_labels = components_oracle(g, sample)
     labels = all_labels[kept]
@@ -124,7 +136,7 @@ def take_census(g: RegularGraph, sample: PercolationSample, k_max: int = 4) -> C
     else:
         strag_v = strag_e = 0
 
-    cycle_lb, _, _, _ = _longest_back_edge(g, mask, kept, rows, hit)
+    cycle_lb, _, _ = _longest_back_edge(g, kept, rows, hit, depth)
 
     return ComponentCensus(
         n=n,
@@ -145,21 +157,29 @@ def take_census(g: RegularGraph, sample: PercolationSample, k_max: int = 4) -> C
     )
 
 
-def _longest_back_edge(g: RegularGraph, mask, kept, rows, hit):
-    """Longest back edge of the DFS forest that dfs_explore builds over
-    the sample (roots ascending, every coin heads, the rest rejected).
-    rows = g.nbrs2d[kept] and hit = mask[rows].  An undirected DFS has
-    no cross edges, so the back edges are the induced edges whose depth
-    gap is 2 or more; each closes a cycle of gap + 1 vertices.  Returns
-    (length, deep end, high end, depth), length 0 when acyclic."""
+def _sample_forest_depth(g: RegularGraph, mask) -> np.ndarray:
+    """Depth array of the DFS forest that dfs_explore builds over the
+    sample (roots ascending, every coin heads, the rest rejected); -1
+    off the sample.  Under the default priority it equals the depth of
+    the exploration that drew the sample."""
+    kept = np.flatnonzero(mask)
     state = np.where(mask, _kernels.T_UNVISITED, _kernels.W_REJECTED).astype(np.uint8)
     coins = np.ones(kept.size, dtype=np.uint8)
-    depth = _explore(g.neighbors, g.d, kept, coins, state)[2]
+    return _explore(g.neighbors, g.d, kept, coins, state)[2]
+
+
+def _longest_back_edge(g: RegularGraph, kept, rows, hit, depth):
+    """Longest back edge of a depth-first forest of the sample, given its
+    depth array.  rows = g.nbrs2d[kept] and hit = mask[rows].  An
+    undirected DFS has no cross edges, so the back edges are the induced
+    edges whose depth gap is 2 or more; each closes a cycle of gap + 1
+    vertices.  Returns (length, deep end, high end), length 0 when
+    acyclic."""
     gap = np.where(hit, depth[kept][:, None] - depth[rows], 0)
     if not gap.size or gap.max() < 2:
-        return 0, -1, -1, depth
+        return 0, -1, -1
     i, j = divmod(int(gap.argmax()), g.d)
-    return int(gap[i, j]) + 1, int(kept[i]), int(rows[i, j]), depth
+    return int(gap[i, j]) + 1, int(kept[i]), int(rows[i, j])
 
 
 def longest_cycle_lower_bound(g: RegularGraph, sample: PercolationSample, with_witness: bool = False):
@@ -171,7 +191,8 @@ def longest_cycle_lower_bound(g: RegularGraph, sample: PercolationSample, with_w
     mask = sample.membership
     kept = np.flatnonzero(mask)
     rows = g.nbrs2d[kept]
-    best, deep_end, high_end, depth = _longest_back_edge(g, mask, kept, rows, mask[rows])
+    depth = _sample_forest_depth(g, mask)
+    best, deep_end, high_end = _longest_back_edge(g, kept, rows, mask[rows], depth)
     if not with_witness:
         return best
     if best == 0:

@@ -308,7 +308,7 @@ def _run_trial(
     stream = CoinStream(g.n, cfg.p, seed)
     trace = run_dfs(g, stream)
     sample = PercolationSample.from_membership(cfg.p, seed, trace.accepted_mask())
-    census = take_census(g, sample, cfg.k_max)
+    census = take_census(g, sample, cfg.k_max, trace.depth)
     assert census.retained == trace.accepted_count, "census/DFS vertex conservation"
     assert census.num_components == trace.num_epochs, "census/DFS component conservation"
     checks = []

@@ -92,14 +92,20 @@ class DfsTrace:
     """What the exploration did: epochs, labels, acceptance order, coins.
 
     component_of is -1 for rejected vertices; epoch ids count from 0 in
-    discovery order.  queries_per_epoch counts the coins flipped inside
-    each epoch (opening coin included); coins that failed to open an
-    epoch belong to no epoch, so queries_per_epoch sums to n minus the
-    number of rejected epoch-opening coins.
+    discovery order.  depth[w] is the stack depth at which w was pushed
+    (0 for an epoch root, -1 for rejected vertices): the stack is always
+    a path in the graph, so the accepted vertices and their push edges
+    form a depth-first forest of the retained induced subgraph, and
+    take_census can read its long-cycle bound from this depth.
+    queries_per_epoch counts the coins flipped inside each epoch
+    (opening coin included); coins that failed to open an epoch belong
+    to no epoch, so queries_per_epoch sums to n minus the number of
+    rejected epoch-opening coins.
     """
 
     epoch_starts: np.ndarray
     component_of: np.ndarray
+    depth: np.ndarray
     accepted_order: np.ndarray
     queries_per_epoch: np.ndarray
     accepted_count: int
@@ -155,7 +161,7 @@ def run_dfs(g: RegularGraph, stream: CoinStream, priority=None) -> DfsTrace:
         raise ValueError(f"stream has {stream.n} coins, graph needs {g.n}")
     order, nbrs = _priority_order(g, priority)
     n = g.n
-    used, comp, _, accepted_order, epoch_starts, queries = _explore(
+    used, comp, depth, accepted_order, epoch_starts, queries = _explore(
         nbrs, g.d, order, stream.flips, np.zeros(n, dtype=np.uint8)
     )
     assert used == n, "exploration must consume exactly one coin per vertex"
@@ -163,6 +169,7 @@ def run_dfs(g: RegularGraph, stream: CoinStream, priority=None) -> DfsTrace:
     return DfsTrace(
         epoch_starts=epoch_starts,
         component_of=comp,
+        depth=depth,
         accepted_order=accepted_order,
         queries_per_epoch=queries,
         accepted_count=accepted_order.size,
@@ -182,7 +189,8 @@ def _explore(nbrs, d, order, coins, state):
     starts = np.empty(n, dtype=np.int64)
     queries = np.zeros(n, dtype=np.int64)
     used, n_epochs, n_acc = _kernels.dfs_explore(
-        nbrs, d, order, coins, state, comp, depth, acc, starts, queries
+        nbrs, d, order, coins, state, comp, depth, acc, starts, queries,
+        np.empty(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
     )
     return (int(used), comp, depth,
             acc[:n_acc].copy(), starts[:n_epochs].copy(), queries[:n_epochs].copy())
@@ -203,6 +211,7 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> Dfs
     done: set[int] = set()
     rejected: set[int] = set()
     comp = np.full(n, -1, dtype=np.int32)
+    depth = np.full(n, -1, dtype=np.int32)
     accepted_order: list[int] = []
     epoch_starts: list[int] = []
     queries: list[int] = []
@@ -234,6 +243,7 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> Dfs
                 comp[hit] = len(epoch_starts) - 1
                 accepted_order.append(hit)
                 on_stack.append(hit)
+                depth[hit] = len(on_stack) - 1
             else:
                 rejected.add(hit)
         else:
@@ -251,6 +261,7 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> Dfs
                 comp[r] = len(epoch_starts) - 1
                 accepted_order.append(r)
                 on_stack.append(r)
+                depth[r] = len(on_stack) - 1
             else:
                 rejected.add(r)
             coin_i += 1
@@ -259,6 +270,7 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> Dfs
     return DfsTrace(
         epoch_starts=np.array(epoch_starts, dtype=np.int64),
         component_of=comp,
+        depth=depth,
         accepted_order=np.array(accepted_order, dtype=np.int32),
         queries_per_epoch=np.array(queries, dtype=np.int64),
         accepted_count=len(accepted_order),

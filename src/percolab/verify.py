@@ -314,17 +314,14 @@ def check_giant_expansion(
     |N(S)| >= beta_test * alpha^2 / ln(1/alpha) * n/d at every sample.
 
     A sampled necessary check over a quantified-over-all-subsets claim,
-    not a certificate.
+    not a certificate.  A largest component that does not reach the
+    window start fails the check as one instance, with the cause in
+    meta, so one small-giant trial does not end a sweep.
     """
     n, d = g.n, g.d
     lo, hi = giant_expansion_window(n, d, sample.p * d - 1.0, alpha)
     giant = census.largest
-    if giant <= lo:
-        raise ValueError(f"largest component ({giant}) does not reach the window start {lo}")
     hi = min(hi, giant - 1)  # keep S a proper subset so the neighborhood can be nonempty
-    allowed = census.labels == census.labels[census.roots[0]]
-    giant_members = np.flatnonzero(allowed)
-
     threshold = beta_test * alpha ** 2 / math.log(1.0 / alpha) * n / d
     meta = {
         "alpha": alpha,
@@ -334,6 +331,14 @@ def check_giant_expansion(
         "giant": int(giant),
         "seed": seed,
     }
+    if giant <= lo:
+        out = ViolationReport("giant_expansion", 1, meta=meta)
+        out.meta["cause"] = f"largest component ({giant}) does not reach the window start {lo}"
+        out.meta["min_neighborhood"] = None
+        out.add("largest component", giant, lo + 1)
+        return out
+    allowed = census.labels == census.labels[census.roots[0]]
+    giant_members = np.flatnonzero(allowed)
     out = ViolationReport("giant_expansion", samples, meta=meta)
 
     rng = make_generator(seed, TAG_GROWTH)

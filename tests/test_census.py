@@ -6,6 +6,7 @@ from percolab.census import (
     _brute_tree_count,
     _closed_acyclic_count,
     _closed_tree_count,
+    _sample_forest_depth,
     count_acyclic_connected_ksets,
     count_trees_bruteforce,
     longest_cycle_lower_bound,
@@ -13,7 +14,7 @@ from percolab.census import (
     validate_cycle,
 )
 from percolab.generators import GenSpec, generate, petersen_graph
-from percolab.percolation import PercolationSample, sample_vertices
+from percolab.percolation import CoinStream, PercolationSample, run_dfs, sample_vertices
 
 
 def _full(g):
@@ -180,6 +181,39 @@ def test_cycle_bound_pinned_with_valid_witness(gspec, pinned):
             assert len(cyc) == lb and validate_cycle(g, cyc, sample)
         else:
             assert cyc is None
+
+
+@pytest.mark.parametrize("gspec", [spec for spec, _ in _PINNED_CYCLE_LB])
+def test_exploration_depth_is_sample_forest_depth(gspec):
+    # the exploration's stack is a DFS of the retained subgraph in the same
+    # neighbour order, so its depth is the sample walk's and the census can
+    # take its cycle bound from the exploration instead of walking again
+    g = petersen_graph() if gspec == "petersen" else generate(gspec)
+    for p in (0.0, 0.2, 0.35, 0.6, 1.0):
+        for seed in (0, 3):
+            trace = run_dfs(g, CoinStream(g.n, p, seed))
+            sample = PercolationSample.from_membership(p, seed, trace.accepted_mask())
+            assert np.array_equal(trace.depth, _sample_forest_depth(g, sample.membership))
+            walked = take_census(g, sample).cycle_lb
+            assert take_census(g, sample, 4, trace.depth).cycle_lb == walked
+            assert walked == longest_cycle_lower_bound(g, sample)
+
+
+def test_census_depth_from_any_dfs_forest(rr_small):
+    # under a permuted priority the forest differs, but it still has no
+    # cross edges: a cycle shows as a back edge of some length >= 3
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        trace = run_dfs(rr_small, CoinStream(rr_small.n, 0.5, seed),
+                        priority=rng.permutation(rr_small.n))
+        sample = PercolationSample.from_membership(0.5, seed, trace.accepted_mask())
+        c = take_census(rr_small, sample, 4, trace.depth)
+        assert (c.cycle_lb >= 3) == (c.retained_edges > c.retained - c.num_components)
+        assert c.cycle_lb <= c.largest
+    with pytest.raises(ValueError, match="forest depth must be"):
+        take_census(rr_small, sample, 4, trace.depth[:-1])
+    with pytest.raises(ValueError, match="forest depth must be"):
+        take_census(rr_small, sample, 4, np.zeros(rr_small.n, dtype=np.int32))
 
 
 def test_cycle_bound_empty_and_full_blowup():

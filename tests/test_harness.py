@@ -139,6 +139,28 @@ def test_giant_expansion_config_rejected_before_generation(tmp_path, monkeypatch
                          "alpha": 0.01, "checkers": "giant_expansion"})
 
 
+def test_small_giant_fails_its_trial_and_the_sweep_writes(tmp_path):
+    # trial 2 of master seed 1 has a largest component of 130, short of the
+    # window start 16 alpha n/d = 240: that trial's check fails with the
+    # cause in meta, and every record is still written
+    out = tmp_path / "ge.jsonl"
+    cfg = ExperimentConfig(
+        gen=GenSpec("random_regular", n=20000, d=20, seed=1), epsilon=0.2, alpha=0.015,
+        regime="super", trials=3, master_seed=1, checkers=("giant_expansion",),
+        samples=20, out=str(out),
+    )
+    run_sweep(cfg)
+    trials = [json.loads(line) for line in out.read_text().splitlines()][1:4]
+    checks = [t["checks"][0] for t in trials]
+    assert [c["pass"] for c in checks] == [True, True, False]
+    assert [c["instances_checked"] for c in checks] == [20, 20, 1]
+    assert checks[2]["meta"]["cause"] == "largest component (130) does not reach the window start 240"
+    assert checks[2]["meta"]["giant"] == trials[2]["census"]["largest"] == 130
+    assert checks[2]["violations"] == [{"witness": "largest component", "measured": 130.0,
+                                        "bound": 241.0}]
+    assert "cause" not in checks[0]["meta"]
+
+
 def test_workers_do_not_enter_serialized_config():
     a = _small_cfg(workers=1).to_dict()
     b = _small_cfg(workers=8).to_dict()

@@ -65,6 +65,7 @@ def _traces_equal(a, b):
     return (
         np.array_equal(a.epoch_starts, b.epoch_starts)
         and np.array_equal(a.component_of, b.component_of)
+        and np.array_equal(a.depth, b.depth)
         and np.array_equal(a.accepted_order, b.accepted_order)
         and np.array_equal(a.queries_per_epoch, b.queries_per_epoch)
         and a.accepted_count == b.accepted_count
@@ -109,6 +110,7 @@ def test_hand_worked_clique_trace(k4):
     assert tr.component_of.tolist() == [0, -1, 0, 0]
     assert tr.accepted_order.tolist() == [0, 2, 3]
     assert tr.queries_per_epoch.tolist() == [4]
+    assert tr.depth.tolist() == [0, -1, 1, 2]
     assert tr.accepted_count == 3 and tr.rejected_count == 1
     assert tr.summary() == {
         "epochs": 1, "accepted": 3, "rejected": 1, "largest_epoch": 3, "coins": 4,
