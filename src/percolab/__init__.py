@@ -25,7 +25,7 @@ from .graph_core import (
     read_graph,
     write_graph,
 )
-from .harness import ExperimentConfig, TrialRecord, compare, run_sweep
+from .harness import ExperimentConfig, compare, run_sweep
 from .percolation import (
     CoinStream,
     DfsTrace,
@@ -71,7 +71,6 @@ __all__ = [
     "SpectralConvergenceError",
     "SpectrumReport",
     "TheoryPrediction",
-    "TrialRecord",
     "VertexSet",
     "ViolationReport",
     "certify",

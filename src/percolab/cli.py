@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: generate, spectrum, percolate, sweep, verify, theory,
-compare.  Sweep options mirror the flat key=value config file keys; a
-flag given on the command line wins over the file.  ``--log-level``,
-given before the subcommand, sets what the library logs to stderr.
+compare, each a thin layer over the library: ``harness`` runs trials
+and owns the config schema.  Sweep flags mirror its flat config keys
+(``harness.CONFIG_KEYS``); a flag given on the command line wins over
+the file.  ``--log-level``, given before the subcommand, sets what the
+library logs to stderr.
 """
 
 from __future__ import annotations
@@ -14,28 +16,30 @@ import logging
 import sys
 
 from .census import take_census
-from .generators import GenSpec, generate
+from .generators import generate
 from .graph_core import read_graph, write_graph
 from .harness import (
     CHECKER_IDS,
+    CONFIG_DEFAULTS,
+    CONFIG_KEYS,
+    REGIMES,
+    SPECTRUM_CHECKERS,
     compare,
     config_from_mapping,
+    gen_spec_from_mapping,
     load_config_file,
+    percolate,
+    retention_p,
+    run_checks,
     run_sweep,
 )
-from .percolation import CoinStream, run_dfs, sample_vertices
+from .percolation import CoinStream, sample_vertices
 from .spectral import certify, compute_spectrum
 from .theory import predict
-from .verify import (
-    check_corollary_2_3,
-    check_giant_expansion,
-    check_lemma_2_4,
-    check_mixing,
-    check_stream_properties,
-    giant_expansion_window,
-)
+from .verify import giant_expansion_window
 
 _BOOL = argparse.BooleanOptionalAction
+_ROW_COLUMNS = ("metric", "claim", "measured", "predicted", "claim_bound", "tolerance", "pass")
 
 
 def _print_json(obj) -> None:
@@ -74,23 +78,8 @@ def _add_gen_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
     p.add_argument("--base-seed", type=int, dest="base_seed")
 
 
-def _gen_from_args(args) -> GenSpec:
-    if args.family == "blowup":
-        base = GenSpec(
-            family=args.base_family or "random_regular",
-            n=args.base_n or 0,
-            d=args.base_d or 0,
-            seed=args.base_seed or 0,
-        )
-        return GenSpec(family="blowup", n=args.n or 0, d=args.d or 0,
-                       seed=args.graph_seed or 0,
-                       blowup_factor=args.blowup_factor, base=base)
-    return GenSpec(family=args.family, n=args.n or 0, d=args.d or 0,
-                   seed=args.graph_seed or 0)
-
-
 def _cmd_generate(args) -> int:
-    g = generate(_gen_from_args(args))
+    g = generate(gen_spec_from_mapping(vars(args)))
     write_graph(g, args.out)
     print(f"wrote {args.out}: n={g.n} d={g.d}")
     return 0
@@ -111,12 +100,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_percolate(args) -> int:
     g = read_graph(args.graph)
-    stream = CoinStream(g.n, args.p, args.seed)
-    trace = run_dfs(g, stream)
-    from .percolation import PercolationSample
-
-    sample = PercolationSample.from_membership(args.p, args.seed, trace.accepted_mask())
-    census = take_census(g, sample, args.k_max)
+    _, trace, _, census = percolate(g, args.p, args.seed, args.k_max)
     _print_json({"dfs": trace.summary(), "census": census.to_summary()})
     return 0
 
@@ -137,19 +121,9 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = ("family", "n", "d", "graph_seed", "blowup_factor", "base_family",
-               "base_n", "base_d", "base_seed", "epsilon", "alpha", "regime",
-               "trials", "seed", "out", "k_max", "checkers", "workers",
-               "regen_graph", "spectrum", "spectrum_tol", "pairs", "subsets",
-               "samples", "beta_test")
-
-
 def _cmd_sweep(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
-    for key in _SWEEP_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            mapping[key] = val
+    mapping.update((k, getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k) is not None)
     for spec in args.tol or ():
         if "=" not in spec:
             raise SystemExit(f"--tol expects METRIC=VALUE, got {spec!r}")
@@ -157,8 +131,7 @@ def _cmd_sweep(args) -> int:
         mapping[f"tol_{metric.strip()}"] = float(value)
     cfg = config_from_mapping(mapping)
     summary = run_sweep(cfg, resume=args.resume)
-    _print_table(summary["rows"],
-                 ("metric", "claim", "measured", "predicted", "claim_bound", "tolerance", "pass"))
+    _print_table(summary["rows"], _ROW_COLUMNS)
     print(f"records: {cfg.out}  trials: {summary['trials']}  pass: {summary['pass']}")
     return 0 if summary["pass"] else 1
 
@@ -169,37 +142,18 @@ def _cmd_verify(args) -> int:
     unknown = [c for c in checkers if c not in CHECKER_IDS]
     if unknown:
         raise SystemExit(f"unknown checker ids {unknown}; known: {list(CHECKER_IDS)}")
-    if args.p is not None:
-        p = args.p
-    else:
-        sign = -1.0 if args.regime == "sub" else 1.0
-        p = (1.0 + sign * args.epsilon) / g.d
-    if "giant_expansion" in checkers:  # fail before any spectrum or sampling
+    p = args.p if args.p is not None else retention_p(args.epsilon, args.regime, g.d)
+    giant = "giant_expansion" in checkers
+    if giant:  # fail before any spectrum or sampling
         giant_expansion_window(g.n, g.d, p * g.d - 1.0, args.alpha)
     spect = None
-    if any(c in ("mixing", "corollary_2_3") for c in checkers):
+    if any(c in SPECTRUM_CHECKERS for c in checkers):
         spect = compute_spectrum(g, tol=args.spectrum_tol)
+    # a sample drawn directly, not by an exploration, so its census walks it
     sample = sample_vertices(g.n, p, args.seed)
-    reports = []
-    for cid in checkers:
-        if cid == "stream":
-            stream = CoinStream(g.n, p, args.seed)
-            reports.append(check_stream_properties(stream, args.epsilon, g.d, args.regime))
-        elif cid == "mixing":
-            reports.append(check_mixing(g, spect, args.pairs, args.seed))
-        elif cid == "corollary_2_3":
-            from .graph_core import VertexSet
-            from .rng import TAG_SUBSETS, make_generator
-
-            rng = make_generator(args.seed, TAG_SUBSETS, 23)
-            half = rng.choice(g.n, size=(g.n + 1) // 2, replace=False)
-            reports.append(check_corollary_2_3(g, spect, VertexSet.from_indices(g.n, half), args.alpha))
-        elif cid == "lemma_2_4":
-            reports.append(check_lemma_2_4(g, sample, args.alpha, args.subsets, args.seed, spect))
-        elif cid == "giant_expansion":
-            census = take_census(g, sample, args.k_max)
-            reports.append(check_giant_expansion(
-                g, sample, census, args.alpha, args.samples, args.beta_test, args.seed))
+    census = take_census(g, sample, args.k_max) if giant else None
+    reports = run_checks(checkers, args, g, CoinStream(g.n, p, args.seed), sample, census,
+                         spect, args.seed)
     for r in reports:
         _print_json(r.to_dict())
     return 0 if all(r.passed for r in reports) else 1
@@ -210,8 +164,7 @@ def _cmd_compare(args) -> int:
     if args.n is not None:
         pred = predict(args.n, args.d, args.epsilon, args.alpha, args.k_max)
     report = compare(args.records, pred)
-    _print_table(report["rows"],
-                 ("metric", "claim", "measured", "predicted", "claim_bound", "tolerance", "pass"))
+    _print_table(report["rows"], _ROW_COLUMNS)
     print(f"trials: {report['trials']}  regime: {report['regime']}  pass: {report['pass']}")
     return 0 if report["pass"] else 1
 
@@ -240,15 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
+    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
     p.set_defaults(fn=_cmd_percolate)
 
     p = sub.add_parser("theory", help="closed-form predictions as a table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
+    p.add_argument("--alpha", type=float, default=CONFIG_DEFAULTS["alpha"])
+    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
     p.set_defaults(fn=_cmd_theory)
 
     p = sub.add_parser("sweep", help="run trials, write JSON-lines records + CSV")
@@ -256,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_flags(p)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--regime", choices=("sub", "super"))
+    p.add_argument("--regime", choices=REGIMES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -280,14 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--p", type=float)
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--regime", choices=("sub", "super"), default="super")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--subsets", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--beta-test", type=float, default=0.01, dest="beta_test")
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
-    p.add_argument("--spectrum-tol", type=float, default=1e-8, dest="spectrum_tol")
+    p.add_argument("--regime", choices=REGIMES, default=CONFIG_DEFAULTS["regime"])
+    p.add_argument("--alpha", type=float, default=CONFIG_DEFAULTS["alpha"])
+    p.add_argument("--pairs", type=int, default=CONFIG_DEFAULTS["pairs"])
+    p.add_argument("--subsets", type=int, default=CONFIG_DEFAULTS["subsets"])
+    p.add_argument("--samples", type=int, default=CONFIG_DEFAULTS["samples"])
+    p.add_argument("--beta-test", type=float, default=CONFIG_DEFAULTS["beta_test"],
+                   dest="beta_test")
+    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
+    p.add_argument("--spectrum-tol", type=float, default=CONFIG_DEFAULTS["spectrum_tol"],
+                   dest="spectrum_tol")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("compare", help="theory-vs-measurement table from a record file")
@@ -295,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--k-max", type=int, default=4, dest="k_max")
+    p.add_argument("--alpha", type=float, default=CONFIG_DEFAULTS["alpha"])
+    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
     p.set_defaults(fn=_cmd_compare)
 
     return ap

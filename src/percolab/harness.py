@@ -15,17 +15,14 @@ import csv
 import io
 import json
 import logging
-import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from statistics import median
 
-import numpy as np
-
 from .census import ComponentCensus, take_census
-from .generators import GenSpec, generate
+from .generators import GenSpec, cycle_graph, generate
 from .graph_core import RegularGraph, VertexSet
 from .percolation import CoinStream, PercolationSample, run_dfs
 from .rng import TAG_SUBSETS, make_generator, trial_seed
@@ -42,12 +39,18 @@ from .verify import (
 
 __all__ = [
     "CHECKER_IDS",
+    "CONFIG_DEFAULTS",
+    "CONFIG_KEYS",
+    "SPECTRUM_CHECKERS",
     "ExperimentConfig",
-    "TrialRecord",
     "compare",
     "compare_rows",
     "config_from_mapping",
+    "gen_spec_from_mapping",
     "load_config_file",
+    "percolate",
+    "retention_p",
+    "run_checks",
     "run_sweep",
 ]
 
@@ -55,7 +58,7 @@ log = logging.getLogger("percolab.harness")
 
 REGIMES = ("sub", "super")
 CHECKER_IDS = ("stream", "mixing", "corollary_2_3", "lemma_2_4", "giant_expansion")
-_SPECTRUM_CHECKERS = ("mixing", "corollary_2_3")
+SPECTRUM_CHECKERS = ("mixing", "corollary_2_3")
 
 DEFAULT_TOLERANCES = {
     "L1_median": 0.10,
@@ -70,12 +73,22 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
+def retention_p(epsilon: float, regime: str, d: int) -> float:
+    """p = (1 + eps)/d in the supercritical regime, (1 - eps)/d in the subcritical one."""
+    sign = -1.0 if regime == "sub" else 1.0
+    return (1.0 + sign * epsilon) / d
+
+
+def _tolerance(tolerances: dict, metric: str) -> float:
+    return float(tolerances.get(metric, DEFAULT_TOLERANCES[metric]))
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     gen: GenSpec
     epsilon: float
-    alpha: float
-    regime: str
+    alpha: float = 0.1
+    regime: str = "super"
     trials: int
     master_seed: int
     out: str | None = None
@@ -101,13 +114,10 @@ class ExperimentConfig:
 
     @property
     def p(self) -> float:
-        sign = -1.0 if self.regime == "sub" else 1.0
-        return (1.0 + sign * self.epsilon) / self.size[1]
+        return retention_p(self.epsilon, self.regime, self.size[1])
 
     def tol(self, metric: str) -> float:
-        if metric in self.tolerances:
-            return float(self.tolerances[metric])
-        return DEFAULT_TOLERANCES[metric]
+        return _tolerance(self.tolerances, metric)
 
     def validate(self) -> None:
         self.gen.validate()
@@ -124,73 +134,39 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for metric, t in self.tolerances.items():
+            if metric not in DEFAULT_TOLERANCES:
+                raise ValueError(
+                    f"unknown tolerance metric {metric!r}; known: {sorted(DEFAULT_TOLERANCES)}")
             if t <= 0:
                 raise ValueError(f"tolerance for {metric} must be positive, got {t}")
         for c in self.checkers:
             if c not in CHECKER_IDS:
                 raise ValueError(f"unknown checker id {c!r}; known: {CHECKER_IDS}")
-        if any(c in self.checkers for c in _SPECTRUM_CHECKERS) and not self.spectrum:
+        if any(c in self.checkers for c in SPECTRUM_CHECKERS) and not self.spectrum:
             raise ValueError("mixing/corollary_2_3 checkers need spectrum=true")
         if "giant_expansion" in self.checkers:
             n, d = self.size
             giant_expansion_window(n, d, self.p * d - 1.0, self.alpha)
 
     def to_dict(self) -> dict:
-        # workers and out are scheduling and storage, not experiment
-        # identity: records must be byte-identical across pool sizes and
-        # output paths, so they stay out of the file
-        return {
-            "gen": _gen_to_dict(self.gen),
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "regime": self.regime,
-            "trials": self.trials,
-            "seed": self.master_seed,
-            "k_max": self.k_max,
-            "checkers": list(self.checkers),
-            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
-            "regen_graph": self.regen_graph,
-            "spectrum": self.spectrum,
-            "spectrum_tol": self.spectrum_tol,
-            "pairs": self.pairs,
-            "subsets": self.subsets,
-            "samples": self.samples,
-            "beta_test": self.beta_test,
-        }
+        # keyed by the flat config keys.  workers and out are scheduling
+        # and storage, not experiment identity: records must be
+        # byte-identical across pool sizes and output paths, so they stay
+        # out of the file
+        obj = _flat(self, "cfg")
+        del obj["workers"], obj["out"]
+        obj.update(gen=_gen_to_dict(self.gen), checkers=list(self.checkers),
+                   tolerances={k: float(v) for k, v in sorted(self.tolerances.items())})
+        return obj
 
 
 def _gen_to_dict(gen: GenSpec) -> dict:
-    out = {
-        "family": gen.family,
-        "n": gen.n,
-        "d": gen.d,
-        "graph_seed": gen.seed,
-    }
+    out = _flat(gen, "gen")
     if gen.blowup_factor is not None:
         out["blowup_factor"] = gen.blowup_factor
     if gen.base is not None:
         out["base"] = _gen_to_dict(gen.base)
     return out
-
-
-@dataclass
-class TrialRecord:
-    trial_index: int
-    seed: int
-    census: ComponentCensus
-    dfs_summary: dict
-    checks: list
-    wall_time: float  # logged, never serialized: records must be replay-identical
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "trial",
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "census": self.census.to_summary(),
-            "dfs": self.dfs_summary,
-            "checks": [r.to_dict() for r in self.checks],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -229,63 +205,86 @@ def load_config_file(path: str) -> dict:
     return mapping
 
 
-_INT_KEYS = ("n", "d", "graph_seed", "blowup_factor", "base_n", "base_d", "base_seed",
-             "trials", "seed", "k_max", "workers", "pairs", "subsets", "samples")
+def _checker_ids(value) -> tuple:
+    if isinstance(value, str):
+        return tuple(c.strip() for c in value.split(",") if c.strip())
+    return tuple(value)
+
+
+# flat config key -> (part, field, cast).  "gen" keys fill the GenSpec,
+# "blowup" and "base" keys its blow-up factor and base GenSpec (read only
+# when family = blowup), "cfg" keys the ExperimentConfig, whose config
+# record uses the same keys; tol_<metric> keys fill `tolerances`.
+CONFIG_KEYS = {
+    "family": ("gen", "family", str),
+    "n": ("gen", "n", int),
+    "d": ("gen", "d", int),
+    "graph_seed": ("gen", "seed", int),
+    "blowup_factor": ("blowup", "blowup_factor", int),
+    "base_family": ("base", "family", str),
+    "base_n": ("base", "n", int),
+    "base_d": ("base", "d", int),
+    "base_seed": ("base", "seed", int),
+    "epsilon": ("cfg", "epsilon", float),
+    "alpha": ("cfg", "alpha", float),
+    "regime": ("cfg", "regime", str),
+    "trials": ("cfg", "trials", int),
+    "seed": ("cfg", "master_seed", int),
+    "out": ("cfg", "out", str),
+    "k_max": ("cfg", "k_max", int),
+    "checkers": ("cfg", "checkers", _checker_ids),
+    "workers": ("cfg", "workers", int),
+    "regen_graph": ("cfg", "regen_graph", bool),
+    "spectrum": ("cfg", "spectrum", bool),
+    "spectrum_tol": ("cfg", "spectrum_tol", float),
+    "pairs": ("cfg", "pairs", int),
+    "subsets": ("cfg", "subsets", int),
+    "samples": ("cfg", "samples", int),
+    "beta_test": ("cfg", "beta_test", float),
+}
+# the field defaults are the only defaults: config files, CLI flags and
+# the verify/theory/compare commands all read them from here
+CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+_REQUIRED_KEYS = tuple(key for key, (part, name, _) in CONFIG_KEYS.items()
+                       if part == "cfg" and name not in CONFIG_DEFAULTS)
+
+
+def _part(mapping: dict, part: str) -> dict:
+    """The given keys of one part of CONFIG_KEYS, cast and renamed to fields; None is not given."""
+    return {name: cast(mapping[key]) for key, (p, name, cast) in CONFIG_KEYS.items()
+            if p == part and mapping.get(key) is not None}
+
+
+def _flat(obj, part: str) -> dict:
+    """The fields of one part of CONFIG_KEYS on obj, keyed by their flat keys."""
+    return {key: getattr(obj, name) for key, (p, name, _) in CONFIG_KEYS.items() if p == part}
+
+
+def gen_spec_from_mapping(mapping: dict) -> GenSpec:
+    """The GenSpec of the flat gen, blow-up and base keys (family defaults to random_regular)."""
+    gen = {"family": "random_regular", **_part(mapping, "gen")}
+    if gen["family"] == "blowup":
+        gen.update(_part(mapping, "blowup"),
+                   base=GenSpec(**{"family": "random_regular", **_part(mapping, "base")}))
+    return GenSpec(**gen)
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    m = dict(mapping)
-    for key in _INT_KEYS:
-        if key in m and m[key] is not None and not isinstance(m[key], bool):
-            m[key] = int(m[key])
-    base = None
-    if m.get("family") == "blowup":
-        base = GenSpec(
-            family=m.get("base_family", "random_regular"),
-            n=m.get("base_n", 0),
-            d=m.get("base_d", 0),
-            seed=m.get("base_seed", 0),
-        )
-        factor = m.get("blowup_factor")
-        gen = GenSpec(
-            family="blowup",
-            n=m.get("n", 0),
-            d=m.get("d", 0),
-            seed=m.get("graph_seed", 0),
-            blowup_factor=factor,
-            base=base,
-        )
-    else:
-        gen = GenSpec(
-            family=m.get("family", "random_regular"),
-            n=m.get("n", 0),
-            d=m.get("d", 0),
-            seed=m.get("graph_seed", 0),
-        )
-    checkers = m.get("checkers", ())
-    if isinstance(checkers, str):
-        checkers = tuple(c.strip() for c in checkers.split(",") if c.strip())
-    tolerances = {k[len("tol_"):]: float(v) for k, v in m.items() if k.startswith("tol_")}
-    cfg = ExperimentConfig(
-        gen=gen,
-        epsilon=float(m["epsilon"]),
-        alpha=float(m.get("alpha", 0.1)),
-        regime=str(m.get("regime", "super")),
-        trials=int(m["trials"]),
-        master_seed=int(m["seed"]),
-        out=m.get("out"),
-        k_max=int(m.get("k_max", 4)),
-        checkers=tuple(checkers),
-        tolerances=tolerances,
-        workers=int(m.get("workers", 1)),
-        regen_graph=bool(m.get("regen_graph", False)),
-        spectrum=bool(m.get("spectrum", False)),
-        spectrum_tol=float(m.get("spectrum_tol", 1e-8)),
-        pairs=int(m.get("pairs", 1000)),
-        subsets=int(m.get("subsets", 1000)),
-        samples=int(m.get("samples", 200)),
-        beta_test=float(m.get("beta_test", 0.01)),
-    )
+    """Validated config from flat keys (a --config file, CLI flags).
+
+    epsilon, trials and seed are required; any key that is neither in
+    CONFIG_KEYS nor a tol_<metric> is rejected, so a misspelling cannot
+    silently fall back to a default.
+    """
+    unknown = sorted(k for k in mapping if k not in CONFIG_KEYS and not k.startswith("tol_"))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    missing = [k for k in _REQUIRED_KEYS if mapping.get(k) is None]
+    if missing:
+        raise ValueError(f"missing required config keys: {', '.join(missing)}")
+    tolerances = {k[len("tol_"):]: float(v) for k, v in mapping.items() if k.startswith("tol_")}
+    cfg = ExperimentConfig(gen=gen_spec_from_mapping(mapping), tolerances=tolerances,
+                           **_part(mapping, "cfg"))
     cfg.validate()
     return cfg
 
@@ -293,48 +292,64 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 # ----------------------------------------------------------------------
 # trial execution
 # ----------------------------------------------------------------------
+def percolate(g: RegularGraph, p: float, seed: int, k_max: int):
+    """(stream, trace, sample, census) of one seeded exploration; the
+    census reads its cycle bound from the exploration's depth."""
+    stream = CoinStream(g.n, p, seed)
+    trace = run_dfs(g, stream)
+    sample = PercolationSample.from_membership(p, seed, trace.accepted_mask())
+    census = take_census(g, sample, k_max, trace.depth)
+    assert census.retained == trace.accepted_count, "census/DFS vertex conservation"
+    assert census.num_components == trace.num_epochs, "census/DFS component conservation"
+    return stream, trace, sample, census
+
+
+def run_checks(checkers, params, g: RegularGraph, stream: CoinStream, sample: PercolationSample,
+               census: ComponentCensus | None, spect: SpectrumReport | None, seed: int) -> list:
+    """One report per checker id, in order.  ``params`` (an ExperimentConfig
+    or the CLI's parsed arguments) supplies epsilon, regime, alpha, pairs,
+    subsets, samples and beta_test; only giant_expansion reads ``census``."""
+    reports = []
+    for cid in checkers:
+        if cid == "stream":
+            reports.append(check_stream_properties(stream, params.epsilon, g.d, params.regime))
+        elif cid == "mixing":
+            reports.append(check_mixing(g, spect, params.pairs, seed))
+        elif cid == "corollary_2_3":
+            rng = make_generator(seed, TAG_SUBSETS, 23)
+            half = rng.choice(g.n, size=(g.n + 1) // 2, replace=False)
+            half_set = VertexSet.from_indices(g.n, half)
+            reports.append(check_corollary_2_3(g, spect, half_set, params.alpha))
+        elif cid == "lemma_2_4":
+            reports.append(check_lemma_2_4(g, sample, params.alpha, params.subsets, seed, spect))
+        elif cid == "giant_expansion":
+            reports.append(check_giant_expansion(
+                g, sample, census, params.alpha, params.samples, params.beta_test, seed))
+    return reports
+
+
 def _run_trial(
     g: RegularGraph,
     cfg: ExperimentConfig,
     spect: SpectrumReport | None,
     trial_index: int,
-) -> TrialRecord:
-    t0 = time.perf_counter()
+) -> dict:
+    """The trial record of one trial: a pure function of (cfg, trial_index)."""
     seed = trial_seed(cfg.master_seed, trial_index)
     if cfg.regen_graph:
         g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, trial_index)))
         if cfg.spectrum:  # the parent graph's lambda does not certify this one
             spect = compute_spectrum(g, tol=cfg.spectrum_tol)
-    stream = CoinStream(g.n, cfg.p, seed)
-    trace = run_dfs(g, stream)
-    sample = PercolationSample.from_membership(cfg.p, seed, trace.accepted_mask())
-    census = take_census(g, sample, cfg.k_max, trace.depth)
-    assert census.retained == trace.accepted_count, "census/DFS vertex conservation"
-    assert census.num_components == trace.num_epochs, "census/DFS component conservation"
-    checks = []
-    for cid in cfg.checkers:
-        if cid == "stream":
-            checks.append(check_stream_properties(stream, cfg.epsilon, g.d, cfg.regime))
-        elif cid == "mixing":
-            checks.append(check_mixing(g, spect, cfg.pairs, seed))
-        elif cid == "corollary_2_3":
-            rng = make_generator(seed, TAG_SUBSETS, 23)
-            half = rng.choice(g.n, size=(g.n + 1) // 2, replace=False)
-            checks.append(check_corollary_2_3(g, spect, VertexSet.from_indices(g.n, half), cfg.alpha))
-        elif cid == "lemma_2_4":
-            checks.append(check_lemma_2_4(g, sample, cfg.alpha, cfg.subsets, seed, spect))
-        elif cid == "giant_expansion":
-            checks.append(
-                check_giant_expansion(g, sample, census, cfg.alpha, cfg.samples, cfg.beta_test, seed)
-            )
-    return TrialRecord(
-        trial_index=trial_index,
-        seed=seed,
-        census=census,
-        dfs_summary=trace.summary(),
-        checks=checks,
-        wall_time=time.perf_counter() - t0,
-    )
+    stream, trace, sample, census = percolate(g, cfg.p, seed, cfg.k_max)
+    checks = run_checks(cfg.checkers, cfg, g, stream, sample, census, spect, seed)
+    return {
+        "kind": "trial",
+        "trial_index": trial_index,
+        "seed": seed,
+        "census": census.to_summary(),
+        "dfs": trace.summary(),
+        "checks": [r.to_dict() for r in checks],
+    }
 
 
 _WORKER_STATE: dict = {}
@@ -342,14 +357,15 @@ _WORKER_STATE: dict = {}
 
 def _trial_worker(trial_index: int) -> dict:
     """One trial on the sweep in _WORKER_STATE, serial or in a pool worker."""
+    t0 = time.perf_counter()  # logged, never serialized: records must be replay-identical
     rec = _run_trial(
         _WORKER_STATE["graph"],
         _WORKER_STATE["cfg"],
         _WORKER_STATE["spect"],
         trial_index,
     )
-    log.info("trial %d: %.3fs", trial_index, rec.wall_time)
-    return rec.to_json_obj()
+    log.info("trial %d: %.3fs", trial_index, time.perf_counter() - t0)
+    return rec
 
 
 def _dumps(obj: dict) -> str:
@@ -528,12 +544,7 @@ def _write_csv(path: str, cfg: ExperimentConfig, trials: list) -> None:
 
 def _warm_kernels() -> None:
     """Compile the jitted kernels in the parent before any fork."""
-    from .generators import cycle_graph
-
-    g = cycle_graph(6)
-    stream = CoinStream(g.n, 0.5, 7)
-    trace = run_dfs(g, stream)
-    take_census(g, PercolationSample.from_membership(0.5, 7, trace.accepted_mask()), 4)
+    percolate(cycle_graph(6), 0.5, 7, 4)
 
 
 def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
@@ -615,12 +626,9 @@ def compare(records_path: str, prediction: TheoryPrediction | None = None) -> di
     if prediction is None:
         p = head["prediction"]
         prediction = predict(p["n"], p["d"], p["epsilon"], p["alpha"], len(p["T_k_pred"]))
-    tolerances = dict(head["config"].get("tolerances", {}))
-
-    def tol(metric: str) -> float:
-        return float(tolerances.get(metric, DEFAULT_TOLERANCES[metric]))
-
-    rows = compare_rows(trials, prediction, head["config"]["regime"], tol)
+    tolerances = head["config"].get("tolerances", {})
+    rows = compare_rows(trials, prediction, head["config"]["regime"],
+                        lambda metric: _tolerance(tolerances, metric))
     return {
         "rows": rows,
         "pass": all(r["pass"] for r in rows),

@@ -93,7 +93,7 @@ def _residual(g, theta: float, vec: np.ndarray) -> float:
     return float(np.linalg.norm(_adjacency_matvec(g, vec) - theta * vec))
 
 
-def _dense_spectrum(g, tol: float):
+def _dense_spectrum(g):
     a = np.zeros((g.n, g.n), dtype=np.float64)
     rows = np.repeat(np.arange(g.n), g.d)
     a[rows, g.neighbors.astype(np.int64)] = 1.0
@@ -165,7 +165,7 @@ def compute_spectrum(g, tol: float = 1e-8, method: str = "auto") -> SpectrumRepo
     if method == "auto":
         method = "dense" if g.n <= DENSE_LIMIT else "iterative"
     if method == "dense":
-        lam1, lam2, lamn, r2, rn, iters = _dense_spectrum(g, tol)
+        lam1, lam2, lamn, r2, rn, iters = _dense_spectrum(g)
     elif method == "iterative":
         lam1, lam2, lamn, r2, rn, iters = _iterative_spectrum(g, tol)
     else:

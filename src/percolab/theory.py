@@ -50,6 +50,23 @@ def _check_eps(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f in [lo, hi], where f < 0 left of the root and f >= 0 right of it.
+
+    Bisects on interval width, not residual: in solve_x f' ~ eps near the
+    root, so a residual stop would leave O(tol/eps) error in the root.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid <= lo or mid >= hi:
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_x(epsilon: float, tol: float = _ROOT_TOL) -> float:
     """Positive root of x = (1+eps)(1 - exp(-x)), by bisection.
 
@@ -65,20 +82,8 @@ def solve_x(epsilon: float, tol: float = _ROOT_TOL) -> float:
 
     lo = math.log1p(epsilon)
     hi = one_eps
-    flo = f(lo)
-    assert flo < 0.0 < f(hi)
-    del flo
-    # Bisect on interval width, not residual: f' ~ eps near the root, so a
-    # residual stop would leave O(tol/eps) error in the root itself.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
-            return mid
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    assert f(lo) < 0.0 < f(hi)
+    return _bisect(f, lo, hi, tol)
 
 
 def solve_y(epsilon: float, tol: float = _ROOT_TOL) -> float:
@@ -89,16 +94,7 @@ def solve_y(epsilon: float, tol: float = _ROOT_TOL) -> float:
     def g(y: float) -> float:
         return y * math.exp(-y) - target
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
-            return mid
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(g, 0.0, 1.0, tol)
 
 
 def solve_sigma(p: float, d: int, tol: float = _ROOT_TOL) -> float:
@@ -123,16 +119,7 @@ def solve_sigma(p: float, d: int, tol: float = _ROOT_TOL) -> float:
     def f(s: float) -> float:
         return s - p * (1.0 - (1.0 - s) ** (d - 1))
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
-            return mid
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(f, 0.0, 1.0, tol)
 
 
 def subtree_count(d: int, k: int) -> int:

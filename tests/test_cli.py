@@ -1,13 +1,17 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import pytest
 
 import percolab
-from percolab.cli import main
+from percolab import census
+from percolab.cli import build_parser, main
 from percolab.graph_core import read_graph
+from percolab.harness import CONFIG_KEYS, ExperimentConfig
 
 
 @pytest.fixture()
@@ -90,6 +94,16 @@ def test_percolate_command(graph_file, capsys):
     assert rc == 1  # domain error surfaces as exit 1, not a traceback
 
 
+def test_percolate_walks_the_sample_once(graph_file, capsys, monkeypatch):
+    def no_walk(g, mask):
+        raise AssertionError("the census walked the sample again")
+
+    monkeypatch.setattr(census, "_sample_forest_depth", no_walk)
+    assert main(["percolate", "--graph", graph_file, "--p", "0.3", "--seed", "3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["census"]["components"] == obj["dfs"]["epochs"]
+
+
 def test_theory_command(capsys):
     rc = main(["theory", "--n", "200000", "--d", "20", "--epsilon", "0.2"])
     assert rc == 0
@@ -147,6 +161,61 @@ def test_sweep_exit_one_on_failed_row(tmp_path, capsys):
     ])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_sweep_names_missing_required_key(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    rc = main([
+        "sweep", "--family", "random_regular", "--n", "400", "--d", "8", "--graph-seed", "2",
+        "--regime", "sub", "--seed", "1", "--trials", "2", "--out", str(out),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: missing required config keys: epsilon\n" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_sweep_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(
+        "family = random_regular\nn = 400\nd = 8\ngraph_seed = 2\n"
+        "epsilon = 0.6\nregime = sub\nalpah = 0.05\n"
+    )
+    out = tmp_path / "typo.jsonl"
+    rc = main(["sweep", "--config", str(cfg), "--seed", "1", "--trials", "2", "--out", str(out)])
+    assert rc == 1
+    assert "error: unknown config keys: alpah\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _subparser(name):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def test_sweep_has_a_flag_for_every_config_key():
+    flags = {a.dest for a in _subparser("sweep")._actions}
+    assert set(CONFIG_KEYS) <= flags
+
+
+def test_command_defaults_are_the_config_field_defaults():
+    field_defaults = {f.name: f.default for f in fields(ExperimentConfig)
+                      if f.default is not MISSING}
+    checked = {}
+    for command in ("verify", "theory", "compare", "percolate"):
+        for action in _subparser(command)._actions:
+            part, name, _ = CONFIG_KEYS.get(action.dest, (None, None, None))
+            if part == "cfg" and name in field_defaults:
+                assert action.default == field_defaults[name], (command, action.dest)
+                checked.setdefault(command, set()).add(name)
+    assert checked == {
+        "verify": {"alpha", "regime", "pairs", "subsets", "samples", "beta_test", "k_max",
+                   "spectrum_tol"},
+        "theory": {"alpha", "k_max"},
+        "compare": {"alpha", "k_max"},
+        "percolate": {"k_max"},
+    }
 
 
 def _json_stream(text):

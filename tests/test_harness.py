@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -88,6 +90,35 @@ def test_config_from_mapping_blowup():
     assert cfg.p == pytest.approx(1.2 / 10)  # d comes from factor * base degree
 
 
+def test_config_from_mapping_names_missing_keys():
+    with pytest.raises(ValueError, match="missing required config keys: epsilon, trials, seed"):
+        config_from_mapping({"family": "random_regular", "n": 500, "d": 8})
+    with pytest.raises(ValueError, match="missing required config keys: epsilon$"):
+        config_from_mapping({"family": "random_regular", "n": 500, "d": 8, "trials": 1,
+                             "seed": 0, "epsilon": None})
+
+
+def test_config_from_mapping_rejects_unknown_keys():
+    good = {"family": "random_regular", "n": 500, "d": 8, "epsilon": 0.2, "trials": 1, "seed": 0}
+    with pytest.raises(ValueError, match="unknown config keys: alpah, trails"):
+        config_from_mapping(dict(good, trails=3, alpah=0.05))
+    cfg = config_from_mapping(dict(good, tol_L1_median=0.2))
+    assert cfg.alpha == 0.1 and cfg.regime == "super"  # the field defaults
+    assert cfg.tolerances == {"L1_median": 0.2}
+
+
+def test_config_from_mapping_accepts_benchmark_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        mapping = workloads.sweep_mapping(name, 1)
+        cfg = config_from_mapping(mapping)
+        assert cfg.gen.n == mapping["n"] and cfg.master_seed == mapping["seed"]
+        assert cfg.checkers == tuple(mapping["checkers"].split(","))
+
+
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="regime"):
         _small_cfg(regime="critical").validate()
@@ -103,6 +134,8 @@ def test_config_validation_errors():
         _small_cfg(checkers=("mixing",)).validate()
     with pytest.raises(ValueError, match="tolerance"):
         _small_cfg(tolerances={"L1_median": -1.0}).validate()
+    with pytest.raises(ValueError, match="unknown tolerance metric 'L1_mediun'"):
+        _small_cfg(tolerances={"L1_mediun": 0.2}).validate()
     # eps = 3 at d = 3 asks for retention 4/3
     bad = ExperimentConfig(
         gen=GenSpec("clique_union", n=4, d=3), epsilon=3.0, alpha=0.1,
