@@ -1,4 +1,4 @@
-"""Optional numba compilation of the loops in _kernels.
+"""Optional numba compilation of the one kernel, _kernels.dfs_explore.
 
 When numba imports, ``njit(f)`` is ``numba.njit(cache=True)(f)`` and the
 kernel receives numpy arrays.  Otherwise ``njit(f)`` is
@@ -7,10 +7,6 @@ its ndarray arguments, whose items index as plain Python ints and bools
 instead of numpy scalars, several times faster in a loop.  Writes go
 through to the caller's arrays.  So a kernel body may only index, take
 ``len`` and assign items of its array arguments, which both paths allow.
-
-``njit_nested(f)`` is for helpers that only other kernels call: their
-arguments are memoryviews already, so without numba ``f`` runs as it is
-and skips the conversion on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["memoryview_kernel", "njit", "njit_nested"]
+__all__ = ["memoryview_kernel", "njit"]
 
 
 def memoryview_kernel(func):
@@ -37,13 +33,7 @@ try:
     from numba import njit as _numba_njit
 except ImportError:
     njit = memoryview_kernel
-
-    def njit_nested(func):
-        return func
-
 else:
 
     def njit(func):
         return _numba_njit(cache=True)(func)
-
-    njit_nested = njit

@@ -1,28 +1,23 @@
-"""Loops with no numpy/scipy primitive, shared by percolation, census
-and verify: the two sequential walks, whose every step depends on the
-last (dfs_explore, the one depth-first search, which also gives the
-census its long-cycle bound; bfs_grow), and the small-subgraph counters
-behind the exact tree counts.
+"""The one loop with no numpy/scipy primitive: dfs_explore, the
+exploration's depth-first search, shared by percolation and census.  It
+is sequential by nature, since each coin acts on the stack the last coin
+left; with every coin heads it also builds the DFS forest of a sample,
+whose depth gives the census its long-cycle bound.
 
-Each kernel is a plain function over preallocated flat arrays: numba
+The kernel is a plain function over preallocated flat arrays: numba
 compiles it and passes numpy arrays when it is installed, and otherwise
 the interpreter runs it on memoryviews of the same arrays (see _accel).
-So a body only indexes, assigns and takes ``len`` of its arrays, and
+So the body only indexes, assigns and takes ``len`` of its arrays, and
 allocates nothing: the caller passes every output and scratch array.
-Keep signatures primitive: flat int32 adjacency, bool masks, scalar ints.
+Keep the signature primitive: flat int32 adjacency, uint8 states and
+coins, scalar ints.
 """
 
 from __future__ import annotations
 
-from ._accel import njit, njit_nested
+from ._accel import njit
 
-__all__ = [
-    "bfs_grow",
-    "dfs_explore",
-    "induced_p4_count",
-    "induced_star_count",
-    "tree_p4_count",
-]
+__all__ = ["dfs_explore"]
 
 
 # state codes used by dfs_explore
@@ -99,121 +94,3 @@ def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch
                 state[r] = W_REJECTED
             coin_i += 1
     return coin_i, n_epochs, n_acc
-
-
-@njit
-def bfs_grow(nbrs, d, allowed, start, target, in_set, queue):
-    """Grow a connected set inside ``allowed`` to ``target`` vertices (BFS).
-
-    Returns the achieved size; the set is queue[:size], flagged in in_set.
-    """
-    qt = 0
-    queue[qt] = start
-    qt += 1
-    in_set[start] = 1
-    size = 1
-    idx = 0
-    while idx < qt and size < target:
-        v = queue[idx]
-        idx += 1
-        base = v * d
-        for j in range(d):
-            w = nbrs[base + j]
-            if allowed[w] and in_set[w] == 0:
-                in_set[w] = 1
-                queue[qt] = w
-                qt += 1
-                size += 1
-                if size == target:
-                    break
-    return size
-
-
-@njit_nested
-def _has_edge(nbrs, d, u, v):
-    lo = u * d
-    hi = lo + d
-    while lo < hi:
-        mid = (lo + hi) // 2
-        x = nbrs[mid]
-        if x == v:
-            return True
-        if x < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return False
-
-
-@njit
-def tree_p4_count(nbrs, d, n):
-    """3-edge paths: sum over edges (b<c) of (d-1)^2 - |N(b) ∩ N(c)|."""
-    total = 0
-    for b in range(n):
-        base_b = b * d
-        for jb in range(d):
-            c = nbrs[base_b + jb]
-            if c <= b:
-                continue
-            codeg = 0
-            ib = 0
-            ic = 0
-            base_c = c * d
-            while ib < d and ic < d:
-                x = nbrs[base_b + ib]
-                y = nbrs[base_c + ic]
-                if x == y:
-                    codeg += 1
-                    ib += 1
-                    ic += 1
-                elif x < y:
-                    ib += 1
-                else:
-                    ic += 1
-            total += (d - 1) * (d - 1) - codeg
-    return total
-
-
-@njit
-def induced_p4_count(nbrs, d, n):
-    """4-sets {a,b,c,e} whose induced graph is the path a-b-c-e."""
-    total = 0
-    for b in range(n):
-        base_b = b * d
-        for jb in range(d):
-            c = nbrs[base_b + jb]
-            if c <= b:
-                continue
-            base_c = c * d
-            for ja in range(d):
-                a = nbrs[base_b + ja]
-                if a == c or _has_edge(nbrs, d, a, c):
-                    continue
-                for je in range(d):
-                    e = nbrs[base_c + je]
-                    if e == b or e == a:
-                        continue
-                    if _has_edge(nbrs, d, e, b) or _has_edge(nbrs, d, e, a):
-                        continue
-                    total += 1
-    return total
-
-
-@njit
-def induced_star_count(nbrs, d, n):
-    """4-sets inducing a claw: center v plus 3 pairwise non-adjacent neighbors."""
-    total = 0
-    for v in range(n):
-        base = v * d
-        for i in range(d):
-            a = nbrs[base + i]
-            for j in range(i + 1, d):
-                b = nbrs[base + j]
-                if _has_edge(nbrs, d, a, b):
-                    continue
-                for k in range(j + 1, d):
-                    c = nbrs[base + k]
-                    if _has_edge(nbrs, d, a, c) or _has_edge(nbrs, d, b, c):
-                        continue
-                    total += 1
-    return total

@@ -4,7 +4,9 @@ tree subgraphs used to predict how many vertices sit in small components.
 Counting routes are deliberately redundant: closed forms for trees on
 up to 4 vertices, and an exhaustive connected-set enumeration with a
 matrix-tree determinant that works on any graph small enough to hold in
-machine words.  Tests compare the two.
+machine words.  Tests compare the two.  The closed forms are numpy
+array algebra over the neighbour table, about n*d**4/2 bytes at once:
+test-support counts, which no caller takes at benchmark sizes.
 """
 
 from __future__ import annotations
@@ -212,10 +214,11 @@ def longest_cycle_lower_bound(g: RegularGraph, sample: PercolationSample, with_w
 def validate_cycle(g: RegularGraph, cycle, sample: PercolationSample | None = None) -> bool:
     if cycle is None or len(cycle) < 3 or len(set(cycle)) != len(cycle):
         return False
-    if sample is not None and not all(sample.membership[v] for v in cycle):
+    c = np.asarray(cycle, dtype=np.int64)
+    # has_edge is False for ids outside [0, n), so they never index the sample
+    if not g.has_edge(c, np.roll(c, -1)).all():
         return False
-    m = len(cycle)
-    return all(g.has_edge(cycle[i], cycle[(i + 1) % m]) for i in range(m))
+    return sample is None or bool(sample.membership[c].all())
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +317,29 @@ def _brute_acyclic_count(g: RegularGraph, k: int) -> int:
     return sum(1 for s in _connected_ksets(masks, k) if _induced_edge_count(masks, s) == k - 1)
 
 
-def _codegree_sum(g: RegularGraph) -> int:
-    m = g.n * g.d // 2
-    p4 = int(_kernels.tree_p4_count(g.neighbors, g.d, g.n))
-    return m * (g.d - 1) ** 2 - p4
+def _triangles_and_claws(g: RegularGraph) -> tuple[int, int]:
+    """Triangles, and 4-sets inducing a claw (a centre plus 3 pairwise
+    non-adjacent neighbours), from local[v, i, j] = whether the i-th and
+    j-th neighbours of v are adjacent.  A triangle is seen from 3 corners
+    as 2 ordered pairs each; the claws at v are the triangles of the
+    complement F of local[v], trace(F^3)/6."""
+    rows = g.nbrs2d
+    local = g.has_edge(rows[:, :, None], rows[:, None, :])
+    f = (~local & ~np.eye(g.d, dtype=bool)).astype(np.int64)
+    return int(local.sum()) // 6, int(((f @ f) * f).sum()) // 6
+
+
+def _induced_p4s(g: RegularGraph) -> int:
+    """4-sets inducing the path a-b-c-e, counted once at the middle edge
+    b < c: a in N(b) with a != c and a !~ c, e in N(c) with e != b and
+    e !~ b, and a !~ e (which also rules out a == e).  One (m, d, d)
+    boolean product, built from about n*d**4/2 bytes."""
+    b, c = g.edge_list()
+    ends_a, ends_e = g.nbrs2d[b], g.nbrs2d[c]
+    ok_a = (ends_a != c[:, None]) & ~g.has_edge(ends_a, c[:, None])
+    ok_e = (ends_e != b[:, None]) & ~g.has_edge(ends_e, b[:, None])
+    joined = g.has_edge(ends_a[:, :, None], ends_e[:, None, :])
+    return int((ok_a[:, :, None] & ok_e[:, None, :] & ~joined).sum())
 
 
 def _closed_tree_count(g: RegularGraph, k: int) -> int:
@@ -330,9 +352,9 @@ def _closed_tree_count(g: RegularGraph, k: int) -> int:
         # every tree on 3 vertices is a path; one per center-plus-neighbor-pair
         return n * comb(d, 2)
     if k == 4:
-        stars = n * comb(d, 3)
-        paths = int(_kernels.tree_p4_count(g.neighbors, g.d, g.n))
-        return stars + paths
+        # 3-edge paths a-b-c-e: (d-1)^2 per middle edge bc, less a == e, 3 per triangle
+        paths = n * d // 2 * (d - 1) ** 2 - 3 * _triangles_and_claws(g)[0]
+        return n * comb(d, 3) + paths
     raise ValueError(f"no closed form for trees on {k} vertices")
 
 
@@ -343,12 +365,9 @@ def _closed_acyclic_count(g: RegularGraph, k: int) -> int:
     if k == 2:
         return n * d // 2
     if k == 3:
-        triangles = _codegree_sum(g) // 3
-        return n * comb(d, 2) - 3 * triangles
+        return n * comb(d, 2) - 3 * _triangles_and_claws(g)[0]
     if k == 4:
-        p4 = int(_kernels.induced_p4_count(g.neighbors, g.d, g.n))
-        star = int(_kernels.induced_star_count(g.neighbors, g.d, g.n))
-        return p4 + star
+        return _induced_p4s(g) + _triangles_and_claws(g)[1]
     raise ValueError(f"no closed form for acyclic sets on {k} vertices")
 
 

@@ -34,7 +34,7 @@ from .harness import (
     run_sweep,
 )
 from .percolation import CoinStream, sample_vertices
-from .spectral import certify, compute_spectrum
+from .spectral import compute_spectrum, delta_of_alpha
 from .theory import predict
 from .verify import giant_expansion_window
 
@@ -87,13 +87,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = read_graph(args.graph)
+    report = compute_spectrum(g, tol=args.tol, method=args.method)
+    obj = report.to_dict()
     if args.alpha is not None:
-        admissible, report = certify(g, args.alpha, tol=args.tol)
-        obj = report.to_dict()
         obj["alpha"] = args.alpha
-        obj["admissible"] = admissible
-    else:
-        obj = compute_spectrum(g, tol=args.tol, method=args.method).to_dict()
+        obj["admissible"] = report.ratio <= delta_of_alpha(args.alpha)
     _print_json(obj)
     return 0
 
@@ -143,6 +141,8 @@ def _cmd_verify(args) -> int:
     if unknown:
         raise SystemExit(f"unknown checker ids {unknown}; known: {list(CHECKER_IDS)}")
     p = args.p if args.p is not None else retention_p(args.epsilon, args.regime, g.d)
+    if args.p is not None:  # judge the coins at the drift they were drawn with
+        args.epsilon = (p * g.d - 1.0) * (-1.0 if args.regime == "sub" else 1.0)
     giant = "giant_expansion" in checkers
     if giant:  # fail before any spectrum or sampling
         giant_expansion_window(g.n, g.d, p * g.d - 1.0, args.alpha)
@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checker", required=True, help="comma-separated checker ids")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--p", type=float)
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--epsilon", type=float, default=0.2,
+                   help="p = (1 ± eps)/d by --regime; ignored when --p is given, eps then follows p")
     p.add_argument("--regime", choices=REGIMES, default=CONFIG_DEFAULTS["regime"])
     p.add_argument("--alpha", type=float, default=CONFIG_DEFAULTS["alpha"])
     p.add_argument("--pairs", type=int, default=CONFIG_DEFAULTS["pairs"])

@@ -3,7 +3,7 @@
 The adjacency is stored as ``neighbors``, the flat length-n*d array of
 neighbor ids in which row v is ``neighbors[v*d:(v+1)*d]``, sorted
 ascending: regularity makes the row offsets implicit.  Sorted rows give
-a canonical serialization and O(log d) edge membership tests.
+a canonical serialization.
 
 Vertex ids are dense 0-based integers.
 
@@ -137,10 +137,13 @@ class RegularGraph:
         lo = int(v) * self.d
         return self.neighbors[lo : lo + self.d]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors_of(u)
-        k = int(np.searchsorted(row, v))
-        return k < row.size and int(row[k]) == v
+    def has_edge(self, u, v):
+        """Whether uv is an edge, elementwise over broadcastable id arrays.
+        Ids outside [0, n) are adjacent to nothing (they do not wrap)."""
+        u = np.asarray(u)
+        inside = (u >= 0) & (u < self.n)
+        rows = self.nbrs2d[np.where(inside, u, 0)]
+        return (rows == np.expand_dims(v, -1)).any(axis=-1) & inside
 
     def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edges (u, v) with u < v, lexicographically sorted."""
@@ -304,8 +307,8 @@ def read_graph(path) -> RegularGraph:
         a, b = _parse_int_pair(line, i + 3)
         if not a < b:
             raise GraphFormatError(f"line {i + 3}: edge must satisfy u < v, got {line!r}")
-        if b >= n:
-            raise GraphFormatError(f"line {i + 3}: vertex id {b} out of range (n={n})")
+        if a < 0 or b >= n:
+            raise GraphFormatError(f"line {i + 3}: vertex id out of range (n={n}) in {line!r}")
         uu[i] = a
         vv[i] = b
     return RegularGraph.from_edges(n, d, uu, vv)

@@ -133,6 +133,11 @@ class ExperimentConfig:
             raise ValueError("k_max must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        for name in ("pairs", "subsets", "samples"):  # a checker of no instances proves nothing
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.beta_test <= 0:
+            raise ValueError(f"beta_test must be positive, got {self.beta_test}")
         for metric, t in self.tolerances.items():
             if metric not in DEFAULT_TOLERANCES:
                 raise ValueError(
@@ -543,7 +548,7 @@ def _write_csv(path: str, cfg: ExperimentConfig, trials: list) -> None:
 
 
 def _warm_kernels() -> None:
-    """Compile the jitted kernels in the parent before any fork."""
+    """Compile the jitted kernel in the parent before any fork."""
     percolate(cycle_graph(6), 0.5, 7, 4)
 
 

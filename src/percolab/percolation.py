@@ -279,25 +279,28 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> Dfs
     )
 
 
+def _induced_csr(g: RegularGraph, mask: np.ndarray):
+    """(kept, adj): kept = flatnonzero(mask), and adj the CSR adjacency of
+    the subgraph induced on it in local ids, row i for vertex kept[i],
+    each row's columns ascending like the graph's own rows."""
+    kept = np.flatnonzero(mask)
+    rows = g.nbrs2d[kept]
+    hit = mask[rows]
+    local = np.empty(g.n, dtype=np.int64)
+    local[kept] = np.arange(kept.size)
+    indptr = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
+    return kept, csr_matrix((np.ones(indptr[-1], dtype=np.int8), local[rows[hit]], indptr),
+                            shape=(kept.size, kept.size))
+
+
 def components_oracle(g: RegularGraph, sample: PercolationSample) -> np.ndarray:
     """Component labels of the retained induced subgraph from scipy's
     connected_components: ids 0..k-1 by smallest member vertex, -1 for
     vertices outside the sample.  Independent of run_dfs."""
-    mask = sample.membership
     labels = np.full(g.n, -1, dtype=np.int64)
-    kept = np.flatnonzero(mask)
-    if kept.size:
-        rows = g.nbrs2d[kept]
-        hit = mask[rows]
-        local = np.empty(g.n, dtype=np.int64)
-        local[kept] = np.arange(kept.size)
-        indptr = np.zeros(kept.size + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
-        adj = csr_matrix(
-            (np.ones(indptr[-1], dtype=np.int8), local[rows[hit]], indptr),
-            shape=(kept.size, kept.size),
-        )
-        _, labels[kept] = connected_components(adj, directed=False)
+    kept, adj = _induced_csr(g, sample.membership)
+    _, labels[kept] = connected_components(adj, directed=False)
     return labels
 
 

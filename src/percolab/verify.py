@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
-from . import _kernels
 from .census import ComponentCensus
 from .generators import blowup_pair_index
 from .graph_core import RegularGraph, VertexSet, edge_count_between, external_neighborhood
-from .percolation import CoinStream, PercolationSample
+from .percolation import CoinStream, PercolationSample, _induced_csr
 from .rng import TAG_GROWTH, TAG_PAIRS, TAG_SUBSETS, make_generator
 from .spectral import SpectrumReport, delta_of_alpha
 from .theory import solve_x
@@ -73,6 +73,8 @@ def _effective_lambda(report: SpectrumReport) -> float:
 def check_mixing(g: RegularGraph, report: SpectrumReport, pairs: int, seed: int) -> ViolationReport:
     """Edge-count mixing on random vertex-set pairs:
     |e(B,C) - d|B||C|/n| <= lambda sqrt(|B||C|), ordered-pair edge count."""
+    if pairs < 1:  # a check of no instances must not pass
+        raise ValueError(f"pairs must be at least 1, got {pairs}")
     rng = make_generator(seed, TAG_PAIRS)
     lam = _effective_lambda(report)
     out = ViolationReport("mixing", pairs, meta={"lambda_eff": lam, "seed": seed})
@@ -129,6 +131,8 @@ def check_lemma_2_4(
     The admissibility context (alpha window, spectral ratio vs the
     delta(alpha) threshold, p <= 2/d) is recorded in meta, not enforced.
     """
+    if subsets < 1:
+        raise ValueError(f"subsets must be at least 1, got {subsets}")
     n, d = g.n, g.d
     m_lo = math.ceil(alpha * n / d)
     m_hi = math.floor(n / (3 * d))
@@ -308,7 +312,8 @@ def check_giant_expansion(
     seed: int,
 ) -> ViolationReport:
     """Sampled expansion of connected subsets of the largest retained
-    component: grow S by seeded BFS to target sizes spanning
+    component: grow S by a seeded breadth-first search (scipy's, over the
+    component's induced CSR) to target sizes spanning
     [16 alpha n/d, (x - 9 alpha) n/d], measure the neighborhood inside
     the retained subgraph, and require
     |N(S)| >= beta_test * alpha^2 / ln(1/alpha) * n/d at every sample.
@@ -318,6 +323,10 @@ def check_giant_expansion(
     window start fails the check as one instance, with the cause in
     meta, so one small-giant trial does not end a sweep.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if beta_test <= 0:
+        raise ValueError(f"beta_test must be positive, got {beta_test}")
     n, d = g.n, g.d
     lo, hi = giant_expansion_window(n, d, sample.p * d - 1.0, alpha)
     giant = census.largest
@@ -337,26 +346,21 @@ def check_giant_expansion(
         out.meta["min_neighborhood"] = None
         out.add("largest component", giant, lo + 1)
         return out
-    allowed = census.labels == census.labels[census.roots[0]]
-    giant_members = np.flatnonzero(allowed)
+    giant_members, adj = _induced_csr(g, census.labels == census.labels[census.roots[0]])
     out = ViolationReport("giant_expansion", samples, meta=meta)
 
     rng = make_generator(seed, TAG_GROWTH)
     targets = np.unique(np.linspace(lo, hi, num=max(2, min(samples, hi - lo + 1))).astype(np.int64))
-    in_set = np.zeros(n, dtype=np.uint8)
-    queue = np.empty(n, dtype=np.int64)
     min_seen = math.inf
     for i in range(samples):
         target = int(targets[i % targets.size])
-        start = int(giant_members[rng.integers(0, giant_members.size)])
-        size = int(_kernels.bfs_grow(g.neighbors, d, allowed, start, target, in_set, queue))
-        members = queue[:size].copy()
-        in_set[members] = 0
-        assert size == target, "connected component must reach any size below its own"
+        j = rng.integers(0, giant_members.size)
+        members = giant_members[breadth_first_order(adj, j, return_predecessors=False)[:target]]
+        assert members.size == target, "connected component must reach any size below its own"
         outside = external_neighborhood(g, VertexSet.from_indices(n, members)).mask
         ext = int(np.count_nonzero(outside & sample.membership))
         min_seen = min(min_seen, ext)
         if ext < threshold:
-            out.add(f"sample {i} |S|={size}", ext, threshold)
+            out.add(f"sample {i} |S|={target}", ext, threshold)
     out.meta["min_neighborhood"] = None if min_seen is math.inf else float(min_seen)
     return out

@@ -236,6 +236,15 @@ def test_validate_cycle_rejections(c6, k4):
     assert not validate_cycle(k4, [0, 1, 2], _members(k4, [0, 1]))  # 2 not retained
 
 
+def test_validate_cycle_rejects_ids_outside_the_graph(c6):
+    full = _full(c6)
+    # -1 would wrap to 5, closing 5-0-1 wrongly; 6 is past the table
+    assert not validate_cycle(c6, [-1, 0, 1], full)
+    assert not validate_cycle(c6, [-1, 0, 1])
+    assert not validate_cycle(c6, [4, 5, 6], full)
+    assert validate_cycle(c6, [0, 1, 2, 3, 4, 5], full)
+
+
 # ----------------------------------------------------------------------
 # exact subgraph counts: brute force vs closed forms vs literature
 # ----------------------------------------------------------------------
@@ -255,6 +264,25 @@ def test_hypercube_small_tree_counts(q4):
     assert count_trees_bruteforce(q4, 2) == 32
     assert count_trees_bruteforce(q4, 3) == 96
     assert count_trees_bruteforce(q4, 4) == 352
+
+
+@pytest.mark.parametrize(
+    "gspec, trees, acyclic",
+    [
+        # Q_d: no triangles and n*C(d,2)/4 four-cycles
+        (GenSpec("hypercube", n=1024, d=10),
+         [1024, 5120, 46080, 537600], [1024, 5120, 46080, 491520]),
+        # 100 disjoint K6: every 3-set and 4-set holds a triangle
+        (GenSpec("clique_union", n=600, d=5), [600, 1500, 6000, 24000], [600, 1500, 0, 0]),
+        # the values of the per-edge loop counters these closed forms replaced
+        (GenSpec("random_regular", n=2000, d=8, seed=1),
+         [2000, 8000, 56000, 503823], [2000, 8000, 55823, 499505]),
+    ],
+)
+def test_closed_forms_beyond_bruteforce_reach(gspec, trees, acyclic):
+    g = generate(gspec)
+    assert [count_trees_bruteforce(g, k) for k in (1, 2, 3, 4)] == trees
+    assert [count_acyclic_connected_ksets(g, k) for k in (1, 2, 3, 4)] == acyclic
 
 
 @pytest.mark.parametrize(

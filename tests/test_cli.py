@@ -12,6 +12,7 @@ from percolab import census
 from percolab.cli import build_parser, main
 from percolab.graph_core import read_graph
 from percolab.harness import CONFIG_KEYS, ExperimentConfig
+from percolab.spectral import delta_of_alpha
 
 
 @pytest.fixture()
@@ -82,6 +83,15 @@ def test_spectrum_command(graph_file, capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert isinstance(rep["admissible"], bool)
+
+
+def test_spectrum_alpha_honours_method(graph_file, capsys):
+    # n = 300 would take the dense path under --method auto
+    rc = main(["spectrum", "--graph", graph_file, "--method", "iterative", "--alpha", "0.5"])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["method"] == "iterative" and rep["alpha"] == 0.5
+    assert rep["admissible"] == (rep["ratio"] <= delta_of_alpha(0.5))
 
 
 def test_percolate_command(graph_file, capsys):
@@ -247,6 +257,33 @@ def test_verify_giant_expansion_names_admissible_alpha(graph_file, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "giant_expansion needs alpha <= 0.01505 at eps=0.2" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_p_judges_the_stream_at_its_own_epsilon(tmp_path, capsys):
+    # coins drawn at p = 0.13 on d = 10 drift at eps = 0.3; judged at the
+    # default eps = 0.2 they fail, e.g. at t=303 (8.64 against 8.0)
+    path = str(tmp_path / "rr2000.graph")
+    assert main(["generate", "--family", "random_regular", "--n", "2000", "--d", "10",
+                 "--graph-seed", "3", "--out", path]) == 0
+    capsys.readouterr()
+    rc = main(["verify", "--graph", path, "--checker", "stream", "--seed", "7", "--p", "0.13",
+               "--epsilon", "0.2"])
+    (report,) = _json_stream(capsys.readouterr().out)
+    assert rc == 0 and report["pass"]
+    assert report["meta"]["epsilon"] == pytest.approx(0.3)
+    rc = main(["verify", "--graph", path, "--checker", "stream", "--seed", "7", "--p", "0.07",
+               "--regime", "sub"])
+    (report,) = _json_stream(capsys.readouterr().out)
+    assert report["meta"]["epsilon"] == pytest.approx(0.3)
+
+
+def test_verify_rejects_checkers_that_check_nothing(graph_file, capsys):
+    rc = main(["verify", "--graph", graph_file, "--checker", "mixing,lemma_2_4",
+               "--seed", "1", "--pairs", "-5", "--subsets", "0", "--alpha", "0.2"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "pairs must be at least 1, got -5" in captured.err
     assert captured.out == ""
 
 

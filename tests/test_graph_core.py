@@ -40,6 +40,16 @@ def test_has_edge_and_edge_list(c6):
     assert all(a < b for a, b in pairs)
 
 
+def test_has_edge_broadcasts_and_rejects_outside_ids(c6):
+    u = np.array([[0], [2]])
+    v = np.array([1, 3, 5])
+    assert c6.has_edge(u, v).tolist() == [[True, False, True], [True, True, False]]
+    # -1 would read row n-1 (5 ~ 0) and 6 would read past the table
+    assert not c6.has_edge(-1, 0) and not c6.has_edge(0, -1)
+    assert not c6.has_edge(6, 5) and not c6.has_edge(5, 6)
+    assert c6.has_edge(np.array([-1, 5, 6]), 0).tolist() == [False, True, False]
+
+
 def test_from_edges_rejects_self_loop():
     u, v = _k4_edges()
     u[5] = 3
@@ -181,6 +191,9 @@ def test_read_rejects_out_of_range_vertex(tmp_path):
     p = tmp_path / "oob.g"
     p.write_text("ndl-graph 1\n2 1\n0 5\n")
     with pytest.raises(GraphFormatError, match="line 3.*out of range"):
+        read_graph(p)
+    p.write_text("ndl-graph 1\n4 1\n2 3\n-1 1\n")
+    with pytest.raises(GraphFormatError, match="line 4: vertex id out of range .* in '-1 1'"):
         read_graph(p)
 
 

@@ -145,6 +145,20 @@ def test_config_validation_errors():
         bad.validate()
 
 
+@pytest.mark.parametrize("key, value", [("pairs", 0), ("subsets", -1), ("samples", 0),
+                                        ("beta_test", 0.0)])
+def test_config_rejects_checker_counts_that_check_nothing(tmp_path, monkeypatch, key, value):
+    def no_generate(spec):
+        raise AssertionError("generate ran for a config that cannot pass validation")
+
+    monkeypatch.setattr(harness, "generate", no_generate)
+    cfg = _small_cfg(out=str(tmp_path / "z.jsonl"), spectrum=True,
+                     checkers=("mixing", "lemma_2_4"), **{key: value})
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        run_sweep(cfg)
+    assert not (tmp_path / "z.jsonl").exists()
+
+
 def test_config_p_by_regime():
     assert _small_cfg(regime="sub").p == pytest.approx(0.8 / 8)
     assert _small_cfg(regime="super").p == pytest.approx(1.2 / 8)

@@ -23,12 +23,6 @@ def test_interpreted_kernels_take_memoryviews():
     assert _accel.njit is _accel.memoryview_kernel
     assert _kernels.dfs_explore.py_func.__name__ == "dfs_explore"
 
-    def helper(a):
-        return a
-
-    # kernels calling kernels pass memoryviews already: no wrapper
-    assert _accel.njit_nested(helper) is helper
-
 
 def test_fallback_dfs_writes_reach_caller_with_short_order(c6):
     # cycle 0-1-2-3-4-5-0; vertex 0 starts rejected and the root order
@@ -54,13 +48,3 @@ def test_fallback_dfs_writes_reach_caller_with_short_order(c6):
     assert acc[:5].tolist() == [4, 3, 2, 1, 5]
     assert starts[0] == 0 and queries[0] == 5
 
-
-def test_fallback_bfs_writes_reach_caller(c6):
-    grow = _accel.memoryview_kernel(_kernels.bfs_grow.py_func)
-    allowed = np.ones(c6.n, dtype=bool)
-    allowed[3] = False
-    in_set = np.zeros(c6.n, dtype=np.uint8)
-    queue = np.empty(c6.n, dtype=np.int64)
-    assert grow(c6.neighbors, c6.d, allowed, 0, 6, in_set, queue) == 5
-    assert queue[:5].tolist() == [0, 1, 5, 2, 4]
-    assert in_set.tolist() == [1, 1, 1, 0, 1, 1]

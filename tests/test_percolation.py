@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import breadth_first_order
 
 from percolab.generators import GenSpec, generate
 from percolab.percolation import (
     CoinStream,
     PercolationSample,
     canonicalize_labels,
+    _induced_csr,
     components_oracle,
     run_dfs,
     run_dfs_reference,
@@ -163,6 +165,18 @@ def test_components_oracle_labels(c6):
     assert labels.tolist() == [0, 0, -1, 1, 1, -1]
     empty = PercolationSample.from_membership(0.5, 0, np.zeros(6, dtype=bool))
     assert components_oracle(c6, empty).tolist() == [-1] * 6
+
+
+def test_induced_csr_bfs_skips_excluded_vertex(c6):
+    # cycle 0-1-2-3-4-5-0 without 3: rows follow kept, columns ascend
+    mask = np.ones(6, dtype=bool)
+    mask[3] = False
+    kept, adj = _induced_csr(c6, mask)
+    assert kept.tolist() == [0, 1, 2, 4, 5]
+    assert [adj.indices[adj.indptr[i]:adj.indptr[i + 1]].tolist() for i in range(5)] == [
+        [1, 4], [0, 2], [1], [4], [0, 3]]
+    order = breadth_first_order(adj, 0, return_predecessors=False)
+    assert kept[order].tolist() == [0, 1, 5, 2, 4]
 
 
 def test_canonicalize_labels():

@@ -49,6 +49,21 @@ def test_mixing_on_complete_graph():
     assert not out.violations
 
 
+def test_checkers_reject_counts_below_one(rr_small):
+    spect = _fake_spectrum(6, 3.0)
+    sample = sample_vertices(rr_small.n, 0.5, 1)
+    census = take_census(rr_small, sample)
+    with pytest.raises(ValueError, match="pairs must be at least 1, got 0"):
+        check_mixing(rr_small, spect, pairs=0, seed=1)
+    with pytest.raises(ValueError, match="subsets must be at least 1, got -5"):
+        check_lemma_2_4(rr_small, sample, alpha=0.2, subsets=-5, seed=1)
+    giant = dict(alpha=0.001, samples=5, beta_test=0.01, seed=1)
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        check_giant_expansion(rr_small, sample, census, **dict(giant, samples=0))
+    with pytest.raises(ValueError, match="beta_test must be positive, got 0"):
+        check_giant_expansion(rr_small, sample, census, **dict(giant, beta_test=0.0))
+
+
 def test_mixing_is_seed_reproducible(rr_small):
     rep = compute_spectrum(rr_small, method="dense")
     a = check_mixing(rr_small, rep, pairs=50, seed=9)
