@@ -1,8 +1,12 @@
 """The one loop with no numpy/scipy primitive: dfs_explore, the
 exploration's depth-first search, shared by percolation and census.  It
 is sequential by nature, since each coin acts on the stack the last coin
-left; with every coin heads it also builds the DFS forest of a sample,
-whose depth gives the census its long-cycle bound.
+left.  Its stack is always a path in the graph, so its epochs are the
+components of the accepted subgraph and its push depths describe a
+depth-first forest of it: that forest is the census's only input, for
+component labels and the long-cycle bound alike.  With every coin heads
+over a given sample it builds the same forest the exploration that drew
+the sample built.
 
 The kernel is a plain function over preallocated flat arrays: numba
 compiles it and passes numpy arrays when it is installed, and otherwise
@@ -28,16 +32,16 @@ W_REJECTED = 3
 
 
 @njit
-def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch_starts, queries,
-                stack, ptr):
+def dfs_explore(nbrs, d, order, coins, state, comp, depth, epoch_starts, stack, ptr):
     """Stack exploration driven by one coin per first-touched vertex.
 
-    nbrs: flat (n*d) neighbor table, each row sorted by scan priority.
-    order: vertex ids in root-selection priority order (may be shorter
+    nbrs: flat (n*d) neighbor table, scanned row by row in stored order.
+    order: root candidates in the order they are tried (may be shorter
     than n); state may start vertices as W_REJECTED to keep them out.
     coins: uint8 coin stream, one entry per touched vertex.
-    Outputs written in place, depth[w] = stack depth when w was pushed
-    (0 for a root); stack (length n) and ptr (length n, zeros) are
+    Outputs written in place: comp[w] = epoch of w, depth[w] = stack
+    depth when w was pushed (0 for a root), epoch_starts[j] = the coin
+    that opened epoch j; stack (length n) and ptr (length n, zeros) are
     scratch.  Returns (coins_used, n_epochs, n_accepted).
     """
     n_order = len(order)
@@ -61,11 +65,9 @@ def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch
                 w = nbrs[base + p]
                 heads = coins[coin_i]
                 coin_i += 1
-                queries[n_epochs - 1] += 1
                 if heads:
                     state[w] = U_STACK
                     comp[w] = n_epochs - 1
-                    accepted_order[n_acc] = w
                     n_acc += 1
                     top += 1
                     stack[top] = w
@@ -82,11 +84,9 @@ def dfs_explore(nbrs, d, order, coins, state, comp, depth, accepted_order, epoch
             if heads:
                 epoch_starts[n_epochs] = coin_i
                 n_epochs += 1
-                queries[n_epochs - 1] = 1
                 state[r] = U_STACK
                 comp[r] = n_epochs - 1
                 depth[r] = 0
-                accepted_order[n_acc] = r
                 n_acc += 1
                 top = 0
                 stack[0] = r

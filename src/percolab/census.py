@@ -1,6 +1,13 @@
 """Component census of an induced subgraph, plus exact counts of small
 tree subgraphs used to predict how many vertices sit in small components.
 
+A census reads everything it knows about the components off one
+depth-first forest of the sample: the exploration's own (its DfsTrace)
+when there is one, otherwise one dfs_explore walk of the sample, which
+builds the same forest.  Its trees are the components, and its longest
+back edge gives the long-cycle bound.  scipy's connected_components
+labels nothing here; it stays the tests' independent oracle.
+
 Counting routes are deliberately redundant: closed forms for trees on
 up to 4 vertices, and an exhaustive connected-set enumeration with a
 matrix-tree determinant that works on any graph small enough to hold in
@@ -18,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .graph_core import RegularGraph
-from .percolation import PercolationSample, _explore, components_oracle
+from .percolation import DfsTrace, PercolationSample, _explore
 
 __all__ = [
     "ComponentCensus",
@@ -40,8 +47,9 @@ class ComponentCensus:
     tree_counts[k] is the number of tree components on exactly k
     vertices for k <= k_max (index 0 unused).  Stragglers are retained
     vertices (edges) outside the largest component and outside small
-    tree components.  labels are the components_oracle labels (-1 off
-    the sample); the largest component is labels == labels[roots[0]].
+    tree components.  labels are the forest's tree ids, 0..k-1 ascending
+    with each component's smallest member (-1 off the sample); the
+    largest component is labels == labels[roots[0]].
     """
 
     n: int
@@ -89,24 +97,24 @@ class ComponentCensus:
 
 
 def take_census(
-    g: RegularGraph, sample: PercolationSample, k_max: int = 4, depth: np.ndarray | None = None
+    g: RegularGraph, sample: PercolationSample, k_max: int = 4, trace: DfsTrace | None = None
 ) -> ComponentCensus:
-    """Census of the sample's induced subgraph.  depth, if given, is the
-    depth array of a depth-first forest of exactly that subgraph, such
-    as DfsTrace.depth of the exploration that drew the sample; the
-    long-cycle bound is read from it instead of walking the sample again
-    (see _longest_back_edge).  Labels come from components_oracle either
-    way, independent of the exploration."""
+    """Census of the sample's induced subgraph, read off a depth-first
+    forest of it: the trees are the components, and the long-cycle bound
+    is the forest's longest back edge (see _longest_back_edge).  The
+    forest is trace's when given, which must be the exploration that drew
+    the sample; otherwise one walk of the sample builds the same one."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     mask = sample.membership
     n = g.n
-    if depth is None:
-        depth = _sample_forest_depth(g, mask)
-    elif depth.shape != (n,) or not np.array_equal(depth >= 0, mask):
-        raise ValueError("forest depth must be a length-n array, >= 0 exactly on the sample")
+    if trace is None:
+        all_labels, depth = _sample_forest(g, mask)
+    elif np.array_equal(trace.accepted_mask(), mask):
+        all_labels, depth = trace.component_of, trace.depth
+    else:
+        raise ValueError("trace must accept exactly the sample's vertices")
     kept = np.flatnonzero(mask)
-    all_labels = components_oracle(g, sample)
     labels = all_labels[kept]
     # kept is ascending, so a label's first kept vertex is its smallest member
     _, first = np.unique(labels, return_index=True)
@@ -159,15 +167,15 @@ def take_census(
     )
 
 
-def _sample_forest_depth(g: RegularGraph, mask) -> np.ndarray:
-    """Depth array of the DFS forest that dfs_explore builds over the
-    sample (roots ascending, every coin heads, the rest rejected); -1
-    off the sample.  Under the default priority it equals the depth of
-    the exploration that drew the sample."""
+def _sample_forest(g: RegularGraph, mask):
+    """(labels, depth) of the DFS forest that dfs_explore builds over the
+    sample (roots ascending, every coin heads, the rest rejected), both
+    -1 off the sample.  It is the forest of the exploration that drew
+    the sample, so labels and depth equal its component_of and depth."""
     kept = np.flatnonzero(mask)
     state = np.where(mask, _kernels.T_UNVISITED, _kernels.W_REJECTED).astype(np.uint8)
     coins = np.ones(kept.size, dtype=np.uint8)
-    return _explore(g.neighbors, g.d, kept, coins, state)[2]
+    return _explore(g.neighbors, g.d, kept, coins, state)[1:3]
 
 
 def _longest_back_edge(g: RegularGraph, kept, rows, hit, depth):
@@ -193,7 +201,7 @@ def longest_cycle_lower_bound(g: RegularGraph, sample: PercolationSample, with_w
     mask = sample.membership
     kept = np.flatnonzero(mask)
     rows = g.nbrs2d[kept]
-    depth = _sample_forest_depth(g, mask)
+    depth = _sample_forest(g, mask)[1]
     best, deep_end, high_end = _longest_back_edge(g, kept, rows, mask[rows], depth)
     if not with_witness:
         return best

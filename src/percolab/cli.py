@@ -137,6 +137,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     g = read_graph(args.graph)
     checkers = [c.strip() for c in args.checker.split(",") if c.strip()]
+    if not checkers:  # no checker passes vacuously
+        raise ValueError(f"--checker names no checker id; known: {list(CHECKER_IDS)}")
     unknown = [c for c in checkers if c not in CHECKER_IDS]
     if unknown:
         raise SystemExit(f"unknown checker ids {unknown}; known: {list(CHECKER_IDS)}")
@@ -161,7 +163,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     pred = None
-    if args.n is not None:
+    given = {"--n": args.n, "--d": args.d, "--epsilon": args.epsilon}
+    if any(v is not None for v in given.values()):
+        missing = [flag for flag, v in given.items() if v is None]
+        if missing:
+            raise ValueError(f"--n, --d and --epsilon go together; missing {', '.join(missing)}")
         pred = predict(args.n, args.d, args.epsilon, args.alpha, args.k_max)
     report = compare(args.records, pred)
     _print_table(report["rows"], _ROW_COLUMNS)

@@ -299,14 +299,11 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 # ----------------------------------------------------------------------
 def percolate(g: RegularGraph, p: float, seed: int, k_max: int):
     """(stream, trace, sample, census) of one seeded exploration; the
-    census reads its cycle bound from the exploration's depth."""
+    census reads its labels and cycle bound off the exploration's forest."""
     stream = CoinStream(g.n, p, seed)
     trace = run_dfs(g, stream)
     sample = PercolationSample.from_membership(p, seed, trace.accepted_mask())
-    census = take_census(g, sample, k_max, trace.depth)
-    assert census.retained == trace.accepted_count, "census/DFS vertex conservation"
-    assert census.num_components == trace.num_epochs, "census/DFS component conservation"
-    return stream, trace, sample, census
+    return stream, trace, sample, take_census(g, sample, k_max, trace)
 
 
 def run_checks(checkers, params, g: RegularGraph, stream: CoinStream, sample: PercolationSample,
@@ -410,54 +407,36 @@ def compare_rows(trials: list, pred: TheoryPrediction, regime: str, tol) -> list
             "pass": bool(passed),
         })
 
+    def median_row(metric, claim, key, target, claim_bound=None):
+        med = median(c[key] for c in cen)
+        t = tol(metric)
+        row(metric, claim, med, target, claim_bound, t, abs(med - target) <= t * target)
+
+    def rate_row(metric, claim, key, ok, claim_bound):
+        rate = _rate(ok(c[key]) for c in cen)
+        t = tol(metric)
+        row(metric, claim, rate, 1.0, claim_bound, t, rate >= t)
+
     if regime == "super":
-        l1 = [c["largest"] for c in cen]
-        med_l1 = median(l1)
-        t = tol("L1_median")
-        target = pred.L1_pred_finite_d
-        row("L1_median", "theorem_2", med_l1, target, pred.L1_tol, t,
-            abs(med_l1 - target) <= t * target)
-        t = tol("L1_window_rate")
-        rate = _rate(abs(v - pred.L1_pred) <= pred.L1_tol for v in l1)
-        row("L1_window_rate", "theorem_2", rate, 1.0, pred.L1_tol, t, rate >= t)
-
-        l2 = [c["second_largest"] for c in cen]
-        t = tol("L2_rate")
-        rate = _rate(v <= pred.straggler_bound for v in l2)
-        row("L2_rate", "theorem_3", rate, 1.0, pred.straggler_bound, t, rate >= t)
-
+        median_row("L1_median", "theorem_2", "largest", pred.L1_pred_finite_d, pred.L1_tol)
+        rate_row("L1_window_rate", "theorem_2", "largest",
+                 lambda v: abs(v - pred.L1_pred) <= pred.L1_tol, pred.L1_tol)
+        rate_row("L2_rate", "theorem_3", "second_largest",
+                 lambda v: v <= pred.straggler_bound, pred.straggler_bound)
         for k, metric in ((1, "T1_median"), (2, "T2_median")):
-            vals = [c["tree_counts"][k - 1] for c in cen]
-            med = median(vals)
+            med = median(c["tree_counts"][k - 1] for c in cen)
             t = tol(metric)
             target = pred.T_k_pred_finite_d[k - 1]
             row(metric, "lemma_5_4", med, target, None, t, abs(med - target) <= t * target)
-
-        zp = [c["retained_edges"] for c in cen]
-        med = median(zp)
-        t = tol("Zp_median")
-        row("Zp_median", "lemma_6_1", med, pred.Zp_pred, None, t,
-            abs(med - pred.Zp_pred) <= t * pred.Zp_pred)
-
-        el1 = [c["largest_edges"] for c in cen]
-        med = median(el1)
-        t = tol("eL1_median")
-        target = pred.e_L1_pred_finite_d
-        row("eL1_median", "theorem_4", med, target, None, t, abs(med - target) <= t * target)
-
+        median_row("Zp_median", "lemma_6_1", "retained_edges", pred.Zp_pred)
+        median_row("eL1_median", "theorem_4", "largest_edges", pred.e_L1_pred_finite_d)
         cycle_bound = pred.epsilon ** 2 * pred.n / (100.0 * pred.d)
-        vals = [c["cycle_lb"] for c in cen]
-        t = tol("cycle_rate")
-        rate = _rate(v >= cycle_bound for v in vals)
-        row("cycle_rate", "theorem_5", rate, 1.0, cycle_bound, t, rate >= t)
+        rate_row("cycle_rate", "theorem_5", "cycle_lb", lambda v: v >= cycle_bound, cycle_bound)
     else:
-        l1 = [c["largest"] for c in cen]
-        t = tol("max_component_rate")
-        rate = _rate(v <= pred.subcritical_bound for v in l1)
-        row("max_component_rate", "theorem_1", rate, 1.0, pred.subcritical_bound, t, rate >= t)
-        med = median(l1)
-        row("max_component_median", "theorem_1", med, pred.subcritical_bound,
-            pred.subcritical_bound, 1.0, med <= pred.subcritical_bound)
+        bound = pred.subcritical_bound
+        rate_row("max_component_rate", "theorem_1", "largest", lambda v: v <= bound, bound)
+        med = median(c["largest"] for c in cen)
+        row("max_component_median", "theorem_1", med, bound, bound, 1.0, med <= bound)
     return rows
 
 

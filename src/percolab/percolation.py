@@ -2,14 +2,19 @@
 
 The exploration walks the graph with four vertex pools: unvisited,
 active stack, completed, and rejected.  While the stack is nonempty the
-top vertex queries its unvisited neighbors in priority order and one
+top vertex queries its unvisited neighbors in ascending order and one
 coin is flipped for the first hit (heads pushes it, tails rejects it);
 a top with no unvisited neighbors is completed.  While the stack is
-empty the next unvisited vertex in priority order gets a coin, and a
-heads there opens a new epoch.  Every vertex consumes exactly one coin,
-so the accepted set is distributed exactly like an independent
-Bernoulli(p) vertex sample, and epochs are exactly the connected
-components of the induced subgraph on the accepted set.
+empty the smallest unvisited vertex gets a coin, and a heads there
+opens a new epoch.  Every vertex consumes exactly one coin, so the
+accepted set is distributed exactly like an independent Bernoulli(p)
+vertex sample, and epochs are exactly the connected components of the
+induced subgraph on the accepted set.  Each epoch opens at its
+component's smallest member, so epoch ids ascend with it.
+
+components_oracle labels the same components with scipy, independently
+of the exploration; it is the tests' oracle, and no production path
+calls it.
 """
 
 from __future__ import annotations
@@ -89,32 +94,33 @@ class CoinStream:
 
 @dataclass(frozen=True)
 class DfsTrace:
-    """What the exploration did: epochs, labels, acceptance order, coins.
+    """What the exploration did: its epochs and its depth-first forest.
 
     component_of is -1 for rejected vertices; epoch ids count from 0 in
     discovery order.  depth[w] is the stack depth at which w was pushed
     (0 for an epoch root, -1 for rejected vertices): the stack is always
     a path in the graph, so the accepted vertices and their push edges
     form a depth-first forest of the retained induced subgraph, and
-    take_census can read its long-cycle bound from this depth.
-    queries_per_epoch counts the coins flipped inside each epoch
-    (opening coin included); coins that failed to open an epoch belong
-    to no epoch, so queries_per_epoch sums to n minus the number of
-    rejected epoch-opening coins.
+    take_census reads its labels and long-cycle bound from this trace.
+    epoch_starts[j] is the index of the coin that opened epoch j.
     """
 
     epoch_starts: np.ndarray
     component_of: np.ndarray
     depth: np.ndarray
-    accepted_order: np.ndarray
-    queries_per_epoch: np.ndarray
     accepted_count: int
-    rejected_count: int
-    consumed: int
 
     @property
     def num_epochs(self) -> int:
         return self.epoch_starts.size
+
+    @property
+    def consumed(self) -> int:
+        return self.component_of.size  # one coin per vertex
+
+    @property
+    def rejected_count(self) -> int:
+        return self.consumed - self.accepted_count
 
     def accepted_mask(self) -> np.ndarray:
         return self.component_of >= 0
@@ -137,84 +143,53 @@ class DfsTrace:
         }
 
 
-def _priority_order(g: RegularGraph, priority):
-    """Returns (order, nbrs_flat) with neighbor rows sorted by scan priority."""
-    if priority is None:
-        return np.arange(g.n, dtype=np.int64), g.neighbors
-    order = np.asarray(priority, dtype=np.int64)
-    if order.size != g.n or np.any(np.sort(order) != np.arange(g.n)):
-        raise ValueError("priority must be a permutation of all vertices")
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
-    rows = g.nbrs2d
-    key = rank[rows]
-    sorter = np.argsort(key, axis=1, kind="stable")
-    sorted_rows = np.take_along_axis(rows, sorter, axis=1)
-    return order, np.ascontiguousarray(sorted_rows.ravel())
-
-
-def run_dfs(g: RegularGraph, stream: CoinStream, priority=None) -> DfsTrace:
+def run_dfs(g: RegularGraph, stream: CoinStream) -> DfsTrace:
     """Run the exploration; consumes exactly g.n coins from a fresh stream."""
     if stream.consumed != 0:
         raise ValueError("coin stream already partially consumed")
     if stream.n != g.n:
         raise ValueError(f"stream has {stream.n} coins, graph needs {g.n}")
-    order, nbrs = _priority_order(g, priority)
     n = g.n
-    used, comp, depth, accepted_order, epoch_starts, queries = _explore(
-        nbrs, g.d, order, stream.flips, np.zeros(n, dtype=np.uint8)
+    used, comp, depth, epoch_starts, accepted = _explore(
+        g.neighbors, g.d, np.arange(n, dtype=np.int64), stream.flips, np.zeros(n, dtype=np.uint8)
     )
     assert used == n, "exploration must consume exactly one coin per vertex"
     stream.consumed = used
-    return DfsTrace(
-        epoch_starts=epoch_starts,
-        component_of=comp,
-        depth=depth,
-        accepted_order=accepted_order,
-        queries_per_epoch=queries,
-        accepted_count=accepted_order.size,
-        rejected_count=n - accepted_order.size,
-        consumed=used,
-    )
+    return DfsTrace(epoch_starts=epoch_starts, component_of=comp, depth=depth,
+                    accepted_count=accepted)
 
 
 def _explore(nbrs, d, order, coins, state):
     """dfs_explore with fresh outputs: (coins_used, comp, depth,
-    accepted_order, epoch_starts, queries), the last three trimmed;
-    comp and depth are -1 off the forest."""
+    epoch_starts, n_accepted), epoch_starts trimmed; comp and depth are
+    -1 off the forest."""
     n = state.size
     comp = np.full(n, -1, dtype=np.int32)
     depth = np.full(n, -1, dtype=np.int32)
-    acc = np.empty(n, dtype=np.int32)
     starts = np.empty(n, dtype=np.int64)
-    queries = np.zeros(n, dtype=np.int64)
     used, n_epochs, n_acc = _kernels.dfs_explore(
-        nbrs, d, order, coins, state, comp, depth, acc, starts, queries,
+        nbrs, d, order, coins, state, comp, depth, starts,
         np.empty(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
     )
-    return (int(used), comp, depth,
-            acc[:n_acc].copy(), starts[:n_epochs].copy(), queries[:n_epochs].copy())
+    return int(used), comp, depth, starts[:n_epochs].copy(), int(n_acc)
 
 
-def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> DfsTrace:
+def run_dfs_reference(g: RegularGraph, stream: CoinStream) -> DfsTrace:
     """Set-based reimplementation of run_dfs for cross-checking kernels.
 
     Also asserts the frontier invariant at every epoch boundary: all
     neighbors of completed vertices have been seen (stack or rejected),
     i.e. completed and unvisited vertices never touch.
     """
-    order, nbrs = _priority_order(g, priority)
-    rows = nbrs.reshape(g.n, g.d)
+    rows = g.nbrs2d
     n = g.n
     unvisited = set(range(n))
     on_stack: list[int] = []
     done: set[int] = set()
-    rejected: set[int] = set()
     comp = np.full(n, -1, dtype=np.int32)
     depth = np.full(n, -1, dtype=np.int32)
-    accepted_order: list[int] = []
+    accepted = 0
     epoch_starts: list[int] = []
-    queries: list[int] = []
     coin_i = 0
     cursor = 0
 
@@ -238,45 +213,31 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream, priority=None) -> Dfs
             unvisited.discard(hit)
             heads = bool(stream.flips[coin_i])
             coin_i += 1
-            queries[-1] += 1
             if heads:
                 comp[hit] = len(epoch_starts) - 1
-                accepted_order.append(hit)
+                accepted += 1
                 on_stack.append(hit)
                 depth[hit] = len(on_stack) - 1
-            else:
-                rejected.add(hit)
         else:
             assert_frontier()
-            while cursor < n and int(order[cursor]) not in unvisited:
+            while cursor < n and cursor not in unvisited:
                 cursor += 1
             if cursor == n:
                 break
-            r = int(order[cursor])
+            r = cursor
             unvisited.discard(r)
             heads = bool(stream.flips[coin_i])
             if heads:
                 epoch_starts.append(coin_i)
-                queries.append(1)
                 comp[r] = len(epoch_starts) - 1
-                accepted_order.append(r)
+                accepted += 1
                 on_stack.append(r)
                 depth[r] = len(on_stack) - 1
-            else:
-                rejected.add(r)
             coin_i += 1
     assert coin_i == n
     stream.consumed = coin_i
-    return DfsTrace(
-        epoch_starts=np.array(epoch_starts, dtype=np.int64),
-        component_of=comp,
-        depth=depth,
-        accepted_order=np.array(accepted_order, dtype=np.int32),
-        queries_per_epoch=np.array(queries, dtype=np.int64),
-        accepted_count=len(accepted_order),
-        rejected_count=n - len(accepted_order),
-        consumed=coin_i,
-    )
+    return DfsTrace(epoch_starts=np.array(epoch_starts, dtype=np.int64), component_of=comp,
+                    depth=depth, accepted_count=accepted)
 
 
 def _induced_csr(g: RegularGraph, mask: np.ndarray):
@@ -297,7 +258,8 @@ def _induced_csr(g: RegularGraph, mask: np.ndarray):
 def components_oracle(g: RegularGraph, sample: PercolationSample) -> np.ndarray:
     """Component labels of the retained induced subgraph from scipy's
     connected_components: ids 0..k-1 by smallest member vertex, -1 for
-    vertices outside the sample.  Independent of run_dfs."""
+    vertices outside the sample.  Independent of run_dfs: the tests'
+    oracle for the exploration's labels."""
     labels = np.full(g.n, -1, dtype=np.int64)
     kept, adj = _induced_csr(g, sample.membership)
     _, labels[kept] = connected_components(adj, directed=False)

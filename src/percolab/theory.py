@@ -164,7 +164,8 @@ def _log_term_tree_mass(k: int, epsilon: float) -> float:
 
 
 def _log_term_edge_mass(k: int, epsilon: float) -> float:
-    # (k-1) k^{k-2}/k! * ((1+eps) e^{-(1+eps)})^k ; first factor handled by caller
+    # log of the Borel weight k^{k-2}/k! * ((1+eps) e^{-(1+eps)})^k: the edge
+    # mass series sums (k-1) times the weight, the tree counts n/d times it
     le = math.log1p(epsilon)
     return (k - 2) * math.log(k) - math.lgamma(k + 1) + k * (le - (1.0 + epsilon))
 
@@ -204,9 +205,7 @@ def tree_component_prediction(n: int, d: int, epsilon: float, k: int) -> float:
     """Expected count of tree components on k vertices: (n/d) * Borel weight."""
     if k < 1:
         raise ValueError("k must be positive")
-    logw = (k - 2) * math.log(k) - math.lgamma(k + 1) \
-        + k * (math.log1p(epsilon) - (1.0 + epsilon))
-    return (n / d) * math.exp(logw)
+    return (n / d) * math.exp(_log_term_edge_mass(k, epsilon))
 
 
 def admissibility_flags(n: int, d: int, epsilon: float, alpha: float) -> dict:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from percolab.census import (
     _brute_tree_count,
     _closed_acyclic_count,
     _closed_tree_count,
-    _sample_forest_depth,
+    _sample_forest,
     count_acyclic_connected_ksets,
     count_trees_bruteforce,
     longest_cycle_lower_bound,
@@ -14,7 +16,13 @@ from percolab.census import (
     validate_cycle,
 )
 from percolab.generators import GenSpec, generate, petersen_graph
-from percolab.percolation import CoinStream, PercolationSample, run_dfs, sample_vertices
+from percolab.percolation import (
+    CoinStream,
+    PercolationSample,
+    components_oracle,
+    run_dfs,
+    sample_vertices,
+)
 
 
 def _full(g):
@@ -183,37 +191,43 @@ def test_cycle_bound_pinned_with_valid_witness(gspec, pinned):
             assert cyc is None
 
 
+def _assert_census_equal(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
 @pytest.mark.parametrize("gspec", [spec for spec, _ in _PINNED_CYCLE_LB])
 def test_exploration_depth_is_sample_forest_depth(gspec):
     # the exploration's stack is a DFS of the retained subgraph in the same
-    # neighbour order, so its depth is the sample walk's and the census can
-    # take its cycle bound from the exploration instead of walking again
+    # neighbour and root order, so its labels and depth are the sample
+    # walk's, and the census reads them off the exploration instead of
+    # walking again; the walk's labels are the scipy oracle's, id for id
     g = petersen_graph() if gspec == "petersen" else generate(gspec)
     for p in (0.0, 0.2, 0.35, 0.6, 1.0):
         for seed in (0, 3):
             trace = run_dfs(g, CoinStream(g.n, p, seed))
             sample = PercolationSample.from_membership(p, seed, trace.accepted_mask())
-            assert np.array_equal(trace.depth, _sample_forest_depth(g, sample.membership))
-            walked = take_census(g, sample).cycle_lb
-            assert take_census(g, sample, 4, trace.depth).cycle_lb == walked
-            assert walked == longest_cycle_lower_bound(g, sample)
+            labels, depth = _sample_forest(g, sample.membership)
+            assert np.array_equal(trace.component_of, labels)
+            assert np.array_equal(trace.depth, depth)
+            walked = take_census(g, sample)
+            _assert_census_equal(take_census(g, sample, 4, trace), walked)
+            assert np.array_equal(walked.labels, components_oracle(g, sample))
+            assert walked.cycle_lb == longest_cycle_lower_bound(g, sample)
 
 
-def test_census_depth_from_any_dfs_forest(rr_small):
-    # under a permuted priority the forest differs, but it still has no
-    # cross edges: a cycle shows as a back edge of some length >= 3
-    rng = np.random.default_rng(5)
-    for seed in range(6):
-        trace = run_dfs(rr_small, CoinStream(rr_small.n, 0.5, seed),
-                        priority=rng.permutation(rr_small.n))
-        sample = PercolationSample.from_membership(0.5, seed, trace.accepted_mask())
-        c = take_census(rr_small, sample, 4, trace.depth)
-        assert (c.cycle_lb >= 3) == (c.retained_edges > c.retained - c.num_components)
-        assert c.cycle_lb <= c.largest
-    with pytest.raises(ValueError, match="forest depth must be"):
-        take_census(rr_small, sample, 4, trace.depth[:-1])
-    with pytest.raises(ValueError, match="forest depth must be"):
-        take_census(rr_small, sample, 4, np.zeros(rr_small.n, dtype=np.int32))
+def test_census_rejects_a_trace_of_another_sample(rr_small):
+    trace = run_dfs(rr_small, CoinStream(rr_small.n, 0.5, 1))
+    mask = trace.accepted_mask()
+    take_census(rr_small, PercolationSample.from_membership(0.5, 1, mask), 4, trace)
+    other = run_dfs(rr_small, CoinStream(rr_small.n, 0.5, 2)).accepted_mask()
+    one_more = mask.copy()
+    one_more[np.flatnonzero(~mask)[0]] = True
+    for wrong in (other, one_more, mask[:-1]):
+        sample = PercolationSample.from_membership(0.5, 1, wrong)
+        with pytest.raises(ValueError, match="trace must accept exactly the sample"):
+            take_census(rr_small, sample, 4, trace)
 
 
 def test_cycle_bound_empty_and_full_blowup():

@@ -108,7 +108,7 @@ def test_percolate_walks_the_sample_once(graph_file, capsys, monkeypatch):
     def no_walk(g, mask):
         raise AssertionError("the census walked the sample again")
 
-    monkeypatch.setattr(census, "_sample_forest_depth", no_walk)
+    monkeypatch.setattr(census, "_sample_forest", no_walk)
     assert main(["percolate", "--graph", graph_file, "--p", "0.3", "--seed", "3"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["census"]["components"] == obj["dfs"]["epochs"]
@@ -140,6 +140,17 @@ def test_sweep_and_compare_roundtrip(tmp_path, capsys):
     rc = main(["compare", "--records", out])
     assert rc == 0
     assert "theorem_1" in capsys.readouterr().out
+
+
+def test_compare_prediction_flags_go_together(tmp_path, capsys):
+    records = str(tmp_path / "records.jsonl")
+    for flags, missing in ((["--n", "200"], "--d, --epsilon"),
+                           (["--d", "8", "--epsilon", "0.6"], "--n"),
+                           (["--n", "200", "--epsilon", "0.6"], "--d")):
+        assert main(["compare", "--records", records, *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"error: --n, --d and --epsilon go together; missing {missing}" in captured.err
+        assert captured.out == ""
 
 
 def test_sweep_flag_overrides_config(tmp_path, capsys):
@@ -285,6 +296,15 @@ def test_verify_rejects_checkers_that_check_nothing(graph_file, capsys):
     captured = capsys.readouterr()
     assert "pairs must be at least 1, got -5" in captured.err
     assert captured.out == ""
+
+
+def test_verify_rejects_an_empty_checker_list(graph_file, capsys):
+    for spec in (",", " , "):
+        rc = main(["verify", "--graph", graph_file, "--checker", spec, "--seed", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: --checker names no checker id" in captured.err
+        assert captured.out == ""
 
 
 def test_verify_unknown_checker(graph_file, capsys):

@@ -5,8 +5,10 @@ import os
 from dataclasses import replace
 
 import pytest
+import scipy.sparse.csgraph
 
-from percolab import harness
+import percolab
+from percolab import harness, percolation
 from percolab.generators import GenSpec, generate
 from percolab.harness import (
     DEFAULT_TOLERANCES,
@@ -206,6 +208,24 @@ def test_small_giant_fails_its_trial_and_the_sweep_writes(tmp_path):
     assert checks[2]["violations"] == [{"witness": "largest component", "measured": 130.0,
                                         "bound": 241.0}]
     assert "cause" not in checks[0]["meta"]
+
+
+def test_production_never_labels_with_scipy(tmp_path, monkeypatch):
+    # the census reads its labels off the exploration's forest; scipy's
+    # connected_components is the tests' oracle only
+    def oracle(*args, **kwargs):
+        raise AssertionError("production code labelled components with scipy")
+
+    for module, name in ((percolation, "components_oracle"), (percolab, "components_oracle"),
+                         (percolation, "connected_components"),
+                         (scipy.sparse.csgraph, "connected_components")):
+        monkeypatch.setattr(module, name, oracle)
+    _, trace, _, census = harness.percolate(generate(GenSpec("random_regular", n=500, d=8,
+                                                             seed=21)), 0.15, 3, 4)
+    assert census.num_components == trace.num_epochs > 0
+    summary = run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=1, regime="super",
+                                   checkers=("stream",)))
+    assert summary["trials"] == 1
 
 
 def test_workers_do_not_enter_serialized_config():

@@ -33,18 +33,15 @@ def test_fallback_dfs_writes_reach_caller_with_short_order(c6):
     state[0] = _kernels.W_REJECTED
     comp = np.full(n, -1, dtype=np.int32)
     depth = np.full(n, -1, dtype=np.int32)
-    acc = np.empty(n, dtype=np.int32)
     starts = np.empty(n, dtype=np.int64)
-    queries = np.zeros(n, dtype=np.int64)
     stack = np.empty(n, dtype=np.int64)
     ptr = np.zeros(n, dtype=np.int64)
     order = np.array([4, 1], dtype=np.int64)
     out = explore(c6.neighbors, c6.d, order, np.ones(n, dtype=np.uint8), state,
-                  comp, depth, acc, starts, queries, stack, ptr)
+                  comp, depth, starts, stack, ptr)
     assert out == (5, 1, 5)
     assert state.tolist() == [_kernels.W_REJECTED] + [_kernels.S_DONE] * 5
     assert comp.tolist() == [-1, 0, 0, 0, 0, 0]
     assert depth.tolist() == [-1, 3, 2, 1, 0, 1]
-    assert acc[:5].tolist() == [4, 3, 2, 1, 5]
-    assert starts[0] == 0 and queries[0] == 5
+    assert starts[0] == 0
 

@@ -58,18 +58,11 @@ def test_run_dfs_stream_guards(q4):
         run_dfs(q4, CoinStream(8, 0.5, 0))
 
 
-def test_priority_validation(q4):
-    with pytest.raises(ValueError, match="permutation"):
-        run_dfs(q4, CoinStream(16, 0.5, 0), priority=np.zeros(16, dtype=np.int64))
-
-
 def _traces_equal(a, b):
     return (
         np.array_equal(a.epoch_starts, b.epoch_starts)
         and np.array_equal(a.component_of, b.component_of)
         and np.array_equal(a.depth, b.depth)
-        and np.array_equal(a.accepted_order, b.accepted_order)
-        and np.array_equal(a.queries_per_epoch, b.queries_per_epoch)
         and a.accepted_count == b.accepted_count
         and a.rejected_count == b.rejected_count
         and a.consumed == b.consumed
@@ -86,32 +79,13 @@ def test_kernel_matches_reference(gname, request):
         assert _traces_equal(tr_k, tr_r), f"{gname} seed={seed} p={p}"
 
 
-@pytest.mark.parametrize("gname", ["q4", "petersen", "rr_small"])
-def test_kernel_matches_reference_under_priority(gname, request):
-    g = request.getfixturevalue(gname)
-    rng = np.random.default_rng(77)
-    for seed in range(5):
-        perm = rng.permutation(g.n)
-        tr_k = run_dfs(g, CoinStream(g.n, 0.5, seed), priority=perm)
-        tr_r = run_dfs_reference(g, CoinStream(g.n, 0.5, seed), priority=perm)
-        assert _traces_equal(tr_k, tr_r)
-
-
-def test_identity_priority_is_default(q4):
-    tr_a = run_dfs(q4, CoinStream(16, 0.6, 4))
-    tr_b = run_dfs(q4, CoinStream(16, 0.6, 4), priority=np.arange(16))
-    assert _traces_equal(tr_a, tr_b)
-
-
 def test_hand_worked_clique_trace(k4):
     # coins 1,0,1,1 on K4: root 0 accepted, neighbor 1 rejected,
-    # neighbors 2 and 3 accepted, all in one epoch of 4 queries
+    # neighbors 2 and 3 accepted, all in one epoch of 4 coins
     tr = run_dfs(k4, CoinStream.from_bits([1, 0, 1, 1]))
     assert tr.num_epochs == 1
     assert tr.epoch_starts.tolist() == [0]
     assert tr.component_of.tolist() == [0, -1, 0, 0]
-    assert tr.accepted_order.tolist() == [0, 2, 3]
-    assert tr.queries_per_epoch.tolist() == [4]
     assert tr.depth.tolist() == [0, -1, 1, 2]
     assert tr.accepted_count == 3 and tr.rejected_count == 1
     assert tr.summary() == {
@@ -154,7 +128,6 @@ def test_accepted_set_is_bernoulli_pattern(q4):
         tr = run_dfs(q4, s)
         assert tr.accepted_count == heads
         assert tr.consumed == 16
-        assert sum(tr.queries_per_epoch) <= 16
 
 
 def test_components_oracle_labels(c6):
