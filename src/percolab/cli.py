@@ -35,8 +35,7 @@ from .harness import (
 )
 from .percolation import CoinStream, sample_vertices
 from .spectral import compute_spectrum, delta_of_alpha
-from .theory import predict
-from .verify import giant_expansion_window
+from .theory import giant_expansion_window, predict
 
 _BOOL = argparse.BooleanOptionalAction
 _ROW_COLUMNS = ("metric", "claim", "measured", "predicted", "claim_bound", "tolerance", "pass")
@@ -168,7 +167,12 @@ def _cmd_compare(args) -> int:
         missing = [flag for flag, v in given.items() if v is None]
         if missing:
             raise ValueError(f"--n, --d and --epsilon go together; missing {', '.join(missing)}")
-        pred = predict(args.n, args.d, args.epsilon, args.alpha, args.k_max)
+        alpha = CONFIG_DEFAULTS["alpha"] if args.alpha is None else args.alpha
+        k_max = CONFIG_DEFAULTS["k_max"] if args.k_max is None else args.k_max
+        pred = predict(args.n, args.d, args.epsilon, alpha, k_max)
+    elif args.alpha is not None or args.k_max is not None:  # the record's prediction ignores them
+        raise ValueError("--alpha and --k-max only rebuild the prediction, "
+                         "with --n, --d and --epsilon")
     report = compare(args.records, pred)
     _print_table(report["rows"], _ROW_COLUMNS)
     print(f"trials: {report['trials']}  regime: {report['regime']}  pass: {report['pass']}")
@@ -257,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float, default=CONFIG_DEFAULTS["alpha"])
-    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
+    p.add_argument("--alpha", type=float, help=f"default {CONFIG_DEFAULTS['alpha']}")
+    p.add_argument("--k-max", type=int, dest="k_max", help=f"default {CONFIG_DEFAULTS['k_max']}")
     p.set_defaults(fn=_cmd_compare)
 
     return ap

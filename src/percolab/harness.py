@@ -27,14 +27,13 @@ from .graph_core import RegularGraph, VertexSet
 from .percolation import CoinStream, PercolationSample, run_dfs
 from .rng import TAG_SUBSETS, make_generator, trial_seed
 from .spectral import SpectrumReport, compute_spectrum
-from .theory import TheoryPrediction, predict
+from .theory import TheoryPrediction, giant_expansion_window, predict
 from .verify import (
     check_corollary_2_3,
     check_giant_expansion,
     check_lemma_2_4,
     check_mixing,
     check_stream_properties,
-    giant_expansion_window,
 )
 
 __all__ = [
@@ -494,6 +493,9 @@ def _read_existing(path: str, config_obj: dict) -> dict:
             break  # torn tail from a killed run; recompute from here
         kind = obj.get("kind")
         if i == 0:
+            if kind == "config" and obj.get("format") != config_obj["format"]:
+                raise ValueError(f"existing records are format {obj.get('format')}, "
+                                 f"this version writes format {config_obj['format']}")
             if kind != "config" or obj != config_obj:
                 raise ValueError("existing records were produced by a different config")
             continue
@@ -549,7 +551,7 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
         "p": cfg.p,
         "prediction": pred.to_dict(),
         "spectrum": None if spect is None else spect.to_dict(),
-        "format": 2,
+        "format": 3,
     }
 
     have = _read_existing(cfg.out, config_obj) if resume else {}

@@ -5,30 +5,27 @@ d; the certification quantity is lam = max(|lam2|, |lamN|) over the
 remaining spectrum, compared against the admissibility threshold
 delta(alpha) = alpha^(2/alpha).
 
-Two solver paths:
+Both solver paths work on B = A - ((d+1)/n) J, J the all-ones matrix,
+which keeps A's non-trivial eigenpairs and moves the all-ones vector
+from eigenvalue d to -1.  Every graph with an edge has lamN <= -1 <= lam2,
+so B's two extreme eigenvalues are exactly lam2 and lamN:
 
-* dense (n <= 2000): full symmetric eigendecomposition (LAPACK via
-  numpy.linalg.eigh).
-* iterative: Lanczos (ARPACK via scipy.sparse.linalg.eigsh) on the
-  positive semidefinite operators P(A + dI)P and P(dI - A)P, where P
-  projects off the all-ones vector.  The shift is what makes the target
-  eigenvalue the dominant one on the projected space; plain power
-  iteration on P A P converges to lamN instead of lam2 whenever
-  |lamN| > lam2 (any bipartite graph) and stalls for ~1e5 iterations on
-  clustered spectral edges, so it is not used.
+* dense (n <= 2000): numpy.linalg.eigh of B;
+* iterative: one Lanczos run (scipy.sparse.linalg.eigsh, which="BE")
+  that takes both ends of the spectrum from one Krylov space, with
+  B x = A x - (d+1) mean(x) over a CSR adjacency.
 
-Matrix-vector products exploit regularity: gather-and-sum over the
-(n, d) neighbor table, a pure numpy operation.
-
-Residuals ||A v - theta v||_2 are computed explicitly for both reported
-extreme pairs and both solver paths.
+Both paths check the residuals ||B v - theta v||_2 against ``tol``.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
@@ -44,34 +41,64 @@ DENSE_LIMIT = 2000
 ITERATION_CAP = 100_000
 _V0_SEED = 0x5EED_0401
 
+log = logging.getLogger("percolab.spectral")
+
 
 class SpectralConvergenceError(RuntimeError):
-    """Iterative path failed to reach the residual tolerance."""
+    """A solver's eigenpair missed the residual tolerance."""
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """Extreme eigenpairs as the solver found them, checked against ``tol``.
+
+    ``lam`` is the solver's max(|lambda2|, |lambdaN|).  ``lambda_eff`` and
+    ``ratio``, which every verdict reads, and ``to_dict`` are certified:
+    lambda2 moved up and lambdaN down by ``tol`` (which bounds both
+    residuals), rounded outward to a 1e-6 grid.  Two solvers that agree
+    within ``tol`` therefore certify and record the same numbers.
+    """
+
     lambda1: float
     lambda2: float
     lambdaN: float
-    lam: float
-    ratio: float
     residual2: float
     residualN: float
-    iterations: int
+    tol: float
+    iterations: int  # products with B, residuals included; logged, never recorded
     method: str
     connected: bool
 
+    @property
+    def lam(self) -> float:
+        return max(abs(self.lambda2), abs(self.lambdaN))
+
+    def _ends(self) -> tuple[float, float]:
+        return (math.ceil((self.lambda2 + self.tol) * 1e6) / 1e6,
+                math.floor((self.lambdaN - self.tol) * 1e6) / 1e6)
+
+    @property
+    def lambda_eff(self) -> float:
+        return max(map(abs, self._ends()))
+
+    @property
+    def ratio(self) -> float:
+        return self.lambda_eff / self.lambda1
+
+    def _residual_bound(self, r: float) -> float:
+        # rounded up to a multiple of tol/10: at least one step, at most tol
+        return min(self.tol, max(1, math.ceil(r / (self.tol / 10))) * self.tol / 10)
+
     def to_dict(self) -> dict:
+        lam2, lamn = self._ends()
         return {
             "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambdaN": self.lambdaN,
-            "lam": self.lam,
+            "lambda2": lam2,
+            "lambdaN": lamn,
+            "lam": self.lambda_eff,
             "ratio": self.ratio,
-            "residual2": self.residual2,
-            "residualN": self.residualN,
-            "iterations": self.iterations,
+            "residual2": self._residual_bound(self.residual2),
+            "residualN": self._residual_bound(self.residualN),
             "method": self.method,
             "connected": self.connected,
         }
@@ -84,74 +111,9 @@ def delta_of_alpha(alpha: float) -> float:
     return float(alpha ** (2.0 / alpha))
 
 
-def _adjacency_matvec(g, x: np.ndarray) -> np.ndarray:
-    return x[g.nbrs2d].sum(axis=1)
-
-
-def _residual(g, theta: float, vec: np.ndarray) -> float:
+def _residual(shifted, theta: float, vec: np.ndarray) -> float:
     vec = vec / np.linalg.norm(vec)
-    return float(np.linalg.norm(_adjacency_matvec(g, vec) - theta * vec))
-
-
-def _dense_spectrum(g):
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    rows = np.repeat(np.arange(g.n), g.d)
-    a[rows, g.neighbors.astype(np.int64)] = 1.0
-    w, vecs = np.linalg.eigh(a)
-    lam1 = float(w[-1])
-    lam2 = float(w[-2])
-    lamn = float(w[0])
-    r2 = _residual(g, lam2, vecs[:, -2])
-    rn = _residual(g, lamn, vecs[:, 0])
-    return lam1, lam2, lamn, r2, rn, 0
-
-
-def _projected_extreme(g, sign: int, tol: float):
-    """Largest eigenpair of P(dI + sign*A)P; returns (theta, vec, matvecs)."""
-    n, d = g.n, g.d
-    nbrs = g.nbrs2d
-    calls = 0
-
-    def matvec(x):
-        nonlocal calls
-        calls += 1
-        x = np.asarray(x, dtype=np.float64).ravel()
-        y = x - x.mean()
-        z = sign * y[nbrs].sum(axis=1) + d * y
-        return z - z.mean()
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    rng = np.random.default_rng(_V0_SEED)
-    v0 = rng.standard_normal(n)
-    v0 -= v0.mean()
-    ncv = min(n - 1, 64)
-    theta, vec = eigsh(
-        op,
-        k=1,
-        which="LA",
-        v0=v0,
-        ncv=ncv,
-        maxiter=ITERATION_CAP,
-        tol=min(tol * 1e-2, 1e-10),
-    )
-    return float(theta[0]), vec[:, 0], calls
-
-
-def _iterative_spectrum(g, tol: float):
-    d = float(g.d)
-    theta2, vec2, it2 = _projected_extreme(g, +1, tol)  # theta = d + lam2
-    thetan, vecn, itn = _projected_extreme(g, -1, tol)  # theta = d - lamN
-    lam2 = theta2 - d
-    lamn = d - thetan
-    r2 = _residual(g, lam2, vec2)
-    rn = _residual(g, lamn, vecn)
-    if r2 > tol or rn > tol:
-        raise SpectralConvergenceError(
-            f"residuals ({r2:.3e}, {rn:.3e}) exceed tol {tol:.3e}"
-        )
-    # lambda1 = d exactly: the all-ones vector is an exact eigenvector of a
-    # regular graph, so the trivial eigenpair needs no iteration.
-    return d, lam2, lamn, r2, rn, it2 + itn
+    return float(np.linalg.norm(shifted(vec) - theta * vec))
 
 
 def compute_spectrum(g, tol: float = 1e-8, method: str = "auto") -> SpectrumReport:
@@ -159,34 +121,55 @@ def compute_spectrum(g, tol: float = 1e-8, method: str = "auto") -> SpectrumRepo
 
     method: "auto" picks dense for n <= DENSE_LIMIT, otherwise iterative;
     "dense" / "iterative" force a path (used by cross-validation tests).
+    Raises SpectralConvergenceError if a residual exceeds ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if method == "auto":
         method = "dense" if g.n <= DENSE_LIMIT else "iterative"
-    if method == "dense":
-        lam1, lam2, lamn, r2, rn, iters = _dense_spectrum(g)
-    elif method == "iterative":
-        lam1, lam2, lamn, r2, rn, iters = _iterative_spectrum(g, tol)
-    else:
+    if method not in ("dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    lam = max(abs(lam2), abs(lamn))
-    connected = abs(lam2 - g.d) >= tol * max(1.0, g.d)
+    n, d = g.n, g.d
+    if method == "iterative" and n < 3:  # eigsh needs k=2 < ncv <= n
+        raise ValueError(f"the iterative solver needs n >= 3, got n={n}")
+    a = csr_matrix((np.ones(n * d), g.neighbors, np.arange(0, n * d + 1, d)), shape=(n, n))
+
+    matvecs = 0
+
+    def shifted(x):  # B x, with the all-ones vector moved to eigenvalue -1
+        nonlocal matvecs
+        matvecs += 1
+        return a @ x - (d + 1) * x.mean()
+
+    if method == "dense":
+        w, vecs = np.linalg.eigh(a.toarray() - (d + 1) / n)
+    else:
+        op = LinearOperator((n, n), matvec=shifted, dtype=np.float64)
+        v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
+        w, vecs = eigsh(op, k=2, which="BE", v0=v0, ncv=min(n, 64), maxiter=ITERATION_CAP,
+                        tol=min(tol * 1e-2, 1e-10))
+    lam2, lamn = float(w[-1]), float(w[0])
+    r2 = _residual(shifted, lam2, vecs[:, -1])
+    rn = _residual(shifted, lamn, vecs[:, 0])
+    log.debug("%s spectrum: %d matvecs, residuals %.3e, %.3e", method, matvecs, r2, rn)
+    if r2 > tol or rn > tol:
+        raise SpectralConvergenceError(f"residuals ({r2:.3e}, {rn:.3e}) exceed tol {tol:.3e}")
+    # lambda1 = d exactly: the all-ones vector is an exact eigenvector of a
+    # regular graph, so the trivial eigenpair needs no solver
     return SpectrumReport(
-        lambda1=lam1,
+        lambda1=float(d),
         lambda2=lam2,
         lambdaN=lamn,
-        lam=lam,
-        ratio=lam / g.d,
         residual2=r2,
         residualN=rn,
-        iterations=iters,
+        tol=tol,
+        iterations=matvecs,
         method=method,
-        connected=connected,
+        connected=abs(lam2 - d) >= tol * max(1.0, d),
     )
 
 
 def certify(g, alpha: float, tol: float = 1e-8):
-    """admissible = (lam/d <= delta(alpha)); the report rides along."""
+    """admissible = (lambda_eff/d <= delta(alpha)); the report rides along."""
     report = compute_spectrum(g, tol=tol)
     return report.ratio <= delta_of_alpha(alpha), report

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "TheoryPrediction",
     "admissibility_flags",
+    "giant_expansion_window",
     "predict",
     "series_tree_edge_mass",
     "series_tree_mass",
@@ -208,6 +209,33 @@ def tree_component_prediction(n: int, d: int, epsilon: float, k: int) -> float:
     return (n / d) * math.exp(_log_term_edge_mass(k, epsilon))
 
 
+def _giant_expansion_range(n: int, d: int, epsilon: float, alpha: float) -> tuple[int, int]:
+    x = solve_x(min(epsilon, 1.0))
+    return math.ceil(16.0 * alpha * n / d), math.floor((x - 9.0 * alpha) * n / d)
+
+
+def giant_expansion_window(n: int, d: int, epsilon: float, alpha: float) -> tuple[int, int]:
+    """Subset sizes [ceil(16 alpha n/d), floor((x - 9 alpha) n/d)] that
+    ``verify.check_giant_expansion`` grows S to, with x = x(min(eps, 1)).
+
+    The window is non-empty only if alpha <= x/25 (0.01505 at eps=0.2),
+    up to rounding at small n/d.  Raises ValueError, naming that bound,
+    when it is empty or the retention is not supercritical (eps <= 0).
+    """
+    if epsilon <= 0:
+        raise ValueError(
+            f"giant_expansion needs a supercritical retention probability, got eps={epsilon:g}"
+        )
+    lo, hi = _giant_expansion_range(n, d, epsilon, alpha)
+    if lo > hi:  # bound rounded down: every alpha it admits is <= x/25
+        bound = math.floor(solve_x(min(epsilon, 1.0)) / 25.0 * 1e5) / 1e5
+        raise ValueError(
+            f"giant_expansion needs alpha <= {bound:g} at eps={epsilon:g}: "
+            f"empty subset-size window [{lo}, {hi}] for alpha={alpha} at n={n} d={d}"
+        )
+    return lo, hi
+
+
 def admissibility_flags(n: int, d: int, epsilon: float, alpha: float) -> dict:
     """Which claims' stated alpha windows contain this alpha.
 
@@ -216,12 +244,13 @@ def admissibility_flags(n: int, d: int, epsilon: float, alpha: float) -> dict:
     lo_sqrt = 2.0 * math.sqrt(d / n)
     lo_log = 2.0 / math.log(n / d)
     e2, e3, e4, e8 = epsilon ** 2, epsilon ** 3, epsilon ** 4, epsilon ** 8
+    lo_grow, hi_grow = _giant_expansion_range(n, d, epsilon, alpha)  # the checker's window
     return {
         "giant_size_window": lo_sqrt < alpha < e2,
         "second_component_window": lo_log < alpha < e4,
         "giant_edges_window": lo_log < alpha < e8,
         "long_cycle_window": lo_sqrt < alpha < e3,
-        "giant_expansion_window": lo_sqrt < alpha < e2,
+        "giant_expansion_window": lo_sqrt < alpha < e2 and lo_grow <= hi_grow,
         "set_expansion_window": lo_sqrt < alpha < e2,
     }
 

@@ -21,7 +21,7 @@ from .graph_core import RegularGraph, VertexSet, edge_count_between, external_ne
 from .percolation import CoinStream, PercolationSample, _induced_csr
 from .rng import TAG_GROWTH, TAG_PAIRS, TAG_SUBSETS, make_generator
 from .spectral import SpectrumReport, delta_of_alpha
-from .theory import solve_x
+from .theory import giant_expansion_window
 
 __all__ = [
     "ViolationReport",
@@ -32,7 +32,6 @@ __all__ = [
     "check_mixing",
     "check_stream_properties",
     "clique_expansion_demo",
-    "giant_expansion_window",
 ]
 
 _MAX_WITNESSES = 200
@@ -65,18 +64,13 @@ class ViolationReport:
         self.passed = False
 
 
-def _effective_lambda(report: SpectrumReport) -> float:
-    # inflate by eigensolver residuals so a certified pass is airtight
-    return report.lam + report.residual2 + report.residualN
-
-
 def check_mixing(g: RegularGraph, report: SpectrumReport, pairs: int, seed: int) -> ViolationReport:
     """Edge-count mixing on random vertex-set pairs:
     |e(B,C) - d|B||C|/n| <= lambda sqrt(|B||C|), ordered-pair edge count."""
     if pairs < 1:  # a check of no instances must not pass
         raise ValueError(f"pairs must be at least 1, got {pairs}")
     rng = make_generator(seed, TAG_PAIRS)
-    lam = _effective_lambda(report)
+    lam = report.lambda_eff
     out = ViolationReport("mixing", pairs, meta={"lambda_eff": lam, "seed": seed})
     n, d = g.n, g.d
     for i in range(pairs):
@@ -100,7 +94,7 @@ def check_corollary_2_3(g: RegularGraph, report: SpectrumReport, B: VertexSet, a
         raise ValueError(f"reference set must hold at least half the vertices, got {nb} < {g.n}/2")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lam = _effective_lambda(report)
+    lam = report.lambda_eff
     base = g.d * nb / g.n
     deg = np.count_nonzero(B.mask[g.nbrs2d], axis=1)  # degree into B, all vertices
     heavy = int((deg >= (1.0 + alpha) * base - _FP_SLACK).sum())
@@ -276,30 +270,6 @@ def check_stream_properties(
             out.passed = False
     out.instances_checked = checked
     return out
-
-
-def giant_expansion_window(n: int, d: int, epsilon: float, alpha: float) -> tuple[int, int]:
-    """Subset sizes [ceil(16 alpha n/d), floor((x - 9 alpha) n/d)] that
-    ``check_giant_expansion`` grows S to, with x = x(min(eps, 1)).
-
-    The window is non-empty only if alpha <= x/25 (0.01505 at eps=0.2),
-    up to rounding at small n/d.  Raises ValueError, naming that bound,
-    when it is empty or the retention is not supercritical (eps <= 0).
-    """
-    if epsilon <= 0:
-        raise ValueError(
-            f"giant_expansion needs a supercritical retention probability, got eps={epsilon:g}"
-        )
-    x = solve_x(min(epsilon, 1.0))
-    lo = math.ceil(16.0 * alpha * n / d)
-    hi = math.floor((x - 9.0 * alpha) * n / d)
-    if lo > hi:
-        bound = math.floor(x / 25.0 * 1e5) / 1e5  # rounded down: every alpha it admits is <= x/25
-        raise ValueError(
-            f"giant_expansion needs alpha <= {bound:g} at eps={epsilon:g}: "
-            f"empty subset-size window [{lo}, {hi}] for alpha={alpha} at n={n} d={d}"
-        )
-    return lo, hi
 
 
 def check_giant_expansion(

@@ -11,7 +11,7 @@ import percolab
 from percolab import census
 from percolab.cli import build_parser, main
 from percolab.graph_core import read_graph
-from percolab.harness import CONFIG_KEYS, ExperimentConfig
+from percolab.harness import CONFIG_DEFAULTS, CONFIG_KEYS, ExperimentConfig
 from percolab.spectral import delta_of_alpha
 
 
@@ -153,6 +153,26 @@ def test_compare_prediction_flags_go_together(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_compare_rejects_prediction_flags_it_would_ignore(tmp_path, capsys):
+    out = str(tmp_path / "records.jsonl")
+    sweep = ["sweep", "--family", "random_regular", "--n", "400", "--d", "8", "--graph-seed", "2",
+             "--epsilon", "0.6", "--regime", "sub", "--seed", "11", "--trials", "2", "--out", out]
+    assert main(sweep) == 0
+    capsys.readouterr()
+    for flags in (["--alpha", "0.01"], ["--k-max", "3"], ["--alpha", "0.01", "--k-max", "3"]):
+        assert main(["compare", "--records", out, *flags]) == 1
+        captured = capsys.readouterr()
+        assert ("error: --alpha and --k-max only rebuild the prediction, with --n, --d and "
+                "--epsilon") in captured.err
+        assert captured.out == ""
+    # with the prediction flags, an omitted --alpha is the config default
+    rebuild = ["compare", "--records", out, "--n", "400", "--d", "8", "--epsilon", "0.6"]
+    main(rebuild)
+    default_alpha = capsys.readouterr().out
+    main([*rebuild, "--alpha", str(CONFIG_DEFAULTS["alpha"])])
+    assert capsys.readouterr().out == default_alpha
+
+
 def test_sweep_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -224,7 +244,7 @@ def test_command_defaults_are_the_config_field_defaults():
     field_defaults = {f.name: f.default for f in fields(ExperimentConfig)
                       if f.default is not MISSING}
     checked = {}
-    for command in ("verify", "theory", "compare", "percolate"):
+    for command in ("verify", "theory", "percolate"):
         for action in _subparser(command)._actions:
             part, name, _ = CONFIG_KEYS.get(action.dest, (None, None, None))
             if part == "cfg" and name in field_defaults:
@@ -234,9 +254,12 @@ def test_command_defaults_are_the_config_field_defaults():
         "verify": {"alpha", "regime", "pairs", "subsets", "samples", "beta_test", "k_max",
                    "spectrum_tol"},
         "theory": {"alpha", "k_max"},
-        "compare": {"alpha", "k_max"},
         "percolate": {"k_max"},
     }
+    # compare's --alpha and --k-max default to None, so that given alone they
+    # can be rejected; a rebuilt prediction then uses CONFIG_DEFAULTS
+    compare = {a.dest: a.default for a in _subparser("compare")._actions}
+    assert compare["alpha"] is None and compare["k_max"] is None
 
 
 def _json_stream(text):

@@ -21,7 +21,6 @@ from percolab.harness import (
 from percolab.rng import trial_seed
 from percolab.spectral import compute_spectrum
 from percolab.theory import predict
-from percolab.verify import _effective_lambda
 
 
 def _small_cfg(out=None, **kw):
@@ -294,7 +293,7 @@ def test_sweep_output_path_invisible_in_records(tmp_path):
     assert open(out_a, "rb").read() == open(out_b, "rb").read()
     assert open(out_a + ".csv", "rb").read() == open(out_b + ".csv", "rb").read()
     head = json.loads(open(out_a, encoding="utf-8").readline())
-    assert "out" not in head["config"] and head["format"] == 2
+    assert "out" not in head["config"] and head["format"] == 3
 
 
 def test_sweep_resume_from_renamed_torn_file(tmp_path, monkeypatch):
@@ -324,6 +323,18 @@ def test_sweep_resume_rejects_other_config(tmp_path):
     run_sweep(_small_cfg(out=out))
     with pytest.raises(ValueError, match="different config"):
         run_sweep(_small_cfg(out=out, epsilon=0.3), resume=True)
+
+
+def test_sweep_resume_names_the_record_format(tmp_path):
+    out = tmp_path / "old.jsonl"
+    run_sweep(_small_cfg(out=str(out)))
+    head, rest = out.read_text(encoding="utf-8").split("\n", 1)
+    old = json.loads(head)
+    old["format"] = 2  # a head written before the spectrum fields were rounded
+    out.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n" + rest,
+                   encoding="utf-8")
+    with pytest.raises(ValueError, match="records are format 2, this version writes format 3"):
+        run_sweep(_small_cfg(out=str(out)), resume=True)
 
 
 def test_sweep_trial_seeds_derive_from_master(tmp_path):
@@ -380,10 +391,10 @@ def test_sweep_regen_graph_certifies_each_graph_with_its_own_spectrum(tmp_path):
                      checkers=("mixing", "corollary_2_3"), pairs=20)
     run_sweep(cfg)
     recs = [json.loads(x) for x in open(out, encoding="utf-8").read().splitlines()]
-    parent_lam = _effective_lambda(compute_spectrum(generate(cfg.gen), tol=cfg.spectrum_tol))
+    parent_lam = compute_spectrum(generate(cfg.gen), tol=cfg.spectrum_tol).lambda_eff
     for t in (r for r in recs if r["kind"] == "trial"):
         g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, t["trial_index"])))
-        own_lam = _effective_lambda(compute_spectrum(g, tol=cfg.spectrum_tol))
+        own_lam = compute_spectrum(g, tol=cfg.spectrum_tol).lambda_eff
         assert own_lam != parent_lam
         assert [c["meta"]["lambda_eff"] for c in t["checks"]] == [own_lam, own_lam]
 

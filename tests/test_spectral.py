@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from percolab.generators import GenSpec, generate
+from percolab.generators import GenSpec, cycle_graph, generate
 from percolab.spectral import certify, compute_spectrum, delta_of_alpha
 
 # closed-form (lambda2, lambdaN) pairs
@@ -13,6 +14,24 @@ CLOSED = [
     ("petersen", 1.0, -2.0),
     ("q4", 2.0, -4.0),
 ]
+# the cases the shift to eigenvalue -1 exists for: the smallest graph eigsh
+# accepts (n = 3 = ncv), a disconnected graph (lambda2 = d) and a complete
+# one (lambda2 = lambdaN = -1, where the moved trivial vector is extreme too)
+SHIFT_CASES = [
+    ("c3", -1.0, -1.0),
+    ("cliques60", 5.0, -1.0),
+    ("k20", -1.0, -1.0),
+]
+
+
+@pytest.fixture(scope="module")
+def c3():
+    return cycle_graph(3)
+
+
+@pytest.fixture(scope="module")
+def k20():
+    return generate(GenSpec("clique_union", n=20, d=19))
 
 
 @pytest.mark.parametrize("name,l2,ln", CLOSED)
@@ -26,7 +45,7 @@ def test_closed_form_spectra_dense(name, l2, ln, request):
     assert rep.connected
 
 
-@pytest.mark.parametrize("name,l2,ln", CLOSED)
+@pytest.mark.parametrize("name,l2,ln", CLOSED + SHIFT_CASES)
 def test_closed_form_spectra_iterative(name, l2, ln, request):
     g = request.getfixturevalue(name)
     rep = compute_spectrum(g, tol=1e-8, method="iterative")
@@ -42,6 +61,19 @@ def test_dense_and_iterative_agree_random():
     it = compute_spectrum(g, tol=1e-9, method="iterative")
     assert it.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
     assert it.lambdaN == pytest.approx(dense.lambdaN, abs=1e-7)
+
+
+@pytest.mark.parametrize("name", ["k4", "c6", "petersen", "q4", "cliques60",
+                                  "rr2000_12", "rr1200_7"])
+def test_dense_and_iterative_records_are_identical(name, request):
+    # criterion 12's two random graphs
+    specs = {"rr2000_12": GenSpec("random_regular", n=2000, d=12, seed=31),
+             "rr1200_7": GenSpec("random_regular", n=1200, d=7, seed=8)}
+    g = generate(specs[name]) if name in specs else request.getfixturevalue(name)
+    dense = compute_spectrum(g, method="dense").to_dict()
+    it = compute_spectrum(g, method="iterative").to_dict()
+    assert (dense.pop("method"), it.pop("method")) == ("dense", "iterative")
+    assert dense == it
 
 
 def test_auto_method_switch(q4):
@@ -82,11 +114,19 @@ def test_certify_single_clique():
 
 
 def test_spectrum_report_dict(q4):
-    d = compute_spectrum(q4).to_dict()
-    assert set(d) == {
+    rep = compute_spectrum(q4, tol=1e-8)
+    rec = rep.to_dict()
+    assert set(rec) == {
         "lambda1", "lambda2", "lambdaN", "lam", "ratio",
-        "residual2", "residualN", "iterations", "method", "connected",
+        "residual2", "residualN", "method", "connected",
     }
+    # moved outward by tol, then rounded outward to the 1e-6 grid
+    assert (rec["lambda1"], rec["lambda2"], rec["lambdaN"]) == (4.0, 2.000001, -4.000001)
+    assert rec["lam"] == rep.lambda_eff == 4.000001
+    assert rec["ratio"] == rep.ratio == 4.000001 / 4
+    # residuals go up to a multiple of tol/10: at least one step, at most tol
+    for raw, recorded in ((0.0, 1e-9), (1e-9, 1e-9), (2.5e-9, 3 * 1e-8 / 10), (1e-8, 1e-8)):
+        assert replace(rep, residual2=raw).to_dict()["residual2"] == recorded
 
 
 def test_tol_validation(q4):
@@ -94,3 +134,5 @@ def test_tol_validation(q4):
         compute_spectrum(q4, tol=0.0)
     with pytest.raises(ValueError):
         compute_spectrum(q4, method="magic")
+    with pytest.raises(ValueError, match="iterative solver needs n >= 3, got n=2"):
+        compute_spectrum(generate(GenSpec("clique_union", n=2, d=1)), method="iterative")

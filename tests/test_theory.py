@@ -134,12 +134,16 @@ def test_admissibility_windows():
     flags = admissibility_flags(200_000, 20, 0.2, 0.03)
     # lo_sqrt = 0.02, eps^2 = 0.04: alpha = 0.03 sits inside the size window
     assert flags["giant_size_window"] is True
-    assert flags["giant_expansion_window"] is True
+    # yet the checker's growth window [16a, x - 9a] n/d = [4800, 1063] is empty
+    assert flags["giant_expansion_window"] is False
     # but eps^4 = 0.0016 < alpha and the log floor is ~0.217
     assert flags["second_component_window"] is False
     assert flags["giant_edges_window"] is False
     flags2 = admissibility_flags(200_000, 20, 0.2, 0.1)
     assert flags2["giant_size_window"] is False  # 0.1 > eps^2
+    # at n/d = 1e5, alpha = 0.01 <= x/25 opens the growth window [16000, 28643]
+    assert predict(2_000_000, 20, 0.2, 0.01).admissible["giant_expansion_window"] is True
+    assert predict(200_000, 20, 0.2, 0.03).admissible["giant_expansion_window"] is False
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,8 @@ from percolab.verify import (
 
 def _fake_spectrum(d, lam):
     return SpectrumReport(
-        lambda1=float(d), lambda2=lam, lambdaN=-lam, lam=lam, ratio=lam / d,
-        residual2=0.0, residualN=0.0, iterations=0, method="dense", connected=True,
+        lambda1=float(d), lambda2=lam, lambdaN=-lam, residual2=0.0, residualN=0.0,
+        tol=1e-12, iterations=0, method="dense", connected=True,
     )
 
 
