@@ -19,7 +19,6 @@ from .graph_core import (
     RegularGraph,
     RegularityError,
     VertexSet,
-    degree_into,
     edge_count_between,
     external_neighborhood,
     read_graph,
@@ -86,7 +85,6 @@ __all__ = [
     "compute_spectrum",
     "count_acyclic_connected_ksets",
     "count_trees_bruteforce",
-    "degree_into",
     "delta_of_alpha",
     "edge_count_between",
     "external_neighborhood",

@@ -592,11 +592,18 @@ def compare(records_path: str, prediction: TheoryPrediction | None = None) -> di
     Requires the terminating summary sentinel; a sweep that died mid-run
     leaves records without one and must be re-run or resumed first.
     """
+    objs = []
     with open(records_path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().split("\n") if line]
-    if not lines:
+        for lineno, line in enumerate(fh.read().split("\n"), 1):
+            if not line:
+                continue
+            try:
+                objs.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{records_path}:{lineno}: unreadable record ({exc.msg}: "
+                                 f"column {exc.colno}); re-run or resume the sweep") from None
+    if not objs:
         raise ValueError(f"{records_path}: empty record file")
-    objs = [json.loads(line) for line in lines]
     if objs[0].get("kind") != "config":
         raise ValueError(f"{records_path}: first record must be the config record")
     if objs[-1].get("kind") != "summary" or not objs[-1].get("complete"):

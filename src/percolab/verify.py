@@ -76,8 +76,8 @@ def check_mixing(g: RegularGraph, report: SpectrumReport, pairs: int, seed: int)
     for i in range(pairs):
         nb = int(rng.integers(1, n + 1))
         nc = int(rng.integers(1, n + 1))
-        B = VertexSet.from_indices(n, rng.choice(n, size=nb, replace=False))
-        C = VertexSet.from_indices(n, rng.choice(n, size=nc, replace=False))
+        B = rng.choice(n, size=nb, replace=False)
+        C = rng.choice(n, size=nc, replace=False)
         e = edge_count_between(g, B, C)
         expected = d * nb * nc / n
         bound = lam * math.sqrt(nb * nc) + _FP_SLACK
@@ -89,6 +89,8 @@ def check_mixing(g: RegularGraph, report: SpectrumReport, pairs: int, seed: int)
 def check_corollary_2_3(g: RegularGraph, report: SpectrumReport, B: VertexSet, alpha: float) -> ViolationReport:
     """Degree-into-B outliers: both the high side (>= (1+a)|B|d/n) and the
     low side (<= (1-a)|B|d/n) hold at most (2/a^2)(lambda/d)^2 n vertices."""
+    if B.mask.size != g.n:
+        raise ValueError(f"reference set is over {B.mask.size} vertices, graph has n={g.n}")
     nb = B.cardinality
     if nb < g.n / 2:
         raise ValueError(f"reference set must hold at least half the vertices, got {nb} < {g.n}/2")
@@ -155,7 +157,7 @@ def check_lemma_2_4(
     for i in range(subsets):
         m = int(rng.integers(m_lo, m_hi + 1))
         members = rng.choice(retained_idx, size=m, replace=False)
-        ext = external_neighborhood(g, VertexSet.from_indices(n, members)).cardinality
+        ext = int(np.count_nonzero(external_neighborhood(g, members)))
         target = n * (1.0 - math.exp(-d * m / n))
         hi = (1.0 + 2.0 * alpha) * target
         lo = (1.0 - 2.0 * alpha) * target
@@ -182,8 +184,8 @@ def check_blowup_pairs(g: RegularGraph, sizes=None) -> ViolationReport:
     for s in sizes:
         if s % 2 or s > n:
             raise ValueError(f"pair-union size must be even and at most n, got {s}")
-        members = np.arange(s, dtype=np.int64)  # first s/2 blocks, whole pairs
-        ext = external_neighborhood(g, VertexSet.from_indices(n, members)).cardinality
+        members = np.arange(s)  # first s/2 blocks, whole pairs
+        ext = int(np.count_nonzero(external_neighborhood(g, members)))
         bound = s * d / 2
         if ext > bound:
             out.add(f"pair union |S|={s}", ext, bound)
@@ -199,8 +201,8 @@ def clique_expansion_demo(g: RegularGraph, alpha: float, m: int | None = None) -
         m = d + 1
     if m < 1 or m > d + 1:
         raise ValueError("subset must fit inside one clique")
-    members = np.arange(m, dtype=np.int64)  # cliques are contiguous blocks
-    ext = external_neighborhood(g, VertexSet.from_indices(g.n, members)).cardinality
+    members = np.arange(m)  # cliques are contiguous blocks
+    ext = int(np.count_nonzero(external_neighborhood(g, members)))
     window_lo = (1.0 - 2.0 * alpha) * g.n * (1.0 - math.exp(-d * m / g.n))
     return {
         "m": m,
@@ -327,8 +329,7 @@ def check_giant_expansion(
         j = rng.integers(0, giant_members.size)
         members = giant_members[breadth_first_order(adj, j, return_predecessors=False)[:target]]
         assert members.size == target, "connected component must reach any size below its own"
-        outside = external_neighborhood(g, VertexSet.from_indices(n, members)).mask
-        ext = int(np.count_nonzero(outside & sample.membership))
+        ext = int(np.count_nonzero(external_neighborhood(g, members) & sample.membership))
         min_seen = min(min_seen, ext)
         if ext < threshold:
             out.add(f"sample {i} |S|={target}", ext, threshold)

@@ -6,7 +6,6 @@ from percolab.graph_core import (
     RegularGraph,
     RegularityError,
     VertexSet,
-    degree_into,
     edge_count_between,
     external_neighborhood,
     read_graph,
@@ -108,50 +107,55 @@ def test_degree_one_graph_allowed():
 def test_vertex_set_basics():
     s = VertexSet.from_indices(10, [3, 7, 7])
     assert s.cardinality == 2
-    assert s.contains(3) and not s.contains(4)
-    assert s.indices().tolist() == [3, 7]
-    s.mask[4] = True
-    s.refresh()
-    assert s.cardinality == 3
-    assert VertexSet.empty(5).cardinality == 0
-    assert VertexSet.full(5).cardinality == 5
-    with pytest.raises(ValueError):
+    assert np.flatnonzero(s.mask).tolist() == [3, 7]
+    assert VertexSet.from_indices(5, []).cardinality == 0
+    assert VertexSet.from_indices(5, np.arange(5)).cardinality == 5
+    with pytest.raises(ValueError, match="out of range"):
         VertexSet.from_indices(4, [4])
 
 
-def test_degree_into(k4, c6):
-    B = VertexSet.from_indices(4, [1, 2])
-    assert degree_into(k4, 0, B) == 2
-    assert degree_into(k4, 1, B) == 1  # only 2; 1 not its own neighbor
-    assert degree_into(c6, 0, VertexSet.from_indices(6, [1, 5])) == 2
-    with pytest.raises(ValueError):
-        degree_into(k4, 9, B)
-    with pytest.raises(ValueError):
-        degree_into(c6, 0, B)  # size mismatch
-
-
 def test_edge_count_between_counts_ordered_pairs(k4, c6):
-    full = VertexSet.full(4)
+    every = np.arange(4)
     # every edge inside B = C = V contributes twice
-    assert edge_count_between(k4, full, full) == 4 * 3
-    B = VertexSet.from_indices(4, [0, 1])
-    C = VertexSet.from_indices(4, [2, 3])
+    assert edge_count_between(k4, every, every) == 4 * 3
+    B, C = [0, 1], [2, 3]
     assert edge_count_between(k4, B, C) == 4
     assert edge_count_between(k4, C, B) == 4
-    assert edge_count_between(k4, B, VertexSet.empty(4)) == 0
-    # overlap: B = {0,1}, C = {1,2} on C6 -> edges 01 (twice? only 0->1 and 1->0
-    # with 0 in B, 1 in both) ordered pairs: (0,1), (1,2) and 1->0? 0 not in C.
-    assert edge_count_between(c6, VertexSet.from_indices(6, [0, 1]),
-                              VertexSet.from_indices(6, [1, 2])) == 2
-    both = VertexSet.from_indices(6, [0, 1])
-    assert edge_count_between(c6, both, both) == 2
+    assert edge_count_between(k4, B, []) == 0
+    # overlap on C6: B = {0,1}, C = {1,2}; ordered pairs (0,1) and (1,2),
+    # while 1->0 misses C since 0 is not in it
+    assert edge_count_between(c6, [0, 1], [1, 2]) == 2
+    # the edge 01 inside B = C counts once per orientation
+    assert edge_count_between(c6, [0, 1], [0, 1]) == 2
+    # the smaller side may be either argument
+    assert edge_count_between(c6, [0], np.arange(6)) == 2
+    assert edge_count_between(c6, np.arange(6), [0]) == 2
 
 
 def test_external_neighborhood(c6, k4):
-    ext = external_neighborhood(c6, VertexSet.from_indices(6, [0, 1]))
-    assert ext.indices().tolist() == [2, 5]
-    assert external_neighborhood(k4, VertexSet.full(4)).cardinality == 0
-    assert external_neighborhood(k4, VertexSet.empty(4)).cardinality == 0
+    ext = external_neighborhood(c6, [0, 1])
+    assert ext.dtype == bool and ext.shape == (6,)
+    assert np.flatnonzero(ext).tolist() == [2, 5]
+    assert not external_neighborhood(k4, np.arange(4)).any()
+    assert not external_neighborhood(k4, []).any()
+
+
+@pytest.mark.parametrize("bad", [[-1], [0, 4], [2, 9]])
+def test_set_queries_reject_ids_outside_range(k4, bad):
+    with pytest.raises(ValueError, match=r"out of range \[0, 4\)"):
+        external_neighborhood(k4, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        edge_count_between(k4, bad, [0])
+    with pytest.raises(ValueError, match="out of range"):
+        edge_count_between(k4, [0], bad)
+
+
+def test_set_queries_reject_a_mask(k4):
+    mask = np.array([False, True, True, False])
+    with pytest.raises(TypeError, match="not a bool mask"):
+        external_neighborhood(k4, mask)
+    with pytest.raises(TypeError, match="not a bool mask"):
+        edge_count_between(k4, [0], mask)
 
 
 # ----------------------------------------------------------------------

@@ -435,6 +435,12 @@ def test_compare_error_cases(tmp_path):
     with pytest.raises(ValueError, match="trial records"):
         compare(str(extra))
 
+    # a file cut off inside its third record names that line, not a char offset
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join(lines[:2] + [lines[2][:40]]))
+    with pytest.raises(ValueError, match=r"cut\.jsonl:3: unreadable record"):
+        compare(str(cut))
+
 
 def test_forced_tolerance_failure_names_the_claim(tmp_path):
     out = str(tmp_path / "fail.jsonl")

@@ -82,7 +82,8 @@ def test_mixing_detects_understated_lambda(rr_small):
 # ----------------------------------------------------------------------
 def test_degree_outliers_full_reference_set(rr_small):
     rep = compute_spectrum(rr_small, method="dense")
-    out = check_corollary_2_3(rr_small, rep, VertexSet.full(rr_small.n), alpha=0.2)
+    every = VertexSet.from_indices(rr_small.n, np.arange(rr_small.n))
+    out = check_corollary_2_3(rr_small, rep, every, alpha=0.2)
     assert out.passed
     assert out.meta["B_size"] == rr_small.n
 
@@ -100,7 +101,12 @@ def test_degree_outliers_preconditions(rr_small):
     with pytest.raises(ValueError, match="half"):
         check_corollary_2_3(rr_small, rep, small, alpha=0.2)
     with pytest.raises(ValueError, match="alpha"):
-        check_corollary_2_3(rr_small, rep, VertexSet.full(rr_small.n), alpha=0.0)
+        check_corollary_2_3(rr_small, rep, VertexSet.from_indices(rr_small.n, np.arange(rr_small.n)),
+                            alpha=0.0)
+    # a set over another n: only 10 of its 610 members are vertices of the graph
+    foreign = VertexSet.from_indices(1000, np.r_[0:10, 200:800])
+    with pytest.raises(ValueError, match=f"over 1000 vertices, graph has n={rr_small.n}"):
+        check_corollary_2_3(rr_small, rep, foreign, alpha=0.2)
 
 
 def test_degree_outliers_zero_lambda_is_violated(rr_small):
