@@ -172,10 +172,9 @@ def _sample_forest(g: RegularGraph, mask):
     sample (roots ascending, every coin heads, the rest rejected), both
     -1 off the sample.  It is the forest of the exploration that drew
     the sample, so labels and depth equal its component_of and depth."""
-    kept = np.flatnonzero(mask)
     state = np.where(mask, _kernels.T_UNVISITED, _kernels.W_REJECTED).astype(np.uint8)
-    coins = np.ones(kept.size, dtype=np.uint8)
-    return _explore(g.neighbors, g.d, kept, coins, state)[1:3]
+    coins = np.ones(np.count_nonzero(mask), dtype=np.uint8)
+    return _explore(g.neighbors, g.d, coins, state)[1:3]
 
 
 def _longest_back_edge(g: RegularGraph, kept, rows, hit, depth):

@@ -6,11 +6,14 @@ summary record that doubles as the completion sentinel.  Every byte of
 the record file is a pure function of (config, master_seed): trial seeds
 are counter-derived, floats serialize via repr, keys are sorted, and
 wall-clock time is logged but never serialized.  A companion CSV table
-holds the per-trial census columns.
+holds the per-trial census columns.  Both files are written whole to a
+temp file and then moved over the old one, so a sweep killed while
+writing leaves the previous files for --resume to read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -359,12 +362,13 @@ _WORKER_STATE: dict = {}
 def _trial_worker(trial_index: int) -> dict:
     """One trial on the sweep in _WORKER_STATE, serial or in a pool worker."""
     t0 = time.perf_counter()  # logged, never serialized: records must be replay-identical
-    rec = _run_trial(
-        _WORKER_STATE["graph"],
-        _WORKER_STATE["cfg"],
-        _WORKER_STATE["spect"],
-        trial_index,
-    )
+    cfg = _WORKER_STATE["cfg"]
+    try:
+        rec = _run_trial(_WORKER_STATE["graph"], cfg, _WORKER_STATE["spect"], trial_index)
+    except Exception as exc:
+        seed = trial_seed(cfg.master_seed, trial_index)
+        raise RuntimeError(f"trial {trial_index} (seed {seed}) failed: "
+                           f"{type(exc).__name__}: {exc}") from exc
     log.info("trial %d: %.3fs", trial_index, time.perf_counter() - t0)
     return rec
 
@@ -524,8 +528,21 @@ def _write_csv(path: str, cfg: ExperimentConfig, trials: list) -> None:
         row += [c["straggler_vertices"], c["cycle_lb"], d["epochs"], d["largest_epoch"],
                 int(all(r["pass"] for r in t["checks"]))]
         w.writerow(row)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _publish(path, [buf.getvalue()])
+
+
+def _publish(path: str, chunks) -> None:
+    """Write the text chunks to a temp file beside path, then move it over
+    path: a process killed while writing leaves the previous file whole."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _warm_kernels() -> None:
@@ -573,11 +590,7 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     trials = [have[i] for i in range(cfg.trials)]
 
     summary = _summary_obj(cfg, trials, pred)
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_dumps(config_obj) + "\n")
-        for obj in trials:
-            fh.write(_dumps(obj) + "\n")
-        fh.write(_dumps(summary) + "\n")
+    _publish(cfg.out, (_dumps(obj) + "\n" for obj in [config_obj, *trials, summary]))
     _write_csv(_csv_path(cfg.out), cfg, trials)
     log.info("sweep finished in %.3fs (%d trials)", time.perf_counter() - t_start, cfg.trials)
     return summary

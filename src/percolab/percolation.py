@@ -151,7 +151,7 @@ def run_dfs(g: RegularGraph, stream: CoinStream) -> DfsTrace:
         raise ValueError(f"stream has {stream.n} coins, graph needs {g.n}")
     n = g.n
     used, comp, depth, epoch_starts, accepted = _explore(
-        g.neighbors, g.d, np.arange(n, dtype=np.int64), stream.flips, np.zeros(n, dtype=np.uint8)
+        g.neighbors, g.d, stream.flips, np.zeros(n, dtype=np.uint8)
     )
     assert used == n, "exploration must consume exactly one coin per vertex"
     stream.consumed = used
@@ -159,19 +159,27 @@ def run_dfs(g: RegularGraph, stream: CoinStream) -> DfsTrace:
                     accepted_count=accepted)
 
 
-def _explore(nbrs, d, order, coins, state):
+def _explore(nbrs, d, coins, state):
     """dfs_explore with fresh outputs: (coins_used, comp, depth,
     epoch_starts, n_accepted), epoch_starts trimmed; comp and depth are
-    -1 off the forest."""
-    n = state.size
-    comp = np.full(n, -1, dtype=np.int32)
-    depth = np.full(n, -1, dtype=np.int32)
-    starts = np.empty(n, dtype=np.int64)
-    used, n_epochs, n_acc = _kernels.dfs_explore(
-        nbrs, d, order, coins, state, comp, depth, starts,
-        np.empty(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+    -1 off the forest.  Each epoch is the run of acceptance order from
+    its root's offset to the next root's, so comp is scattered from the
+    run lengths."""
+    n, m = state.size, coins.size
+    acc = np.empty(m, dtype=np.int64)
+    accd = np.empty(m, dtype=np.int32)
+    starts = np.empty(m, dtype=np.int64)
+    estart = np.empty(m, dtype=np.int64)
+    used, ne, na = _kernels.dfs_explore(
+        nbrs, d, coins, state, acc, accd, starts, estart,
+        np.empty(m, dtype=np.int64), np.empty(n, dtype=np.int64),
     )
-    return int(used), comp, depth, starts[:n_epochs].copy(), int(n_acc)
+    acc = acc[:na]
+    comp = np.full(n, -1, dtype=np.int32)
+    comp[acc] = np.repeat(np.arange(ne, dtype=np.int32), np.diff(estart[:ne], append=na))
+    depth = np.full(n, -1, dtype=np.int32)
+    depth[acc] = accd[:na]
+    return int(used), comp, depth, starts[:ne].copy(), int(na)
 
 
 def run_dfs_reference(g: RegularGraph, stream: CoinStream) -> DfsTrace:

@@ -270,6 +270,52 @@ def test_sweep_worker_count_invisible_in_records(tmp_path):
     assert open(out, "rb").read() == serial
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_names_the_failing_trial(tmp_path, monkeypatch, workers):
+    real_run_trial = harness._run_trial
+
+    def fail_trial_3(g, cfg, spect, trial_index):
+        if trial_index == 3:
+            raise ZeroDivisionError("boom in trial three")
+        return real_run_trial(g, cfg, spect, trial_index)
+
+    monkeypatch.setattr(harness, "_run_trial", fail_trial_3)
+    cfg = _small_cfg(out=str(tmp_path / "f.jsonl"), trials=5, workers=workers)
+    seed = trial_seed(cfg.master_seed, 3)
+    with pytest.raises(RuntimeError) as info:
+        run_sweep(cfg)
+    assert str(info.value) == (
+        f"trial 3 (seed {seed}) failed: ZeroDivisionError: boom in trial three")
+    # a pool worker's traceback reaches the parent as text
+    assert "boom in trial three" in str(info.value.__cause__)
+    if workers == 1:
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+    assert not (tmp_path / "f.jsonl").exists()
+
+
+def test_sweep_failed_write_leaves_previous_records(tmp_path, monkeypatch):
+    out = tmp_path / "p.jsonl"
+    cfg = _small_cfg(out=str(out), trials=3)
+    run_sweep(cfg)
+    records, table = out.read_bytes(), (tmp_path / "p.jsonl.csv").read_bytes()
+    real_dumps = harness._dumps
+
+    def fail_on_summary(obj):
+        if obj["kind"] == "summary":
+            raise OSError("disk full")
+        return real_dumps(obj)
+
+    monkeypatch.setattr(harness, "_dumps", fail_on_summary)
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(replace(cfg, trials=2))
+    assert out.read_bytes() == records
+    assert (tmp_path / "p.jsonl.csv").read_bytes() == table
+    assert sorted(os.listdir(tmp_path)) == ["p.jsonl", "p.jsonl.csv"]
+    monkeypatch.undo()
+    run_sweep(cfg, resume=True)
+    assert out.read_bytes() == records
+
+
 def test_sweep_resume_from_torn_file(tmp_path):
     out = str(tmp_path / "resume.jsonl")
     cfg = _small_cfg(out=out, trials=5)
