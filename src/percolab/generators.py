@@ -19,9 +19,9 @@ accepted set; later rounds touch only the few re-paired stubs.  A
 restart repeats the whole attempt, shuffle included, so a graph seed
 that needs k attempts costs about k times as much.  One attempt plus
 the CSR build (``RegularGraph.from_edges``, one int64 sort of the n*d
-directed edge keys) takes about 0.5 s at n=200k, d=20 on 2 vCPUs, a
-third of it the shuffle.  Attempts and rounds are logged at DEBUG on
-``percolab.generators``.
+directed edge keys) takes 0.55-0.70 s at n=200k, d=20 on 2 vCPUs,
+0.22-0.31 s of it the shuffle.  Attempts and rounds are logged at DEBUG
+on ``percolab.generators``.
 """
 
 from __future__ import annotations

@@ -9,12 +9,17 @@ wall-clock time is logged but never serialized.  A companion CSV table
 holds the per-trial census columns.  Both files are written whole to a
 temp file and then moved over the old one, so a sweep killed while
 writing leaves the previous files for --resume to read.
+
+Trials run serially or on a fork pool.  Before the pool forks,
+release_free_heap hands the allocator's free pages back to the OS, so
+the workers do not inherit set-up's freed temporaries.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import logging
@@ -51,6 +56,7 @@ __all__ = [
     "gen_spec_from_mapping",
     "load_config_file",
     "percolate",
+    "release_free_heap",
     "retention_p",
     "run_checks",
     "run_sweep",
@@ -545,6 +551,34 @@ def _publish(path: str, chunks) -> None:
         raise
 
 
+def release_free_heap() -> None:
+    """Return the C allocator's free pages to the OS: glibc's
+    malloc_trim(0), a no-op where the C library lacks it.
+
+    Generating a graph at n=200k, d=20 leaves 100 MB of freed
+    temporaries resident on the heap: the live adjacency sits above
+    them, so free() cannot shrink the heap, and a forked worker would
+    map those pages too.  malloc_trim also releases free pages in the
+    middle of the heap (RSS 179 -> 79 MB there)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+def _resident_mb() -> float:
+    """This process's resident MB, from /proc/self/statm; nan without it."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            pages = int(fh.read().split()[1])
+    except OSError:
+        return float("nan")
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
 def _warm_kernels() -> None:
     """Compile the jitted kernel in the parent before any fork."""
     percolate(cycle_graph(6), 0.5, 7, 4)
@@ -578,6 +612,10 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
     try:
         if cfg.workers > 1 and missing:
+            setup_s, rss_mb = time.perf_counter() - t_start, _resident_mb()
+            release_free_heap()
+            log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free heap; "
+                     "forking %d workers", setup_s, rss_mb, _resident_mb(), cfg.workers)
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(cfg.workers) as pool:
                 fresh = pool.map(_trial_worker, missing, chunksize=1)

@@ -164,22 +164,23 @@ def _explore(nbrs, d, coins, state):
     epoch_starts, n_accepted), epoch_starts trimmed; comp and depth are
     -1 off the forest.  Each epoch is the run of acceptance order from
     its root's offset to the next root's, so comp is scattered from the
-    run lengths."""
+    run lengths.  The scratch holds vertex ids, coin indices and offsets
+    below n, so it is int32; ptr holds offsets into nbrs, up to n*d."""
     n, m = state.size, coins.size
-    acc = np.empty(m, dtype=np.int64)
+    acc = np.empty(m, dtype=np.int32)
     accd = np.empty(m, dtype=np.int32)
-    starts = np.empty(m, dtype=np.int64)
-    estart = np.empty(m, dtype=np.int64)
+    starts = np.empty(m, dtype=np.int32)
+    estart = np.empty(m, dtype=np.int32)
     used, ne, na = _kernels.dfs_explore(
         nbrs, d, coins, state, acc, accd, starts, estart,
-        np.empty(m, dtype=np.int64), np.empty(n, dtype=np.int64),
+        np.empty(m, dtype=np.int32), np.empty(n, dtype=np.int64),
     )
     acc = acc[:na]
     comp = np.full(n, -1, dtype=np.int32)
     comp[acc] = np.repeat(np.arange(ne, dtype=np.int32), np.diff(estart[:ne], append=na))
     depth = np.full(n, -1, dtype=np.int32)
     depth[acc] = accd[:na]
-    return int(used), comp, depth, starts[:ne].copy(), int(na)
+    return int(used), comp, depth, starts[:ne].astype(np.int64), int(na)
 
 
 def run_dfs_reference(g: RegularGraph, stream: CoinStream) -> DfsTrace:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -71,6 +72,13 @@ def test_pool_workers_log_each_trial(tmp_path):
     lines = [x for x in proc.stderr.splitlines() if "percolab.harness: trial " in x]
     assert sorted(x.split(": trial ")[1].split(":")[0] for x in lines) == ["0", "1", "2"]
     assert "trial 0:" not in proc.stdout
+    # one line before the fork: set-up time and the parent's resident MB
+    release = [x for x in proc.stderr.splitlines() if "percolab.harness: set-up " in x]
+    assert len(release) == 1
+    assert re.search(r"set-up \d+\.\d{3}s; resident \d+\.\d MB, \d+\.\d MB after releasing "
+                     r"the free heap; forking 2 workers$", release[0])
+    assert "resident" not in (tmp_path / "r.jsonl").read_text()
+    assert "resident" not in (tmp_path / "r.jsonl.csv").read_text()
 
 
 def test_spectrum_command(graph_file, capsys):

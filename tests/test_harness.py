@@ -1,7 +1,11 @@
 import csv
+import ctypes
 import importlib.util
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -268,6 +272,48 @@ def test_sweep_worker_count_invisible_in_records(tmp_path):
     serial = open(out, "rb").read()
     run_sweep(_small_cfg(out=out, trials=6, workers=3))
     assert open(out, "rb").read() == serial
+
+
+def _has_malloc_trim() -> bool:
+    return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "malloc_trim")
+
+
+@pytest.mark.skipif(not _has_malloc_trim(), reason="needs Linux with glibc's malloc_trim")
+def test_release_free_heap_returns_generation_temporaries():
+    # a fresh interpreter, so no earlier test's heap is in the figures
+    script = (
+        "from percolab.generators import GenSpec, generate\n"
+        "from percolab.harness import _resident_mb, release_free_heap\n"
+        "g = generate(GenSpec('random_regular', n=50_000, d=20, seed=1))\n"
+        "before = _resident_mb()\n"
+        "release_free_heap()\n"
+        "print(before, _resident_mb(), g.n)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    before, after, n = proc.stdout.split()
+    assert n == "50000"  # the graph is still alive after the release
+    assert float(before) - float(after) >= 10.0, (before, after)
+
+
+@pytest.mark.parametrize("workers, expected", [(1, []), (2, ["release", "pool"])])
+def test_sweep_releases_the_heap_only_before_a_pool(tmp_path, monkeypatch, workers, expected):
+    events = []
+    real_get_context = multiprocessing.get_context
+
+    class RecordingContext:
+        def __init__(self, method):
+            self._ctx = real_get_context(method)
+
+        def Pool(self, *args, **kwargs):
+            events.append("pool")
+            return self._ctx.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "release_free_heap", lambda: events.append("release"))
+    monkeypatch.setattr(harness.multiprocessing, "get_context", RecordingContext)
+    run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=3, workers=workers))
+    assert events == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])
