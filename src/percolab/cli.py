@@ -2,10 +2,11 @@
 
 Subcommands: generate, spectrum, percolate, sweep, verify, theory,
 compare, each a thin layer over the library: ``harness`` runs trials
-and owns the config schema.  Sweep flags mirror its flat config keys
-(``harness.CONFIG_KEYS``); a flag given on the command line wins over
-the file.  ``--log-level``, given before the subcommand, sets what the
-library logs to stderr.
+and owns the config schema.  Every flag named after a flat config key
+(``harness.CONFIG_KEYS``) is built from that table by _config_flags; in
+a sweep, a flag given on the command line wins over the file.
+``--log-level``, given before the subcommand, sets what the library logs
+to stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import json
 import logging
 import sys
 
-from .census import take_census
-from .generators import generate
+from .generators import FAMILIES, generate
 from .graph_core import read_graph, write_graph
 from .harness import (
     CHECKER_IDS,
@@ -33,7 +33,6 @@ from .harness import (
     run_checks,
     run_sweep,
 )
-from .percolation import CoinStream, sample_vertices
 from .spectral import compute_spectrum, delta_of_alpha
 from .theory import giant_expansion_window, predict
 
@@ -64,17 +63,26 @@ def _cell(row, col) -> str:
 
 
 # ----------------------------------------------------------------------
-def _add_gen_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument("--family", choices=("random_regular", "hypercube", "blowup", "clique_union"),
-                   required=required)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--graph-seed", type=int, dest="graph_seed")
-    p.add_argument("--blowup-factor", type=int, dest="blowup_factor")
-    p.add_argument("--base-family", dest="base_family")
-    p.add_argument("--base-n", type=int, dest="base_n")
-    p.add_argument("--base-d", type=int, dest="base_d")
-    p.add_argument("--base-seed", type=int, dest="base_seed")
+_CHOICES = {"family": FAMILIES, "regime": REGIMES}
+_GEN_KEYS = " ".join(k for k, (part, _, _) in CONFIG_KEYS.items() if part != "cfg")
+
+
+def _config_flags(p: argparse.ArgumentParser, keys: str, required: str = "",
+                  defaults: bool = False, **extra) -> None:
+    """One flag per flat config key in ``keys`` (k_max is --k-max), typed by
+    its CONFIG_KEYS cast.  With ``defaults`` a flag defaults to CONFIG_DEFAULTS,
+    otherwise to None, so that a sweep flag overrides the file only if given.
+    ``extra`` maps a key to more add_argument keywords."""
+    for key in keys.split():
+        _, name, cast = CONFIG_KEYS[key]
+        kw = {"action": _BOOL} if cast is bool else {"type": cast} if cast in (int, float) else {}
+        if key in _CHOICES:
+            kw["choices"] = _CHOICES[key]
+        if defaults:
+            kw["default"] = CONFIG_DEFAULTS.get(name)
+        kw.update(extra.get(key, {}))
+        p.add_argument("--" + key.replace("_", "-"), dest=key, required=key in required.split(),
+                       **kw)
 
 
 def _cmd_generate(args) -> int:
@@ -144,17 +152,13 @@ def _cmd_verify(args) -> int:
     p = args.p if args.p is not None else retention_p(args.epsilon, args.regime, g.d)
     if args.p is not None:  # judge the coins at the drift they were drawn with
         args.epsilon = (p * g.d - 1.0) * (-1.0 if args.regime == "sub" else 1.0)
-    giant = "giant_expansion" in checkers
-    if giant:  # fail before any spectrum or sampling
+    if "giant_expansion" in checkers:  # fail before any spectrum or exploration
         giant_expansion_window(g.n, g.d, p * g.d - 1.0, args.alpha)
     spect = None
     if any(c in SPECTRUM_CHECKERS for c in checkers):
         spect = compute_spectrum(g, tol=args.spectrum_tol)
-    # a sample drawn directly, not by an exploration, so its census walks it
-    sample = sample_vertices(g.n, p, args.seed)
-    census = take_census(g, sample, args.k_max) if giant else None
-    reports = run_checks(checkers, args, g, CoinStream(g.n, p, args.seed), sample, census,
-                         spect, args.seed)
+    stream, _, sample, census = percolate(g, p, args.seed, args.k_max)
+    reports = run_checks(checkers, args, g, stream, sample, census, spect, args.seed)
     for r in reports:
         _print_json(r.to_dict())
     return 0 if all(r.passed for r in reports) else 1
@@ -188,51 +192,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="build a graph and write it to a file")
-    _add_gen_flags(p, required=True)
-    p.add_argument("--out", required=True)
+    _config_flags(p, _GEN_KEYS + " out", required="out",
+                  family={"help": "default random_regular"})
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("spectrum", help="extreme adjacency eigenvalues of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--alpha", type=float, help="also report the spectral admissibility verdict")
+    _config_flags(p, "alpha", alpha={"help": "also report the spectral admissibility verdict"})
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("percolate", help="one seeded exploration + component census")
     p.add_argument("--graph", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
+    _config_flags(p, "seed k_max", required="seed", defaults=True)
     p.set_defaults(fn=_cmd_percolate)
 
     p = sub.add_parser("theory", help="closed-form predictions as a table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=CONFIG_DEFAULTS["alpha"])
-    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
+    _config_flags(p, "n d epsilon alpha k_max", required="n d epsilon", defaults=True)
     p.set_defaults(fn=_cmd_theory)
 
     p = sub.add_parser("sweep", help="run trials, write JSON-lines records + CSV")
     p.add_argument("--config", help="flat key=value file; flags below override it")
-    _add_gen_flags(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--checkers", help="comma-separated checker ids")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--regen-graph", action=_BOOL, default=None, dest="regen_graph")
-    p.add_argument("--spectrum", action=_BOOL, default=None)
-    p.add_argument("--spectrum-tol", type=float, dest="spectrum_tol")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--subsets", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--beta-test", type=float, dest="beta_test")
+    _config_flags(p, " ".join(CONFIG_KEYS), checkers={"help": "comma-separated checker ids"})
     p.add_argument("--tol", action="append", metavar="METRIC=VALUE")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
@@ -240,29 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run structural checkers on a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--checker", required=True, help="comma-separated checker ids")
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--p", type=float)
-    p.add_argument("--epsilon", type=float, default=0.2,
-                   help="p = (1 ± eps)/d by --regime; ignored when --p is given, eps then follows p")
-    p.add_argument("--regime", choices=REGIMES, default=CONFIG_DEFAULTS["regime"])
-    p.add_argument("--alpha", type=float, default=CONFIG_DEFAULTS["alpha"])
-    p.add_argument("--pairs", type=int, default=CONFIG_DEFAULTS["pairs"])
-    p.add_argument("--subsets", type=int, default=CONFIG_DEFAULTS["subsets"])
-    p.add_argument("--samples", type=int, default=CONFIG_DEFAULTS["samples"])
-    p.add_argument("--beta-test", type=float, default=CONFIG_DEFAULTS["beta_test"],
-                   dest="beta_test")
-    p.add_argument("--k-max", type=int, default=CONFIG_DEFAULTS["k_max"], dest="k_max")
-    p.add_argument("--spectrum-tol", type=float, default=CONFIG_DEFAULTS["spectrum_tol"],
-                   dest="spectrum_tol")
+    _config_flags(p, "seed epsilon regime alpha pairs subsets samples beta_test k_max "
+                  "spectrum_tol", required="seed", defaults=True, epsilon={"default": 0.2, "help":
+                  "p = (1 ± eps)/d by --regime; ignored when --p is given, eps then follows p"})
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("compare", help="theory-vs-measurement table from a record file")
     p.add_argument("--records", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float, help=f"default {CONFIG_DEFAULTS['alpha']}")
-    p.add_argument("--k-max", type=int, dest="k_max", help=f"default {CONFIG_DEFAULTS['k_max']}")
+    _config_flags(p, "n d epsilon alpha k_max",
+                  alpha={"help": f"default {CONFIG_DEFAULTS['alpha']}"},
+                  k_max={"help": f"default {CONFIG_DEFAULTS['k_max']}"})
     p.set_defaults(fn=_cmd_compare)
 
     return ap

@@ -34,7 +34,7 @@ from .generators import GenSpec, cycle_graph, generate
 from .graph_core import RegularGraph, VertexSet
 from .percolation import CoinStream, PercolationSample, run_dfs
 from .rng import TAG_SUBSETS, make_generator, trial_seed
-from .spectral import SpectrumReport, compute_spectrum
+from .spectral import SpectrumReport, compute_spectrum, delta_of_alpha
 from .theory import TheoryPrediction, giant_expansion_window, predict
 from .verify import (
     check_corollary_2_3,
@@ -133,6 +133,9 @@ class ExperimentConfig:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        delta_of_alpha(self.alpha)  # rejects an alpha outside (0, 1], naming it
+        if self.spectrum_tol <= 0.0:
+            raise ValueError(f"spectrum_tol must be positive, got {self.spectrum_tol}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"regime/epsilon give retention probability {self.p}, not in [0,1]")
         if self.trials < 1:
@@ -588,7 +591,7 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     """Execute all trials, persist JSON-lines + CSV, return the summary."""
     cfg.validate()
     if cfg.out is None:
-        raise ValueError("config needs an output path")
+        raise ValueError("config needs an output path: missing config key out")
     t_start = time.perf_counter()
     graph = generate(cfg.gen)
     spect = compute_spectrum(graph, tol=cfg.spectrum_tol) if cfg.spectrum else None
@@ -608,6 +611,8 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     have = _read_existing(cfg.out, config_obj) if resume else {}
     missing = [i for i in range(cfg.trials) if i not in have]
 
+    if cfg.regen_graph:  # each trial generates its own graph and never reads this one
+        graph = None
     _warm_kernels()
     _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
     try:

@@ -112,11 +112,12 @@ def test_percolate_command(graph_file, capsys):
     assert rc == 1  # domain error surfaces as exit 1, not a traceback
 
 
-def test_percolate_walks_the_sample_once(graph_file, capsys, monkeypatch):
-    def no_walk(g, mask):
-        raise AssertionError("the census walked the sample again")
+def _no_walk(g, mask):
+    raise AssertionError("the census walked the sample again")
 
-    monkeypatch.setattr(census, "_sample_forest", no_walk)
+
+def test_percolate_walks_the_sample_once(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr(census, "_sample_forest", _no_walk)
     assert main(["percolate", "--graph", graph_file, "--p", "0.3", "--seed", "3"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["census"]["components"] == obj["dfs"]["epochs"]
@@ -225,6 +226,28 @@ def test_sweep_names_missing_required_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_config_file_alone_drives_a_sweep(tmp_path, capsys):
+    keys = {"family": "random_regular", "n": 400, "d": 8, "graph_seed": 2, "epsilon": 0.6,
+            "regime": "sub", "seed": 11, "trials": 3}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n"
+                           for k, v in {**keys, "out": tmp_path / "file.jsonl"}.items()))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    flags = [x for k, v in keys.items() for x in ("--" + k.replace("_", "-"), str(v))]
+    assert main(["sweep", *flags, "--out", str(tmp_path / "flags.jsonl")]) == 0
+    capsys.readouterr()
+    for suffix in ("", ".csv"):
+        assert (tmp_path / f"file.jsonl{suffix}").read_bytes() == \
+            (tmp_path / f"flags.jsonl{suffix}").read_bytes()
+
+
+def test_sweep_names_a_missing_out(tmp_path, capsys):
+    rc = main(["sweep", "--n", "400", "--d", "8", "--epsilon", "0.6", "--regime", "sub",
+               "--seed", "1", "--trials", "2"])
+    assert rc == 1
+    assert "error: config needs an output path: missing config key out\n" in capsys.readouterr().err
+
+
 def test_sweep_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(
@@ -281,6 +304,43 @@ def _json_stream(text):
         while idx < len(text) and text[idx] in " \n":
             idx += 1
     return out
+
+
+# a supercritical graph whose giant reaches the giant_expansion window
+_GIANT_GRAPH = ["--family", "random_regular", "--n", "20000", "--d", "10", "--graph-seed", "3"]
+_GIANT_PARAMS = ["--epsilon", "0.5", "--alpha", "0.01", "--samples", "20"]
+
+
+@pytest.fixture(scope="module")
+def giant_trial(tmp_path_factory):
+    """The graph file and the trial record of a one-trial sweep (master seed 5)
+    with the stream and giant_expansion checkers."""
+    tmp = tmp_path_factory.mktemp("giant")
+    path, out = str(tmp / "g.graph"), str(tmp / "r.jsonl")
+    assert main(["generate", *_GIANT_GRAPH, "--out", path]) == 0
+    main(["sweep", *_GIANT_GRAPH, *_GIANT_PARAMS, "--checkers", "stream,giant_expansion",
+          "--seed", "5", "--trials", "1", "--out", out])
+    with open(out, encoding="utf-8") as fh:
+        (trial,) = [r for r in map(json.loads, fh) if r["kind"] == "trial"]
+    return path, trial
+
+
+def test_verify_prints_the_checks_of_the_sweep_trial_of_its_seed(giant_trial, capsys):
+    path, trial = giant_trial
+    capsys.readouterr()
+    rc = main(["verify", "--graph", path, "--checker", "stream,giant_expansion",
+               "--seed", str(trial["seed"]), *_GIANT_PARAMS])
+    assert _json_stream(capsys.readouterr().out) == trial["checks"]
+    assert rc == (0 if all(r["pass"] for r in trial["checks"]) else 1)
+
+
+def test_verify_walks_the_sample_once(giant_trial, capsys, monkeypatch):
+    path, _ = giant_trial
+    monkeypatch.setattr(census, "_sample_forest", _no_walk)
+    main(["verify", "--graph", path, "--checker", "giant_expansion", "--seed", "8",
+          *_GIANT_PARAMS])
+    (report,) = _json_stream(capsys.readouterr().out)
+    assert report["meta"]["giant"] > 0
 
 
 def test_verify_command(graph_file, capsys):
@@ -350,8 +410,10 @@ def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_requires_subcommand():
+def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
-    with pytest.raises(SystemExit):
-        main(["sweep"])  # missing required flags
+    capsys.readouterr()
+    # a config file can give every key, so the sweep, not the parser, names the missing ones
+    assert main(["sweep"]) == 1
+    assert "error: missing required config keys: epsilon, trials, seed\n" in capsys.readouterr().err

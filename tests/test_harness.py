@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -141,6 +142,12 @@ def test_config_validation_errors():
         _small_cfg(tolerances={"L1_median": -1.0}).validate()
     with pytest.raises(ValueError, match="unknown tolerance metric 'L1_mediun'"):
         _small_cfg(tolerances={"L1_mediun": 0.2}).validate()
+    for alpha in (-0.1, 0.0, 1.5):  # delta_of_alpha's domain is (0, 1]
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\], got"):
+            _small_cfg(alpha=alpha).validate()
+    for spectrum in (False, True):
+        with pytest.raises(ValueError, match="spectrum_tol must be positive, got -1.0"):
+            _small_cfg(spectrum=spectrum, spectrum_tol=-1.0).validate()
     # eps = 3 at d = 3 asks for retention 4/3
     bad = ExperimentConfig(
         gen=GenSpec("clique_union", n=4, d=3), epsilon=3.0, alpha=0.1,
@@ -151,7 +158,8 @@ def test_config_validation_errors():
 
 
 @pytest.mark.parametrize("key, value", [("pairs", 0), ("subsets", -1), ("samples", 0),
-                                        ("beta_test", 0.0)])
+                                        ("beta_test", 0.0), ("alpha", 0.0), ("alpha", -0.1),
+                                        ("spectrum_tol", -1.0)])
 def test_config_rejects_checker_counts_that_check_nothing(tmp_path, monkeypatch, key, value):
     def no_generate(spec):
         raise AssertionError("generate ran for a config that cannot pass validation")
@@ -475,6 +483,27 @@ def test_sweep_regen_graph_varies_instances(tmp_path):
     ca = [r["census"] for r in a if r["kind"] == "trial"]
     cb = [r["census"] for r in b if r["kind"] == "trial"]
     assert ca != cb
+
+
+@pytest.mark.parametrize("regen", [False, True])
+def test_sweep_frees_the_setup_graph_when_trials_regenerate(tmp_path, monkeypatch, regen):
+    setup, alive = [], []
+    real_generate, real_trial = harness.generate, harness._run_trial
+
+    def tracked_generate(spec):
+        g = real_generate(spec)
+        if not setup:
+            setup.append(weakref.ref(g))
+        return g
+
+    def watched_trial(g, cfg, spect, trial_index):
+        alive.append(setup[0]() is not None)
+        return real_trial(g, cfg, spect, trial_index)
+
+    monkeypatch.setattr(harness, "generate", tracked_generate)
+    monkeypatch.setattr(harness, "_run_trial", watched_trial)
+    run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=3, regen_graph=regen))
+    assert alive == [not regen] * 3
 
 
 def test_sweep_regen_graph_certifies_each_graph_with_its_own_spectrum(tmp_path):
