@@ -94,7 +94,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = read_graph(args.graph)
-    report = compute_spectrum(g, tol=args.tol, method=args.method)
+    report = compute_spectrum(g, tol=args.tol)
     obj = report.to_dict()
     if args.alpha is not None:
         obj["alpha"] = args.alpha
@@ -129,11 +129,6 @@ def _cmd_theory(args) -> int:
 def _cmd_sweep(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
     mapping.update((k, getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k) is not None)
-    for spec in args.tol or ():
-        if "=" not in spec:
-            raise SystemExit(f"--tol expects METRIC=VALUE, got {spec!r}")
-        metric, value = spec.split("=", 1)
-        mapping[f"tol_{metric.strip()}"] = float(value)
     cfg = config_from_mapping(mapping)
     summary = run_sweep(cfg, resume=args.resume)
     _print_table(summary["rows"], _ROW_COLUMNS)
@@ -148,7 +143,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--checker names no checker id; known: {list(CHECKER_IDS)}")
     unknown = [c for c in checkers if c not in CHECKER_IDS]
     if unknown:
-        raise SystemExit(f"unknown checker ids {unknown}; known: {list(CHECKER_IDS)}")
+        raise ValueError(f"unknown checker ids {unknown}; known: {list(CHECKER_IDS)}")
     p = args.p if args.p is not None else retention_p(args.epsilon, args.regime, g.d)
     if args.p is not None:  # judge the coins at the drift they were drawn with
         args.epsilon = (p * g.d - 1.0) * (-1.0 if args.regime == "sub" else 1.0)
@@ -165,19 +160,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    pred = None
-    given = {"--n": args.n, "--d": args.d, "--epsilon": args.epsilon}
-    if any(v is not None for v in given.values()):
-        missing = [flag for flag, v in given.items() if v is None]
-        if missing:
-            raise ValueError(f"--n, --d and --epsilon go together; missing {', '.join(missing)}")
-        alpha = CONFIG_DEFAULTS["alpha"] if args.alpha is None else args.alpha
-        k_max = CONFIG_DEFAULTS["k_max"] if args.k_max is None else args.k_max
-        pred = predict(args.n, args.d, args.epsilon, alpha, k_max)
-    elif args.alpha is not None or args.k_max is not None:  # the record's prediction ignores them
-        raise ValueError("--alpha and --k-max only rebuild the prediction, "
-                         "with --n, --d and --epsilon")
-    report = compare(args.records, pred)
+    report = compare(args.records)
     _print_table(report["rows"], _ROW_COLUMNS)
     print(f"trials: {report['trials']}  regime: {report['regime']}  pass: {report['pass']}")
     return 0 if report["pass"] else 1
@@ -198,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="extreme adjacency eigenvalues of a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     _config_flags(p, "alpha", alpha={"help": "also report the spectral admissibility verdict"})
     p.set_defaults(fn=_cmd_spectrum)
@@ -216,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run trials, write JSON-lines records + CSV")
     p.add_argument("--config", help="flat key=value file; flags below override it")
     _config_flags(p, " ".join(CONFIG_KEYS), checkers={"help": "comma-separated checker ids"})
-    p.add_argument("--tol", action="append", metavar="METRIC=VALUE")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -231,9 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="theory-vs-measurement table from a record file")
     p.add_argument("--records", required=True)
-    _config_flags(p, "n d epsilon alpha k_max",
-                  alpha={"help": f"default {CONFIG_DEFAULTS['alpha']}"},
-                  k_max={"help": f"default {CONFIG_DEFAULTS['k_max']}"})
     p.set_defaults(fn=_cmd_compare)
 
     return ap

@@ -26,7 +26,7 @@ import logging
 import multiprocessing
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from statistics import median
 
 from .census import ComponentCensus, take_census
@@ -49,6 +49,7 @@ __all__ = [
     "CONFIG_DEFAULTS",
     "CONFIG_KEYS",
     "SPECTRUM_CHECKERS",
+    "TOLERANCES",
     "ExperimentConfig",
     "compare",
     "compare_rows",
@@ -68,7 +69,7 @@ REGIMES = ("sub", "super")
 CHECKER_IDS = ("stream", "mixing", "corollary_2_3", "lemma_2_4", "giant_expansion")
 SPECTRUM_CHECKERS = ("mixing", "corollary_2_3")
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "L1_median": 0.10,
     "L1_window_rate": 0.80,
     "L2_rate": 0.95,
@@ -87,10 +88,6 @@ def retention_p(epsilon: float, regime: str, d: int) -> float:
     return (1.0 + sign * epsilon) / d
 
 
-def _tolerance(tolerances: dict, metric: str) -> float:
-    return float(tolerances.get(metric, DEFAULT_TOLERANCES[metric]))
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     gen: GenSpec
@@ -102,7 +99,6 @@ class ExperimentConfig:
     out: str | None = None
     k_max: int = 4
     checkers: tuple = ()
-    tolerances: dict = field(default_factory=dict)
     workers: int = 1
     regen_graph: bool = False
     spectrum: bool = False
@@ -123,9 +119,6 @@ class ExperimentConfig:
     @property
     def p(self) -> float:
         return retention_p(self.epsilon, self.regime, self.size[1])
-
-    def tol(self, metric: str) -> float:
-        return _tolerance(self.tolerances, metric)
 
     def validate(self) -> None:
         self.gen.validate()
@@ -149,12 +142,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.beta_test <= 0:
             raise ValueError(f"beta_test must be positive, got {self.beta_test}")
-        for metric, t in self.tolerances.items():
-            if metric not in DEFAULT_TOLERANCES:
-                raise ValueError(
-                    f"unknown tolerance metric {metric!r}; known: {sorted(DEFAULT_TOLERANCES)}")
-            if t <= 0:
-                raise ValueError(f"tolerance for {metric} must be positive, got {t}")
         for c in self.checkers:
             if c not in CHECKER_IDS:
                 raise ValueError(f"unknown checker id {c!r}; known: {CHECKER_IDS}")
@@ -171,8 +158,7 @@ class ExperimentConfig:
         # out of the file
         obj = _flat(self, "cfg")
         del obj["workers"], obj["out"]
-        obj.update(gen=_gen_to_dict(self.gen), checkers=list(self.checkers),
-                   tolerances={k: float(v) for k, v in sorted(self.tolerances.items())})
+        obj.update(gen=_gen_to_dict(self.gen), checkers=list(self.checkers))
         return obj
 
 
@@ -230,7 +216,7 @@ def _checker_ids(value) -> tuple:
 # flat config key -> (part, field, cast).  "gen" keys fill the GenSpec,
 # "blowup" and "base" keys its blow-up factor and base GenSpec (read only
 # when family = blowup), "cfg" keys the ExperimentConfig, whose config
-# record uses the same keys; tol_<metric> keys fill `tolerances`.
+# record uses the same keys.
 CONFIG_KEYS = {
     "family": ("gen", "family", str),
     "n": ("gen", "n", int),
@@ -288,19 +274,16 @@ def gen_spec_from_mapping(mapping: dict) -> GenSpec:
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Validated config from flat keys (a --config file, CLI flags).
 
-    epsilon, trials and seed are required; any key that is neither in
-    CONFIG_KEYS nor a tol_<metric> is rejected, so a misspelling cannot
-    silently fall back to a default.
+    epsilon, trials and seed are required; any key not in CONFIG_KEYS is
+    rejected, so a misspelling cannot silently fall back to a default.
     """
-    unknown = sorted(k for k in mapping if k not in CONFIG_KEYS and not k.startswith("tol_"))
+    unknown = sorted(k for k in mapping if k not in CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     missing = [k for k in _REQUIRED_KEYS if mapping.get(k) is None]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
-    tolerances = {k[len("tol_"):]: float(v) for k, v in mapping.items() if k.startswith("tol_")}
-    cfg = ExperimentConfig(gen=gen_spec_from_mapping(mapping), tolerances=tolerances,
-                           **_part(mapping, "cfg"))
+    cfg = ExperimentConfig(gen=gen_spec_from_mapping(mapping), **_part(mapping, "cfg"))
     cfg.validate()
     return cfg
 
@@ -394,9 +377,9 @@ def _rate(flags) -> float:
     return sum(1.0 for f in flags if f) / len(flags) if flags else 0.0
 
 
-def compare_rows(trials: list, pred: TheoryPrediction, regime: str, tol) -> list:
-    """Per-metric table rows.  `trials` holds trial-record dicts; `tol`
-    maps metric name -> tolerance (relative for medians, threshold for
+def compare_rows(trials: list, pred: TheoryPrediction, regime: str) -> list:
+    """Per-metric table rows.  `trials` holds trial-record dicts; each row
+    is gated by its TOLERANCES entry (relative for medians, threshold for
     rates).  Claim tags follow the numbered statements the metrics
     instantiate.
 
@@ -419,29 +402,29 @@ def compare_rows(trials: list, pred: TheoryPrediction, regime: str, tol) -> list
             "pass": bool(passed),
         })
 
-    def median_row(metric, claim, key, target, claim_bound=None):
-        med = median(c[key] for c in cen)
-        t = tol(metric)
+    def median_row(metric, claim, values, target, claim_bound=None):
+        med = median(values)
+        t = TOLERANCES[metric]
         row(metric, claim, med, target, claim_bound, t, abs(med - target) <= t * target)
 
     def rate_row(metric, claim, key, ok, claim_bound):
         rate = _rate(ok(c[key]) for c in cen)
-        t = tol(metric)
+        t = TOLERANCES[metric]
         row(metric, claim, rate, 1.0, claim_bound, t, rate >= t)
 
     if regime == "super":
-        median_row("L1_median", "theorem_2", "largest", pred.L1_pred_finite_d, pred.L1_tol)
+        median_row("L1_median", "theorem_2", [c["largest"] for c in cen], pred.L1_pred_finite_d,
+                   pred.L1_tol)
         rate_row("L1_window_rate", "theorem_2", "largest",
                  lambda v: abs(v - pred.L1_pred) <= pred.L1_tol, pred.L1_tol)
         rate_row("L2_rate", "theorem_3", "second_largest",
                  lambda v: v <= pred.straggler_bound, pred.straggler_bound)
-        for k, metric in ((1, "T1_median"), (2, "T2_median")):
-            med = median(c["tree_counts"][k - 1] for c in cen)
-            t = tol(metric)
-            target = pred.T_k_pred_finite_d[k - 1]
-            row(metric, "lemma_5_4", med, target, None, t, abs(med - target) <= t * target)
-        median_row("Zp_median", "lemma_6_1", "retained_edges", pred.Zp_pred)
-        median_row("eL1_median", "theorem_4", "largest_edges", pred.e_L1_pred_finite_d)
+        for k in (1, 2):
+            median_row(f"T{k}_median", "lemma_5_4", [c["tree_counts"][k - 1] for c in cen],
+                       pred.T_k_pred_finite_d[k - 1])
+        median_row("Zp_median", "lemma_6_1", [c["retained_edges"] for c in cen], pred.Zp_pred)
+        median_row("eL1_median", "theorem_4", [c["largest_edges"] for c in cen],
+                   pred.e_L1_pred_finite_d)
         cycle_bound = pred.epsilon ** 2 * pred.n / (100.0 * pred.d)
         rate_row("cycle_rate", "theorem_5", "cycle_lb", lambda v: v >= cycle_bound, cycle_bound)
     else:
@@ -475,7 +458,7 @@ def _summary_obj(cfg: ExperimentConfig, trials: list, pred: TheoryPrediction) ->
         for t in trials:
             flags.extend(r["pass"] for r in t["checks"] if r["checker"] == cid)
         checker_rates[cid] = _rate(flags)
-    rows = compare_rows(trials, pred, cfg.regime, cfg.tol)
+    rows = compare_rows(trials, pred, cfg.regime)
     return {
         "kind": "summary",
         "complete": True,
@@ -605,7 +588,7 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
         "p": cfg.p,
         "prediction": pred.to_dict(),
         "spectrum": None if spect is None else spect.to_dict(),
-        "format": 3,
+        "format": 4,
     }
 
     have = _read_existing(cfg.out, config_obj) if resume else {}
@@ -642,8 +625,10 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
 # ----------------------------------------------------------------------
 # offline comparison
 # ----------------------------------------------------------------------
-def compare(records_path: str, prediction: TheoryPrediction | None = None) -> dict:
-    """Rebuild the per-metric comparison table from a finished record file.
+def compare(records_path: str) -> dict:
+    """Rebuild the per-metric comparison table from a finished record file,
+    against the prediction of the record's own inputs and the fixed
+    TOLERANCES.
 
     Requires the terminating summary sentinel; a sweep that died mid-run
     leaves records without one and must be re-run or resumed first.
@@ -672,12 +657,9 @@ def compare(records_path: str, prediction: TheoryPrediction | None = None) -> di
         raise ValueError(
             f"{records_path}: {len(trials)} trial records, config says {head['config']['trials']}"
         )
-    if prediction is None:
-        p = head["prediction"]
-        prediction = predict(p["n"], p["d"], p["epsilon"], p["alpha"], len(p["T_k_pred"]))
-    tolerances = head["config"].get("tolerances", {})
-    rows = compare_rows(trials, prediction, head["config"]["regime"],
-                        lambda metric: _tolerance(tolerances, metric))
+    p = head["prediction"]
+    prediction = predict(p["n"], p["d"], p["epsilon"], p["alpha"], len(p["T_k_pred"]))
+    rows = compare_rows(trials, prediction, head["config"]["regime"])
     return {
         "rows": rows,
         "pass": all(r["pass"] for r in rows),

@@ -5,17 +5,14 @@ d; the certification quantity is lam = max(|lam2|, |lamN|) over the
 remaining spectrum, compared against the admissibility threshold
 delta(alpha) = alpha^(2/alpha).
 
-Both solver paths work on B = A - ((d+1)/n) J, J the all-ones matrix,
-which keeps A's non-trivial eigenpairs and moves the all-ones vector
-from eigenvalue d to -1.  Every graph with an edge has lamN <= -1 <= lam2,
-so B's two extreme eigenvalues are exactly lam2 and lamN:
-
-* dense (n <= 2000): numpy.linalg.eigh of B;
-* iterative: one Lanczos run (scipy.sparse.linalg.eigsh, which="BE")
-  that takes both ends of the spectrum from one Krylov space, with
-  B x = A x - (d+1) mean(x) over a CSR adjacency.
-
-Both paths check the residuals ||B v - theta v||_2 against ``tol``.
+The solver works on B = A - ((d+1)/n) J, J the all-ones matrix, which
+keeps A's non-trivial eigenpairs and moves the all-ones vector from
+eigenvalue d to -1.  Every graph with an edge has lamN <= -1 <= lam2, so
+B's two extreme eigenvalues are exactly lam2 and lamN, and one Lanczos
+run (scipy.sparse.linalg.eigsh, which="BE") takes both ends of the
+spectrum from one Krylov space, with B x = A x - (d+1) mean(x) over a
+CSR adjacency.  The residuals ||B v - theta v||_2 are checked against
+``tol``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
-    "DENSE_LIMIT",
     "SpectralConvergenceError",
     "SpectrumReport",
     "certify",
@@ -37,7 +33,6 @@ __all__ = [
     "delta_of_alpha",
 ]
 
-DENSE_LIMIT = 2000
 ITERATION_CAP = 100_000
 _V0_SEED = 0x5EED_0401
 
@@ -55,8 +50,9 @@ class SpectrumReport:
     ``lam`` is the solver's max(|lambda2|, |lambdaN|).  ``lambda_eff`` and
     ``ratio``, which every verdict reads, and ``to_dict`` are certified:
     lambda2 moved up and lambdaN down by ``tol`` (which bounds both
-    residuals), rounded outward to a 1e-6 grid.  Two solvers that agree
-    within ``tol`` therefore certify and record the same numbers.
+    residuals), rounded outward to a 1e-6 grid.  Eigenvalues that agree
+    within ``tol`` (another BLAS, the tests' dense oracle) therefore
+    certify and record the same numbers.
     """
 
     lambda1: float
@@ -66,7 +62,6 @@ class SpectrumReport:
     residualN: float
     tol: float
     iterations: int  # products with B, residuals included; logged, never recorded
-    method: str
     connected: bool
 
     @property
@@ -99,7 +94,6 @@ class SpectrumReport:
             "ratio": self.ratio,
             "residual2": self._residual_bound(self.residual2),
             "residualN": self._residual_bound(self.residualN),
-            "method": self.method,
             "connected": self.connected,
         }
 
@@ -116,22 +110,16 @@ def _residual(shifted, theta: float, vec: np.ndarray) -> float:
     return float(np.linalg.norm(shifted(vec) - theta * vec))
 
 
-def compute_spectrum(g, tol: float = 1e-8, method: str = "auto") -> SpectrumReport:
+def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
     """Extreme eigenvalues of the adjacency operator.
 
-    method: "auto" picks dense for n <= DENSE_LIMIT, otherwise iterative;
-    "dense" / "iterative" force a path (used by cross-validation tests).
     Raises SpectralConvergenceError if a residual exceeds ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method == "auto":
-        method = "dense" if g.n <= DENSE_LIMIT else "iterative"
-    if method not in ("dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
     n, d = g.n, g.d
-    if method == "iterative" and n < 3:  # eigsh needs k=2 < ncv <= n
-        raise ValueError(f"the iterative solver needs n >= 3, got n={n}")
+    if n < 3:  # eigsh needs k=2 < ncv <= n
+        raise ValueError(f"the spectrum needs n >= 3, got n={n}")
     a = csr_matrix((np.ones(n * d), g.neighbors, np.arange(0, n * d + 1, d)), shape=(n, n))
 
     matvecs = 0
@@ -141,17 +129,14 @@ def compute_spectrum(g, tol: float = 1e-8, method: str = "auto") -> SpectrumRepo
         matvecs += 1
         return a @ x - (d + 1) * x.mean()
 
-    if method == "dense":
-        w, vecs = np.linalg.eigh(a.toarray() - (d + 1) / n)
-    else:
-        op = LinearOperator((n, n), matvec=shifted, dtype=np.float64)
-        v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
-        w, vecs = eigsh(op, k=2, which="BE", v0=v0, ncv=min(n, 64), maxiter=ITERATION_CAP,
-                        tol=min(tol * 1e-2, 1e-10))
+    op = LinearOperator((n, n), matvec=shifted, dtype=np.float64)
+    v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
+    w, vecs = eigsh(op, k=2, which="BE", v0=v0, ncv=min(n, 64), maxiter=ITERATION_CAP,
+                    tol=min(tol * 1e-2, 1e-10))
     lam2, lamn = float(w[-1]), float(w[0])
     r2 = _residual(shifted, lam2, vecs[:, -1])
     rn = _residual(shifted, lamn, vecs[:, 0])
-    log.debug("%s spectrum: %d matvecs, residuals %.3e, %.3e", method, matvecs, r2, rn)
+    log.debug("spectrum: %d matvecs, residuals %.3e, %.3e", matvecs, r2, rn)
     if r2 > tol or rn > tol:
         raise SpectralConvergenceError(f"residuals ({r2:.3e}, {rn:.3e}) exceed tol {tol:.3e}")
     # lambda1 = d exactly: the all-ones vector is an exact eigenvector of a
@@ -164,7 +149,6 @@ def compute_spectrum(g, tol: float = 1e-8, method: str = "auto") -> SpectrumRepo
         residualN=rn,
         tol=tol,
         iterations=matvecs,
-        method=method,
         connected=abs(lam2 - d) >= tol * max(1.0, d),
     )
 

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from percolab.generators import GenSpec, cycle_graph, generate, petersen_graph
@@ -38,6 +39,20 @@ def rr_small():
 @pytest.fixture(scope="session")
 def rr_10k():
     return generate(GenSpec("random_regular", n=10_000, d=20, seed=41))
+
+
+def _dense_extremes(g):
+    """(lambda2, lambdaN) from numpy's dense eigvalsh of B = A - ((d+1)/n) J: the
+    tests' oracle for compute_spectrum, which shares none of its code."""
+    a = np.zeros((g.n, g.n))
+    np.add.at(a, (np.repeat(np.arange(g.n), g.d), g.neighbors), 1.0)
+    w = np.linalg.eigvalsh(a - (g.d + 1) / g.n)
+    return float(w[-1]), float(w[0])
+
+
+@pytest.fixture(scope="session")
+def dense_extremes():
+    return _dense_extremes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,10 +9,10 @@ from dataclasses import MISSING, fields
 import pytest
 
 import percolab
-from percolab import census
+from percolab import census, harness
 from percolab.cli import build_parser, main
 from percolab.graph_core import read_graph
-from percolab.harness import CONFIG_DEFAULTS, CONFIG_KEYS, ExperimentConfig
+from percolab.harness import CONFIG_KEYS, ExperimentConfig
 from percolab.spectral import delta_of_alpha
 
 
@@ -81,8 +81,17 @@ def test_pool_workers_log_each_trial(tmp_path):
     assert "resident" not in (tmp_path / "r.jsonl.csv").read_text()
 
 
+def test_spectrum_needs_three_vertices(tmp_path, capsys):
+    path = str(tmp_path / "k2.graph")
+    assert main(["generate", "--family", "clique_union", "--n", "2", "--d", "1",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", "--graph", path]) == 1
+    assert "error: the spectrum needs n >= 3, got n=2" in capsys.readouterr().err
+
+
 def test_spectrum_command(graph_file, capsys):
-    rc = main(["spectrum", "--graph", graph_file, "--method", "dense"])
+    rc = main(["spectrum", "--graph", graph_file])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["lambda1"] == pytest.approx(6.0, abs=1e-8)
@@ -94,11 +103,14 @@ def test_spectrum_command(graph_file, capsys):
 
 
 def test_spectrum_alpha_honours_method(graph_file, capsys):
-    # n = 300 would take the dense path under --method auto
-    rc = main(["spectrum", "--graph", graph_file, "--method", "iterative", "--alpha", "0.5"])
+    # one solver: there is no --method, and the report does not name one
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--graph", graph_file, "--method", "iterative"])
+    capsys.readouterr()
+    rc = main(["spectrum", "--graph", graph_file, "--alpha", "0.5"])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["method"] == "iterative" and rep["alpha"] == 0.5
+    assert "method" not in rep and rep["alpha"] == 0.5
     assert rep["admissible"] == (rep["ratio"] <= delta_of_alpha(0.5))
 
 
@@ -151,37 +163,6 @@ def test_sweep_and_compare_roundtrip(tmp_path, capsys):
     assert "theorem_1" in capsys.readouterr().out
 
 
-def test_compare_prediction_flags_go_together(tmp_path, capsys):
-    records = str(tmp_path / "records.jsonl")
-    for flags, missing in ((["--n", "200"], "--d, --epsilon"),
-                           (["--d", "8", "--epsilon", "0.6"], "--n"),
-                           (["--n", "200", "--epsilon", "0.6"], "--d")):
-        assert main(["compare", "--records", records, *flags]) == 1
-        captured = capsys.readouterr()
-        assert f"error: --n, --d and --epsilon go together; missing {missing}" in captured.err
-        assert captured.out == ""
-
-
-def test_compare_rejects_prediction_flags_it_would_ignore(tmp_path, capsys):
-    out = str(tmp_path / "records.jsonl")
-    sweep = ["sweep", "--family", "random_regular", "--n", "400", "--d", "8", "--graph-seed", "2",
-             "--epsilon", "0.6", "--regime", "sub", "--seed", "11", "--trials", "2", "--out", out]
-    assert main(sweep) == 0
-    capsys.readouterr()
-    for flags in (["--alpha", "0.01"], ["--k-max", "3"], ["--alpha", "0.01", "--k-max", "3"]):
-        assert main(["compare", "--records", out, *flags]) == 1
-        captured = capsys.readouterr()
-        assert ("error: --alpha and --k-max only rebuild the prediction, with --n, --d and "
-                "--epsilon") in captured.err
-        assert captured.out == ""
-    # with the prediction flags, an omitted --alpha is the config default
-    rebuild = ["compare", "--records", out, "--n", "400", "--d", "8", "--epsilon", "0.6"]
-    main(rebuild)
-    default_alpha = capsys.readouterr().out
-    main([*rebuild, "--alpha", str(CONFIG_DEFAULTS["alpha"])])
-    assert capsys.readouterr().out == default_alpha
-
-
 def test_sweep_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -191,23 +172,22 @@ def test_sweep_flag_overrides_config(tmp_path, capsys):
     out = str(tmp_path / "r.jsonl")
     rc = main([
         "sweep", "--config", str(cfg), "--seed", "11", "--trials", "2",
-        "--out", out, "--tol", "max_component_rate=0.5",
+        "--out", out,
     ])
     assert rc == 0
     recs = [json.loads(x) for x in open(out, encoding="utf-8").read().splitlines()]
     head = recs[0]["config"]
     assert head["trials"] == 2 and head["seed"] == 11
-    assert head["tolerances"] == {"max_component_rate": 0.5}
     capsys.readouterr()
 
 
-def test_sweep_exit_one_on_failed_row(tmp_path, capsys):
+def test_sweep_exit_one_on_failed_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(harness.TOLERANCES, "max_component_rate", 1.5)  # unreachable rate
     out = str(tmp_path / "f.jsonl")
     rc = main([
         "sweep", "--family", "random_regular", "--n", "400", "--d", "8",
         "--graph-seed", "2", "--epsilon", "0.6", "--regime", "sub",
         "--seed", "11", "--trials", "2", "--out", out,
-        "--tol", "max_component_rate=1.5",  # unreachable rate
     ])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
@@ -261,6 +241,16 @@ def test_sweep_config_file_rejects_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_takes_no_tolerance_override(tmp_path, capsys):
+    # the gates are fixed (a tol_ config key is unknown, see test_harness)
+    out = tmp_path / "loose.jsonl"
+    with pytest.raises(SystemExit):
+        main(["sweep", "--n", "400", "--d", "8", "--epsilon", "0.6", "--seed", "1",
+              "--trials", "2", "--out", str(out), "--tol", "L1_median=0.25"])
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _subparser(name):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices[name]
@@ -287,10 +277,8 @@ def test_command_defaults_are_the_config_field_defaults():
         "theory": {"alpha", "k_max"},
         "percolate": {"k_max"},
     }
-    # compare's --alpha and --k-max default to None, so that given alone they
-    # can be rejected; a rebuilt prediction then uses CONFIG_DEFAULTS
-    compare = {a.dest: a.default for a in _subparser("compare")._actions}
-    assert compare["alpha"] is None and compare["k_max"] is None
+    # compare judges a record by its own prediction: it takes no config key
+    assert {a.dest for a in _subparser("compare")._actions} == {"help", "records"}
 
 
 def _json_stream(text):
@@ -399,9 +387,10 @@ def test_verify_rejects_an_empty_checker_list(graph_file, capsys):
 
 
 def test_verify_unknown_checker(graph_file, capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--graph", graph_file, "--checker", "psychic", "--seed", "1"])
-    capsys.readouterr()
+    assert main(["verify", "--graph", graph_file, "--checker", "psychic", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown checker ids ['psychic']; known: ['stream', ")
+    assert captured.out == ""
 
 
 def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):

@@ -16,7 +16,6 @@ import percolab
 from percolab import harness, percolation
 from percolab.generators import GenSpec, generate
 from percolab.harness import (
-    DEFAULT_TOLERANCES,
     ExperimentConfig,
     compare,
     config_from_mapping,
@@ -64,12 +63,13 @@ def test_load_config_file(tmp_path):
     m = load_config_file(p)
     assert m["n"] == 600 and m["d"] == 8
     assert m["epsilon"] == 0.2 and m["spectrum"] is False
+    # the gates are fixed: a tolerance key is as unknown as a misspelling
+    with pytest.raises(ValueError, match="^unknown config keys: tol_L1_median$"):
+        config_from_mapping(m)
+    del m["tol_L1_median"]
     cfg = config_from_mapping(m)
     assert cfg.gen.n == 600 and cfg.trials == 2
     assert cfg.checkers == ("stream",)
-    assert cfg.tolerances == {"L1_median": 0.25}
-    assert cfg.tol("L1_median") == 0.25
-    assert cfg.tol("Zp_median") == DEFAULT_TOLERANCES["Zp_median"]
 
 
 def test_load_config_file_rejects_bare_tokens(tmp_path):
@@ -108,9 +108,10 @@ def test_config_from_mapping_rejects_unknown_keys():
     good = {"family": "random_regular", "n": 500, "d": 8, "epsilon": 0.2, "trials": 1, "seed": 0}
     with pytest.raises(ValueError, match="unknown config keys: alpah, trails"):
         config_from_mapping(dict(good, trails=3, alpah=0.05))
-    cfg = config_from_mapping(dict(good, tol_L1_median=0.2))
+    with pytest.raises(ValueError, match="^unknown config keys: tol_L1_median$"):
+        config_from_mapping(dict(good, tol_L1_median=0.2))
+    cfg = config_from_mapping(good)
     assert cfg.alpha == 0.1 and cfg.regime == "super"  # the field defaults
-    assert cfg.tolerances == {"L1_median": 0.2}
 
 
 def test_config_from_mapping_accepts_benchmark_workloads():
@@ -138,10 +139,6 @@ def test_config_validation_errors():
         _small_cfg(checkers=("telepathy",)).validate()
     with pytest.raises(ValueError, match="spectrum"):
         _small_cfg(checkers=("mixing",)).validate()
-    with pytest.raises(ValueError, match="tolerance"):
-        _small_cfg(tolerances={"L1_median": -1.0}).validate()
-    with pytest.raises(ValueError, match="unknown tolerance metric 'L1_mediun'"):
-        _small_cfg(tolerances={"L1_mediun": 0.2}).validate()
     for alpha in (-0.1, 0.0, 1.5):  # delta_of_alpha's domain is (0, 1]
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\], got"):
             _small_cfg(alpha=alpha).validate()
@@ -393,7 +390,8 @@ def test_sweep_output_path_invisible_in_records(tmp_path):
     assert open(out_a, "rb").read() == open(out_b, "rb").read()
     assert open(out_a + ".csv", "rb").read() == open(out_b + ".csv", "rb").read()
     head = json.loads(open(out_a, encoding="utf-8").readline())
-    assert "out" not in head["config"] and head["format"] == 3
+    assert "out" not in head["config"] and head["format"] == 4
+    assert "tolerances" not in head["config"]
 
 
 def test_sweep_resume_from_renamed_torn_file(tmp_path, monkeypatch):
@@ -430,10 +428,11 @@ def test_sweep_resume_names_the_record_format(tmp_path):
     run_sweep(_small_cfg(out=str(out)))
     head, rest = out.read_text(encoding="utf-8").split("\n", 1)
     old = json.loads(head)
-    old["format"] = 2  # a head written before the spectrum fields were rounded
+    old["format"] = 3  # a head written while a config could override the gates
+    old["config"]["tolerances"] = {}
     out.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n" + rest,
                    encoding="utf-8")
-    with pytest.raises(ValueError, match="records are format 2, this version writes format 3"):
+    with pytest.raises(ValueError, match="records are format 3, this version writes format 4"):
         run_sweep(_small_cfg(out=str(out)), resume=True)
 
 
@@ -563,18 +562,18 @@ def test_compare_error_cases(tmp_path):
         compare(str(cut))
 
 
-def test_forced_tolerance_failure_names_the_claim(tmp_path):
+def test_forced_tolerance_failure_names_the_claim(tmp_path, monkeypatch):
+    monkeypatch.setitem(harness.TOLERANCES, "L1_median", 1e-6)
     out = str(tmp_path / "fail.jsonl")
     cfg = ExperimentConfig(
         gen=GenSpec("random_regular", n=500, d=8, seed=21),
-        epsilon=0.2, alpha=0.1, regime="super", trials=3, master_seed=9,
-        out=out, tolerances={"L1_median": 1e-6},
+        epsilon=0.2, alpha=0.1, regime="super", trials=3, master_seed=9, out=out,
     )
     summary = run_sweep(cfg)
     assert summary["pass"] is False
     fail_rows = [r for r in summary["rows"] if not r["pass"]]
     assert any(r["metric"] == "L1_median" and r["claim"] == "theorem_2" for r in fail_rows)
-    # compare() reads tolerances back from the config record
+    # compare() judges the record at the same gates
     again = compare(out)
     assert again["pass"] is False
     assert again["rows"] == summary["rows"]

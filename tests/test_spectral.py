@@ -35,9 +35,10 @@ def k20():
 
 
 @pytest.mark.parametrize("name,l2,ln", CLOSED)
-def test_closed_form_spectra_dense(name, l2, ln, request):
+def test_closed_form_spectra_dense(name, l2, ln, request, dense_extremes):
     g = request.getfixturevalue(name)
-    rep = compute_spectrum(g, tol=1e-10, method="dense")
+    assert dense_extremes(g) == pytest.approx((l2, ln), abs=1e-8)  # the oracle itself
+    rep = compute_spectrum(g, tol=1e-10)
     assert rep.lambda1 == pytest.approx(g.d, abs=1e-8)
     assert rep.lambda2 == pytest.approx(l2, abs=1e-8)
     assert rep.lambdaN == pytest.approx(ln, abs=1e-8)
@@ -48,42 +49,35 @@ def test_closed_form_spectra_dense(name, l2, ln, request):
 @pytest.mark.parametrize("name,l2,ln", CLOSED + SHIFT_CASES)
 def test_closed_form_spectra_iterative(name, l2, ln, request):
     g = request.getfixturevalue(name)
-    rep = compute_spectrum(g, tol=1e-8, method="iterative")
+    rep = compute_spectrum(g, tol=1e-8)
     assert rep.lambda2 == pytest.approx(l2, abs=1e-7)
     assert rep.lambdaN == pytest.approx(ln, abs=1e-7)
     assert rep.residual2 <= 1e-8 and rep.residualN <= 1e-8
-    assert rep.method == "iterative"
 
 
-def test_dense_and_iterative_agree_random():
+def test_dense_and_iterative_agree_random(dense_extremes):
     g = generate(GenSpec("random_regular", n=600, d=8, seed=5))
-    dense = compute_spectrum(g, method="dense")
-    it = compute_spectrum(g, tol=1e-9, method="iterative")
-    assert it.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
-    assert it.lambdaN == pytest.approx(dense.lambdaN, abs=1e-7)
+    lam2, lamn = dense_extremes(g)
+    it = compute_spectrum(g, tol=1e-9)
+    assert it.lambda2 == pytest.approx(lam2, abs=1e-7)
+    assert it.lambdaN == pytest.approx(lamn, abs=1e-7)
 
 
 @pytest.mark.parametrize("name", ["k4", "c6", "petersen", "q4", "cliques60",
                                   "rr2000_12", "rr1200_7"])
-def test_dense_and_iterative_records_are_identical(name, request):
-    # criterion 12's two random graphs
+def test_dense_and_iterative_records_are_identical(name, request, dense_extremes):
+    # criterion 12's two random graphs: the record certifies the same
+    # numbers whether its eigenvalues come from eigsh or from the dense oracle
     specs = {"rr2000_12": GenSpec("random_regular", n=2000, d=12, seed=31),
              "rr1200_7": GenSpec("random_regular", n=1200, d=7, seed=8)}
     g = generate(specs[name]) if name in specs else request.getfixturevalue(name)
-    dense = compute_spectrum(g, method="dense").to_dict()
-    it = compute_spectrum(g, method="iterative").to_dict()
-    assert (dense.pop("method"), it.pop("method")) == ("dense", "iterative")
-    assert dense == it
-
-
-def test_auto_method_switch(q4):
-    assert compute_spectrum(q4).method == "dense"
-    g = generate(GenSpec("random_regular", n=2100, d=6, seed=2))
-    assert compute_spectrum(g).method == "iterative"
+    it = compute_spectrum(g)
+    lam2, lamn = dense_extremes(g)
+    assert replace(it, lambda2=lam2, lambdaN=lamn).to_dict() == it.to_dict()
 
 
 def test_disconnected_graph_flagged(cliques60):
-    rep = compute_spectrum(cliques60, method="dense")
+    rep = compute_spectrum(cliques60)
     # a disjoint clique union has lambda2 == d
     assert rep.lambda2 == pytest.approx(cliques60.d, abs=1e-8)
     assert not rep.connected
@@ -118,7 +112,7 @@ def test_spectrum_report_dict(q4):
     rec = rep.to_dict()
     assert set(rec) == {
         "lambda1", "lambda2", "lambdaN", "lam", "ratio",
-        "residual2", "residualN", "method", "connected",
+        "residual2", "residualN", "connected",
     }
     # moved outward by tol, then rounded outward to the 1e-6 grid
     assert (rec["lambda1"], rec["lambda2"], rec["lambdaN"]) == (4.0, 2.000001, -4.000001)
@@ -132,7 +126,5 @@ def test_spectrum_report_dict(q4):
 def test_tol_validation(q4):
     with pytest.raises(ValueError):
         compute_spectrum(q4, tol=0.0)
-    with pytest.raises(ValueError):
-        compute_spectrum(q4, method="magic")
-    with pytest.raises(ValueError, match="iterative solver needs n >= 3, got n=2"):
-        compute_spectrum(generate(GenSpec("clique_union", n=2, d=1)), method="iterative")
+    with pytest.raises(ValueError, match="the spectrum needs n >= 3, got n=2"):
+        compute_spectrum(generate(GenSpec("clique_union", n=2, d=1)))

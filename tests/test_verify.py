@@ -23,7 +23,7 @@ from percolab.verify import (
 def _fake_spectrum(d, lam):
     return SpectrumReport(
         lambda1=float(d), lambda2=lam, lambdaN=-lam, residual2=0.0, residualN=0.0,
-        tol=1e-12, iterations=0, method="dense", connected=True,
+        tol=1e-12, iterations=0, connected=True,
     )
 
 
@@ -43,7 +43,7 @@ def test_violation_report_caps_witnesses():
 # ----------------------------------------------------------------------
 def test_mixing_on_complete_graph():
     g = generate(GenSpec("clique_union", n=20, d=19))
-    rep = compute_spectrum(g, method="dense")
+    rep = compute_spectrum(g)
     out = check_mixing(g, rep, pairs=200, seed=5)
     assert out.passed and out.instances_checked == 200
     assert not out.violations
@@ -65,7 +65,7 @@ def test_checkers_reject_counts_below_one(rr_small):
 
 
 def test_mixing_is_seed_reproducible(rr_small):
-    rep = compute_spectrum(rr_small, method="dense")
+    rep = compute_spectrum(rr_small)
     a = check_mixing(rr_small, rep, pairs=50, seed=9)
     b = check_mixing(rr_small, rep, pairs=50, seed=9)
     assert a.to_dict() == b.to_dict()
@@ -81,7 +81,7 @@ def test_mixing_detects_understated_lambda(rr_small):
 # degree outliers
 # ----------------------------------------------------------------------
 def test_degree_outliers_full_reference_set(rr_small):
-    rep = compute_spectrum(rr_small, method="dense")
+    rep = compute_spectrum(rr_small)
     every = VertexSet.from_indices(rr_small.n, np.arange(rr_small.n))
     out = check_corollary_2_3(rr_small, rep, every, alpha=0.2)
     assert out.passed
@@ -89,14 +89,14 @@ def test_degree_outliers_full_reference_set(rr_small):
 
 
 def test_degree_outliers_half_set(rr_small):
-    rep = compute_spectrum(rr_small, method="dense")
+    rep = compute_spectrum(rr_small)
     B = VertexSet.from_indices(rr_small.n, np.arange(rr_small.n // 2))
     out = check_corollary_2_3(rr_small, rep, B, alpha=0.9)
     assert out.passed
 
 
 def test_degree_outliers_preconditions(rr_small):
-    rep = compute_spectrum(rr_small, method="dense")
+    rep = compute_spectrum(rr_small)
     small = VertexSet.from_indices(rr_small.n, [0, 1, 2])
     with pytest.raises(ValueError, match="half"):
         check_corollary_2_3(rr_small, rep, small, alpha=0.2)
@@ -135,7 +135,7 @@ def test_subset_expansion_inside_window(rr2000):
 
 
 def test_subset_expansion_records_spectral_context(rr2000):
-    rep = compute_spectrum(rr2000, method="dense")
+    rep = compute_spectrum(rr2000)
     sample = sample_vertices(rr2000.n, 0.12, 3)
     out = check_lemma_2_4(rr2000, sample, alpha=0.3, subsets=10, seed=14, report=rep)
     assert "spectral_ratio" in out.meta
