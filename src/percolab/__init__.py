@@ -7,11 +7,8 @@ measurements against closed-form predictions.
 
 from .census import (
     ComponentCensus,
-    count_acyclic_connected_ksets,
-    count_trees_bruteforce,
     longest_cycle_lower_bound,
     take_census,
-    validate_cycle,
 )
 from .generators import GenSpec, GenSpecError, GenerationError, generate
 from .graph_core import (
@@ -31,26 +28,16 @@ from .percolation import (
     PercolationSample,
     components_oracle,
     run_dfs,
-    sample_vertices,
 )
-from .spectral import SpectralConvergenceError, SpectrumReport, certify, compute_spectrum, delta_of_alpha
-from .theory import (
-    TheoryPrediction,
-    predict,
-    series_tree_edge_mass,
-    series_tree_mass,
-    solve_x,
-    solve_y,
-)
+from .spectral import SpectralConvergenceError, SpectrumReport, compute_spectrum, delta_of_alpha
+from .theory import TheoryPrediction, predict, solve_x, solve_y
 from .verify import (
     ViolationReport,
-    check_blowup_pairs,
     check_corollary_2_3,
     check_giant_expansion,
     check_lemma_2_4,
     check_mixing,
     check_stream_properties,
-    clique_expansion_demo,
 )
 
 __version__ = "0.1.0"
@@ -72,19 +59,14 @@ __all__ = [
     "TheoryPrediction",
     "VertexSet",
     "ViolationReport",
-    "certify",
-    "check_blowup_pairs",
     "check_corollary_2_3",
     "check_giant_expansion",
     "check_lemma_2_4",
     "check_mixing",
     "check_stream_properties",
-    "clique_expansion_demo",
     "compare",
     "components_oracle",
     "compute_spectrum",
-    "count_acyclic_connected_ksets",
-    "count_trees_bruteforce",
     "delta_of_alpha",
     "edge_count_between",
     "external_neighborhood",
@@ -94,12 +76,8 @@ __all__ = [
     "read_graph",
     "run_dfs",
     "run_sweep",
-    "sample_vertices",
-    "series_tree_edge_mass",
-    "series_tree_mass",
     "solve_x",
     "solve_y",
     "take_census",
-    "validate_cycle",
     "write_graph",
 ]

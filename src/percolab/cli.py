@@ -94,7 +94,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = read_graph(args.graph)
-    report = compute_spectrum(g, tol=args.tol)
+    report = compute_spectrum(g, tol=args.spectrum_tol)
     obj = report.to_dict()
     if args.alpha is not None:
         obj["alpha"] = args.alpha
@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="extreme adjacency eigenvalues of a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    _config_flags(p, "alpha", alpha={"help": "also report the spectral admissibility verdict"})
+    _config_flags(p, "spectrum_tol alpha", defaults=True, alpha={
+        "default": None, "help": "also report the spectral admissibility verdict"})
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("percolate", help="one seeded exploration + component census")

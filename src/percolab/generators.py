@@ -2,8 +2,8 @@
 
 Families: uniform-ish random d-regular graphs via the stub-pairing
 (configuration) model, hypercubes, blow-ups of a base graph, and the
-disjoint-clique-union negative control.  Plus two small deterministic
-graphs (cycle, Petersen) used as closed-form references in tests.
+disjoint-clique-union negative control.  Plus the cycle, a small
+deterministic graph.
 
 Pairing model: vertices contribute d stubs each; stubs are shuffled and
 paired.  Self-loops and repeated edges are resolved by re-shuffling the
@@ -39,10 +39,8 @@ __all__ = [
     "GenSpec",
     "GenSpecError",
     "GenerationError",
-    "blowup_pair_index",
     "cycle_graph",
     "generate",
-    "petersen_graph",
 ]
 
 log = logging.getLogger("percolab.generators")
@@ -235,20 +233,11 @@ def _blowup(base: RegularGraph, s: int) -> RegularGraph:
     rows = np.repeat(np.arange(n, dtype=np.int64), d)
     cols = nbrs.ravel()
     keep = cols > rows
-    return RegularGraph.from_edges(n, d, rows[keep], cols[keep], blowup_factor=s)
-
-
-def blowup_pair_index(g: RegularGraph, v: int) -> int:
-    """Base vertex whose independent block contains ``v``."""
-    if g.blowup_factor is None:
-        raise ValueError("blowup_pair_index requires a blow-up graph")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex id {v} out of range for n={g.n}")
-    return v // g.blowup_factor
+    return RegularGraph.from_edges(n, d, rows[keep], cols[keep])
 
 
 # ----------------------------------------------------------------------
-# small closed-form references
+# small closed-form reference
 # ----------------------------------------------------------------------
 def cycle_graph(n: int) -> RegularGraph:
     if n < 3:
@@ -260,13 +249,3 @@ def cycle_graph(n: int) -> RegularGraph:
         np.concatenate([verts[:-1], [0]]),
         np.concatenate([verts[1:], [n - 1]]),
     )
-
-
-def petersen_graph() -> RegularGraph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    edges = outer + inner + spokes
-    u = np.array([min(e) for e in edges], dtype=np.int64)
-    v = np.array([max(e) for e in edges], dtype=np.int64)
-    return RegularGraph.from_edges(10, 3, u, v)

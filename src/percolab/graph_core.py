@@ -5,7 +5,9 @@ neighbor ids in which row v is ``neighbors[v*d:(v+1)*d]``, sorted
 ascending: regularity makes the row offsets implicit.  Sorted rows give
 a canonical serialization.
 
-Vertex ids are dense 0-based integers.
+Vertex ids are dense 0-based integers.  A graph carries no record of
+how it was built: a blow-up's blocks are read off its rows (the
+pairing-bound check in tests/oracles.py does so).
 
 Set queries take ids in and give masks out: a set is an array of
 distinct vertex ids, as the checkers in :mod:`percolab.verify` draw
@@ -21,7 +23,7 @@ twice.  This is the convention under which the mixing-bound checkers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,27 +62,17 @@ class RegularGraph:
     neighbors : np.ndarray
         int32 flat array of length n*d; row i is ``neighbors[i*d:(i+1)*d]``,
         sorted ascending.
-    blowup_factor : int or None
-        Set by the blow-up generator; None for every other origin.
     """
 
     n: int
     d: int
     neighbors: np.ndarray
-    blowup_factor: int | None = field(default=None)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        d: int,
-        u: np.ndarray,
-        v: np.ndarray,
-        blowup_factor: int | None = None,
-    ) -> "RegularGraph":
+    def from_edges(cls, n: int, d: int, u: np.ndarray, v: np.ndarray) -> "RegularGraph":
         """Build and validate from an undirected edge list (each edge once)."""
         if n <= 0:
             raise RegularityError("vertex count must be positive")
@@ -123,12 +115,7 @@ class RegularGraph:
         if d > 1 and np.any(np.diff(rows, axis=1) <= 0):
             bad = int(np.argmax(np.any(np.diff(rows, axis=1) <= 0, axis=1)))
             raise RegularityError(f"repeated neighbor at vertex {bad}")
-        return cls(
-            n=n,
-            d=d,
-            neighbors=nbrs.astype(np.int32),
-            blowup_factor=blowup_factor,
-        )
+        return cls(n=n, d=d, neighbors=nbrs.astype(np.int32))
 
     # ------------------------------------------------------------------
     # queries
@@ -137,10 +124,6 @@ class RegularGraph:
     def nbrs2d(self) -> np.ndarray:
         """Adjacency viewed as an (n, d) array; row i = sorted neighbors of i."""
         return self.neighbors.reshape(self.n, self.d)
-
-    def neighbors_of(self, v: int) -> np.ndarray:
-        lo = int(v) * self.d
-        return self.neighbors[lo : lo + self.d]
 
     def has_edge(self, u, v):
         """Whether uv is an edge, elementwise over broadcastable id arrays.

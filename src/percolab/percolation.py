@@ -13,8 +13,10 @@ induced subgraph on the accepted set.  Each epoch opens at its
 component's smallest member, so epoch ids ascend with it.
 
 components_oracle labels the same components with scipy, independently
-of the exploration; it is the tests' oracle, and no production path
-calls it.
+of the exploration, numbering them by smallest member as the epochs are;
+it is the tests' oracle, and no production path calls it.  The tests'
+other references (a set-based re-run of the exploration, a direct
+Bernoulli vertex sample) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,16 +29,14 @@ from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .graph_core import RegularGraph
-from .rng import TAG_COINS, TAG_SAMPLE, make_generator
+from .rng import TAG_COINS, make_generator
 
 __all__ = [
     "CoinStream",
     "DfsTrace",
     "PercolationSample",
-    "canonicalize_labels",
     "components_oracle",
     "run_dfs",
-    "sample_vertices",
 ]
 
 
@@ -53,14 +53,6 @@ class PercolationSample:
     def from_membership(cls, p: float, seed: int, mask: np.ndarray) -> "PercolationSample":
         mask = np.ascontiguousarray(mask, dtype=bool)
         return cls(p=p, seed=seed, membership=mask, retained_count=int(mask.sum()))
-
-
-def sample_vertices(n: int, p: float, seed: int) -> PercolationSample:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"retention probability must be in [0,1], got {p}")
-    rng = make_generator(seed, TAG_SAMPLE)
-    mask = rng.random(n) < p
-    return PercolationSample.from_membership(p, seed, mask)
 
 
 class CoinStream:
@@ -183,72 +175,6 @@ def _explore(nbrs, d, coins, state):
     return int(used), comp, depth, starts[:ne].astype(np.int64), int(na)
 
 
-def run_dfs_reference(g: RegularGraph, stream: CoinStream) -> DfsTrace:
-    """Set-based reimplementation of run_dfs for cross-checking kernels.
-
-    Also asserts the frontier invariant at every epoch boundary: all
-    neighbors of completed vertices have been seen (stack or rejected),
-    i.e. completed and unvisited vertices never touch.
-    """
-    rows = g.nbrs2d
-    n = g.n
-    unvisited = set(range(n))
-    on_stack: list[int] = []
-    done: set[int] = set()
-    comp = np.full(n, -1, dtype=np.int32)
-    depth = np.full(n, -1, dtype=np.int32)
-    accepted = 0
-    epoch_starts: list[int] = []
-    coin_i = 0
-    cursor = 0
-
-    def assert_frontier():
-        for u in done:
-            for w in rows[u]:
-                assert int(w) not in unvisited, "completed vertex touching unvisited"
-
-    while on_stack or unvisited:
-        if on_stack:
-            v = on_stack[-1]
-            hit = None
-            for w in rows[v]:
-                if int(w) in unvisited:
-                    hit = int(w)
-                    break
-            if hit is None:
-                on_stack.pop()
-                done.add(v)
-                continue
-            unvisited.discard(hit)
-            heads = bool(stream.flips[coin_i])
-            coin_i += 1
-            if heads:
-                comp[hit] = len(epoch_starts) - 1
-                accepted += 1
-                on_stack.append(hit)
-                depth[hit] = len(on_stack) - 1
-        else:
-            assert_frontier()
-            while cursor < n and cursor not in unvisited:
-                cursor += 1
-            if cursor == n:
-                break
-            r = cursor
-            unvisited.discard(r)
-            heads = bool(stream.flips[coin_i])
-            if heads:
-                epoch_starts.append(coin_i)
-                comp[r] = len(epoch_starts) - 1
-                accepted += 1
-                on_stack.append(r)
-                depth[r] = len(on_stack) - 1
-            coin_i += 1
-    assert coin_i == n
-    stream.consumed = coin_i
-    return DfsTrace(epoch_starts=np.array(epoch_starts, dtype=np.int64), component_of=comp,
-                    depth=depth, accepted_count=accepted)
-
-
 def _induced_csr(g: RegularGraph, mask: np.ndarray):
     """(kept, adj): kept = flatnonzero(mask), and adj the CSR adjacency of
     the subgraph induced on it in local ids, row i for vertex kept[i],
@@ -273,20 +199,3 @@ def components_oracle(g: RegularGraph, sample: PercolationSample) -> np.ndarray:
     kept, adj = _induced_csr(g, sample.membership)
     _, labels[kept] = connected_components(adj, directed=False)
     return labels
-
-
-def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
-    """Replace each component id by the smallest vertex in the component,
-    so partitions from different labelings compare with array equality."""
-    labels = np.asarray(labels)
-    out = np.full(labels.size, -1, dtype=np.int64)
-    mask = labels >= 0
-    if not mask.any():
-        return out
-    verts = np.flatnonzero(mask)
-    ids = labels[mask]
-    k = int(ids.max()) + 1
-    rep = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(rep, ids, verts)
-    out[mask] = rep[ids]
-    return out

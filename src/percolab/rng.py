@@ -18,14 +18,12 @@ __all__ = [
     "TAG_GRAPH",
     "TAG_GROWTH",
     "TAG_PAIRS",
-    "TAG_SAMPLE",
     "TAG_SUBSETS",
     "derive_key",
     "make_generator",
     "trial_seed",
 ]
 
-TAG_SAMPLE = "vertex_sample"
 TAG_COINS = "coin_stream"
 TAG_GRAPH = "graph_gen"
 TAG_PAIRS = "pair_sample"

@@ -28,7 +28,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 __all__ = [
     "SpectralConvergenceError",
     "SpectrumReport",
-    "certify",
     "compute_spectrum",
     "delta_of_alpha",
 ]
@@ -151,9 +150,3 @@ def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
         iterations=matvecs,
         connected=abs(lam2 - d) >= tol * max(1.0, d),
     )
-
-
-def certify(g, alpha: float, tol: float = 1e-8):
-    """admissible = (lambda_eff/d <= delta(alpha)); the report rides along."""
-    report = compute_spectrum(g, tol=tol)
-    return report.ratio <= delta_of_alpha(alpha), report

@@ -32,8 +32,6 @@ __all__ = [
     "admissibility_flags",
     "giant_expansion_window",
     "predict",
-    "series_tree_edge_mass",
-    "series_tree_mass",
     "solve_sigma",
     "solve_x",
     "solve_y",
@@ -157,49 +155,11 @@ def finite_d_tree_prediction(n: int, d: int, p: float, k: int) -> float:
     return math.exp(log_t)
 
 
-def _log_term_tree_mass(k: int, epsilon: float) -> float:
-    # k^{k-1}/k! * (1+eps)^{k-1} * e^{-(1+eps)k}
-    le = math.log1p(epsilon)
-    return (k - 1) * math.log(k) - math.lgamma(k + 1) \
-        + (k - 1) * le - (1.0 + epsilon) * k
-
-
 def _log_term_edge_mass(k: int, epsilon: float) -> float:
-    # log of the Borel weight k^{k-2}/k! * ((1+eps) e^{-(1+eps)})^k: the edge
-    # mass series sums (k-1) times the weight, the tree counts n/d times it
+    # log of the Borel weight k^{k-2}/k! * ((1+eps) e^{-(1+eps)})^k: the tree
+    # counts are n/d times it (the tests' edge-mass series sums (k-1) times it)
     le = math.log1p(epsilon)
     return (k - 2) * math.log(k) - math.lgamma(k + 1) + k * (le - (1.0 + epsilon))
-
-
-def _sum_series(epsilon: float, tol: float, log_term, prefactor) -> float:
-    """Log-domain summation; successive term ratios are eventually below
-    1 - eps^2/3, so stopping once a term drops under tol*eps^2/3 keeps
-    the discarded tail below tol."""
-    _check_eps(epsilon)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    cutoff = tol * epsilon * epsilon / 3.0
-    total = 0.0
-    k = 1
-    while True:
-        pre = prefactor(k)
-        term = pre * math.exp(log_term(k, epsilon)) if pre else 0.0
-        total += term
-        if k > 2 and term < cutoff:
-            return total
-        if k > 10_000_000:
-            raise RuntimeError("series failed to converge")
-        k += 1
-
-
-def series_tree_mass(epsilon: float, tol: float = 1e-12) -> float:
-    """sum_k k^{k-1}/k! (1+eps)^{k-1} e^{-(1+eps)k}; equals y/(1+eps)."""
-    return _sum_series(epsilon, tol, _log_term_tree_mass, lambda k: 1.0)
-
-
-def series_tree_edge_mass(epsilon: float, tol: float = 1e-12) -> float:
-    """sum_k (k-1) k^{k-2}/k! ((1+eps)e^{-(1+eps)})^k; equals y^2/2."""
-    return _sum_series(epsilon, tol, _log_term_edge_mass, lambda k: float(k - 1))
 
 
 def tree_component_prediction(n: int, d: int, epsilon: float, k: int) -> float:

@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from percolab.generators import GenSpec, cycle_graph, generate, petersen_graph
+from oracles import petersen_graph
+from percolab.generators import GenSpec, cycle_graph, generate
 
 
 @pytest.fixture(scope="session")

@@ -102,7 +102,7 @@ def test_spectrum_command(graph_file, capsys):
     assert isinstance(rep["admissible"], bool)
 
 
-def test_spectrum_alpha_honours_method(graph_file, capsys):
+def test_spectrum_alpha_verdict_names_no_method(graph_file, capsys):
     # one solver: there is no --method, and the report does not name one
     with pytest.raises(SystemExit):
         main(["spectrum", "--graph", graph_file, "--method", "iterative"])
@@ -112,6 +112,18 @@ def test_spectrum_alpha_honours_method(graph_file, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert "method" not in rep and rep["alpha"] == 0.5
     assert rep["admissible"] == (rep["ratio"] <= delta_of_alpha(0.5))
+
+
+def test_spectrum_tol_is_the_config_key(graph_file, capsys):
+    # the residual bound is the spectrum_tol config key, as in sweep and verify
+    assert main(["spectrum", "--graph", graph_file]) == 0
+    assert json.loads(capsys.readouterr().out)["residual2"] == pytest.approx(1e-9)
+    assert main(["spectrum", "--graph", graph_file, "--spectrum-tol", "0.5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["residual2"] == rep["residualN"] == pytest.approx(0.05)  # one tol/10 step
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--graph", graph_file, "--tol", "0.5"])
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_percolate_command(graph_file, capsys):

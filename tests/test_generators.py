@@ -4,14 +4,13 @@ import logging
 import numpy as np
 import pytest
 
+from oracles import petersen_graph
 from percolab.generators import (
     GenSpec,
     GenSpecError,
     _first_occurrence,
-    blowup_pair_index,
     cycle_graph,
     generate,
-    petersen_graph,
 )
 
 
@@ -28,7 +27,7 @@ def test_random_regular_dense_degree():
     g = generate(GenSpec("random_regular", n=100, d=20, seed=3))
     assert g.n == 100 and g.d == 20
     for v in (0, 17, 99):
-        row = g.neighbors_of(v)
+        row = g.nbrs2d[v]
         assert np.all(np.diff(row) > 0) and v not in row
 
 
@@ -59,7 +58,7 @@ def test_hypercube_edges_are_bit_flips(q4):
     assert q4.n == 16 and q4.d == 4
     for v in range(16):
         expected = sorted(v ^ (1 << b) for b in range(4))
-        assert q4.neighbors_of(v).tolist() == expected
+        assert q4.nbrs2d[v].tolist() == expected
 
 
 def test_clique_union_blocks(cliques60):
@@ -74,21 +73,16 @@ def test_clique_union_blocks(cliques60):
 def test_blowup_structure():
     spec = GenSpec("blowup", blowup_factor=3, base=GenSpec("hypercube", n=8, d=3))
     g = generate(spec)
-    assert g.n == 24 and g.d == 9 and g.blowup_factor == 3
+    assert g.n == 24 and g.d == 9
     base = generate(GenSpec("hypercube", n=8, d=3))
     for v in range(g.n):
-        for w in g.neighbors_of(v):
-            bu, bw = blowup_pair_index(g, v), blowup_pair_index(g, int(w))
-            assert base.has_edge(bu, bw)
+        for w in g.nbrs2d[v]:
+            # vertex v sits in the block of base vertex v // 3
+            assert base.has_edge(v // 3, int(w) // 3)
         # blocks are independent sets
         blk = v // 3 * 3
         for w in range(blk, blk + 3):
             assert not g.has_edge(v, w)
-
-
-def test_blowup_pair_index_requires_blowup(q4):
-    with pytest.raises(ValueError, match="blow-up"):
-        blowup_pair_index(q4, 0)
 
 
 def test_blowup_size_fields_checked():

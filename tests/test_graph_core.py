@@ -22,11 +22,11 @@ def _k4_edges():
 def test_from_edges_builds_sorted_rows(k4):
     assert k4.n == 4 and k4.d == 3
     for i in range(4):
-        row = k4.neighbors_of(i)
+        row = k4.nbrs2d[i]
         assert list(row) == sorted(set(range(4)) - {i})
     # rows are the implicit d-wide slices of the flat array
-    assert [k4.neighbors_of(i).tolist() for i in range(4)] == k4.nbrs2d.tolist()
-    assert k4.neighbors_of(np.int32(3)).tolist() == [0, 1, 2]
+    assert [k4.neighbors[3 * i:3 * i + 3].tolist() for i in range(4)] == k4.nbrs2d.tolist()
+    assert k4.nbrs2d[np.int32(3)].tolist() == [0, 1, 2]
 
 
 def test_has_edge_and_edge_list(c6):
@@ -167,7 +167,7 @@ def test_write_read_roundtrip(tmp_path, q4, petersen):
         write_graph(g, p)
         h = read_graph(p)
         assert g.structurally_equal(h)
-        assert all(h.neighbors_of(v).tolist() == g.neighbors_of(v).tolist() for v in range(g.n))
+        assert np.array_equal(h.nbrs2d, g.nbrs2d)
 
 
 def test_read_rejects_bad_header(tmp_path):

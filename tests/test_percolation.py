@@ -3,17 +3,15 @@ import pytest
 from scipy.sparse.csgraph import breadth_first_order
 
 from percolab.generators import GenSpec, generate
+from oracles import TAG_SAMPLE, run_dfs_reference, sample_vertices
 from percolab.percolation import (
     CoinStream,
     PercolationSample,
-    canonicalize_labels,
     _induced_csr,
     components_oracle,
     run_dfs,
-    run_dfs_reference,
-    sample_vertices,
 )
-from percolab.rng import make_generator, TAG_SAMPLE
+from percolab.rng import make_generator
 
 
 def test_sample_vertices_bounds_and_determinism():
@@ -108,13 +106,11 @@ def test_epochs_are_components(rr_small):
         stream = CoinStream(g.n, 0.4, seed)
         flips = stream.flips.copy()
         tr = run_dfs(g, stream)
-        # accepted set is exactly the heads pattern in visit order; compare
-        # partitions against the scipy oracle on the same vertex set
+        # accepted set is exactly the heads pattern in visit order; both
+        # number components by smallest member, so the labels agree id for id
         sample = PercolationSample.from_membership(0.4, seed, tr.accepted_mask())
         labels = components_oracle(g, sample)
-        assert np.array_equal(
-            canonicalize_labels(tr.component_of), canonicalize_labels(labels)
-        )
+        assert np.array_equal(tr.component_of, labels)
         assert tr.num_epochs == (labels.max() + 1 if sample.retained_count else 0)
         assert tr.accepted_count == int(flips.sum())
 
@@ -151,8 +147,3 @@ def test_induced_csr_bfs_skips_excluded_vertex(c6):
     order = breadth_first_order(adj, 0, return_predecessors=False)
     assert kept[order].tolist() == [0, 1, 5, 2, 4]
 
-
-def test_canonicalize_labels():
-    raw = np.array([2, 2, -1, 0, 0, 1])
-    assert canonicalize_labels(raw).tolist() == [0, 0, -1, 3, 3, 5]
-    assert canonicalize_labels(np.array([-1, -1])).tolist() == [-1, -1]

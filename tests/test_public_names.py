@@ -1,0 +1,28 @@
+"""The library holds only what a sweep, the CLI or the benchmark runs;
+reference implementations the tests compare against live in oracles.py."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "percolab"
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+    # __init__.py only re-exports, so its imports are no use
+    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    referenced = set()
+    for path in callers + sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in referenced)
+    assert not unused, unused

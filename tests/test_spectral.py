@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from percolab.generators import GenSpec, cycle_graph, generate
-from percolab.spectral import certify, compute_spectrum, delta_of_alpha
+from percolab.spectral import compute_spectrum, delta_of_alpha
 
 # closed-form (lambda2, lambdaN) pairs
 CLOSED = [
@@ -35,7 +35,7 @@ def k20():
 
 
 @pytest.mark.parametrize("name,l2,ln", CLOSED)
-def test_closed_form_spectra_dense(name, l2, ln, request, dense_extremes):
+def test_closed_form_spectra_with_oracle(name, l2, ln, request, dense_extremes):
     g = request.getfixturevalue(name)
     assert dense_extremes(g) == pytest.approx((l2, ln), abs=1e-8)  # the oracle itself
     rep = compute_spectrum(g, tol=1e-10)
@@ -47,7 +47,7 @@ def test_closed_form_spectra_dense(name, l2, ln, request, dense_extremes):
 
 
 @pytest.mark.parametrize("name,l2,ln", CLOSED + SHIFT_CASES)
-def test_closed_form_spectra_iterative(name, l2, ln, request):
+def test_closed_form_spectra_residuals(name, l2, ln, request):
     g = request.getfixturevalue(name)
     rep = compute_spectrum(g, tol=1e-8)
     assert rep.lambda2 == pytest.approx(l2, abs=1e-7)
@@ -55,7 +55,7 @@ def test_closed_form_spectra_iterative(name, l2, ln, request):
     assert rep.residual2 <= 1e-8 and rep.residualN <= 1e-8
 
 
-def test_dense_and_iterative_agree_random(dense_extremes):
+def test_eigsh_agrees_with_dense_oracle_random(dense_extremes):
     g = generate(GenSpec("random_regular", n=600, d=8, seed=5))
     lam2, lamn = dense_extremes(g)
     it = compute_spectrum(g, tol=1e-9)
@@ -65,7 +65,7 @@ def test_dense_and_iterative_agree_random(dense_extremes):
 
 @pytest.mark.parametrize("name", ["k4", "c6", "petersen", "q4", "cliques60",
                                   "rr2000_12", "rr1200_7"])
-def test_dense_and_iterative_records_are_identical(name, request, dense_extremes):
+def test_oracle_eigenvalues_certify_the_same_record(name, request, dense_extremes):
     # criterion 12's two random graphs: the record certifies the same
     # numbers whether its eigenvalues come from eigsh or from the dense oracle
     specs = {"rr2000_12": GenSpec("random_regular", n=2000, d=12, seed=31),
@@ -99,12 +99,11 @@ def test_delta_of_alpha():
 
 def test_certify_single_clique():
     g = generate(GenSpec("clique_union", n=20, d=19))
-    ok, rep = certify(g, alpha=0.5)
+    rep = compute_spectrum(g)
     # complete graph: lam = 1, ratio = 1/19 <= delta(0.5) = 0.0625
     assert rep.lam == pytest.approx(1.0, abs=1e-8)
-    assert ok
-    ok_tight, _ = certify(g, alpha=0.2)
-    assert not ok_tight  # delta(0.2) = 0.2^10 is far below 1/19
+    assert rep.ratio <= delta_of_alpha(0.5)
+    assert rep.ratio > delta_of_alpha(0.2)  # delta(0.2) = 0.2^10 is far below 1/19
 
 
 def test_spectrum_report_dict(q4):

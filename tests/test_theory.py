@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import series_tree_edge_mass, series_tree_mass
 from percolab.theory import (
     admissibility_flags,
     finite_d_tree_prediction,
     predict,
-    series_tree_edge_mass,
-    series_tree_mass,
     solve_sigma,
     solve_x,
     solve_y,
