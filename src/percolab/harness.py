@@ -34,7 +34,7 @@ from .generators import GenSpec, cycle_graph, generate
 from .graph_core import RegularGraph, VertexSet
 from .percolation import CoinStream, PercolationSample, run_dfs
 from .rng import TAG_SUBSETS, make_generator, trial_seed
-from .spectral import SpectrumReport, compute_spectrum, delta_of_alpha
+from .spectral import SpectrumReport, compute_spectrum, delta_of_alpha, require_positive
 from .theory import TheoryPrediction, giant_expansion_window, predict
 from .verify import (
     check_corollary_2_3,
@@ -127,8 +127,8 @@ class ExperimentConfig:
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         delta_of_alpha(self.alpha)  # rejects an alpha outside (0, 1], naming it
-        if self.spectrum_tol <= 0.0:
-            raise ValueError(f"spectrum_tol must be positive, got {self.spectrum_tol}")
+        for name in ("spectrum_tol", "beta_test"):
+            require_positive(name, getattr(self, name))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"regime/epsilon give retention probability {self.p}, not in [0,1]")
         if self.trials < 1:
@@ -140,8 +140,6 @@ class ExperimentConfig:
         for name in ("pairs", "subsets", "samples"):  # a checker of no instances proves nothing
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.beta_test <= 0:
-            raise ValueError(f"beta_test must be positive, got {self.beta_test}")
         for c in self.checkers:
             if c not in CHECKER_IDS:
                 raise ValueError(f"unknown checker id {c!r}; known: {CHECKER_IDS}")
@@ -571,20 +569,30 @@ def _warm_kernels() -> None:
 
 
 def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
-    """Execute all trials, persist JSON-lines + CSV, return the summary."""
+    """Execute all trials, persist JSON-lines + CSV, return the summary.
+
+    The prediction and the config record take n and d from ``cfg.size``.
+    The ``graph_seed`` graph is built only where something reads it: the
+    trials of a fixed-graph sweep, or the record's spectrum.  A
+    regenerating sweep without the spectrum builds no set-up graph, and
+    with the spectrum it drops that graph before the trials.
+    """
     cfg.validate()
     if cfg.out is None:
         raise ValueError("config needs an output path: missing config key out")
     t_start = time.perf_counter()
-    graph = generate(cfg.gen)
+    n, d = cfg.size
+    graph = generate(cfg.gen) if cfg.spectrum or not cfg.regen_graph else None
     spect = compute_spectrum(graph, tol=cfg.spectrum_tol) if cfg.spectrum else None
-    pred = predict(graph.n, graph.d, cfg.epsilon, cfg.alpha, cfg.k_max)
+    if cfg.regen_graph:  # each trial generates its own graph and never reads this one
+        graph = None
+    pred = predict(n, d, cfg.epsilon, cfg.alpha, cfg.k_max)
 
     config_obj = {
         "kind": "config",
         "config": cfg.to_dict(),
-        "n": graph.n,
-        "d": graph.d,
+        "n": n,
+        "d": d,
         "p": cfg.p,
         "prediction": pred.to_dict(),
         "spectrum": None if spect is None else spect.to_dict(),
@@ -594,8 +602,6 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     have = _read_existing(cfg.out, config_obj) if resume else {}
     missing = [i for i in range(cfg.trials) if i not in have]
 
-    if cfg.regen_graph:  # each trial generates its own graph and never reads this one
-        graph = None
     _warm_kernels()
     _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
     try:

@@ -30,6 +30,7 @@ __all__ = [
     "SpectrumReport",
     "compute_spectrum",
     "delta_of_alpha",
+    "require_positive",
 ]
 
 ITERATION_CAP = 100_000
@@ -97,6 +98,16 @@ class SpectrumReport:
         }
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a value that is not a positive finite number, naming it: a nan
+    fails every comparison, so ``value <= 0`` lets it through, and an inf
+    cannot be rounded."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def delta_of_alpha(alpha: float) -> float:
     """alpha^(2/alpha) on (0, 1]."""
     if not 0 < alpha <= 1:
@@ -114,8 +125,7 @@ def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
 
     Raises SpectralConvergenceError if a residual exceeds ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_positive("tol", tol)
     n, d = g.n, g.d
     if n < 3:  # eigsh needs k=2 < ncv <= n
         raise ValueError(f"the spectrum needs n >= 3, got n={n}")

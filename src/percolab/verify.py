@@ -19,7 +19,7 @@ from .census import ComponentCensus
 from .graph_core import RegularGraph, VertexSet, edge_count_between, external_neighborhood
 from .percolation import CoinStream, PercolationSample, _induced_csr
 from .rng import TAG_GROWTH, TAG_PAIRS, TAG_SUBSETS, make_generator
-from .spectral import SpectrumReport, delta_of_alpha
+from .spectral import SpectrumReport, delta_of_alpha, require_positive
 from .theory import giant_expansion_window
 
 __all__ = [
@@ -242,8 +242,7 @@ def check_giant_expansion(
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if beta_test <= 0:
-        raise ValueError(f"beta_test must be positive, got {beta_test}")
+    require_positive("beta_test", beta_test)
     n, d = g.n, g.d
     lo, hi = giant_expansion_window(n, d, sample.p * d - 1.0, alpha)
     giant = census.largest

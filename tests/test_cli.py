@@ -126,6 +126,15 @@ def test_spectrum_tol_is_the_config_key(graph_file, capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_spectrum_rejects_a_non_finite_tol(graph_file, capsys, value):
+    capsys.readouterr()
+    assert main(["spectrum", "--graph", graph_file, "--spectrum-tol", value]) == 1
+    captured = capsys.readouterr()
+    assert f"error: tol must be finite, got {value}" in captured.err
+    assert captured.out == ""
+
+
 def test_percolate_command(graph_file, capsys):
     rc = main(["percolate", "--graph", graph_file, "--p", "0.4", "--seed", "3"])
     assert rc == 0
@@ -341,6 +350,18 @@ def test_verify_walks_the_sample_once(giant_trial, capsys, monkeypatch):
           *_GIANT_PARAMS])
     (report,) = _json_stream(capsys.readouterr().out)
     assert report["meta"]["giant"] > 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_a_non_finite_beta_test(giant_trial, capsys, value):
+    path, trial = giant_trial
+    capsys.readouterr()
+    rc = main(["verify", "--graph", path, "--checker", "giant_expansion",
+               "--seed", str(trial["seed"]), *_GIANT_PARAMS, "--beta-test", value])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: beta_test must be finite, got {value}" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_command(graph_file, capsys):

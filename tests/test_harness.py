@@ -169,6 +169,15 @@ def test_config_rejects_checker_counts_that_check_nothing(tmp_path, monkeypatch,
     assert not (tmp_path / "z.jsonl").exists()
 
 
+@pytest.mark.parametrize("key", ["spectrum_tol", "beta_test"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_floats(key, value):
+    mapping = {"n": 500, "d": 8, "epsilon": 0.2, "trials": 1, "seed": 0,
+               "spectrum": True, "checkers": "mixing", key: float(value)}
+    with pytest.raises(ValueError, match=f"{key} must be finite, got {value}"):
+        config_from_mapping(mapping)
+
+
 def test_config_p_by_regime():
     assert _small_cfg(regime="sub").p == pytest.approx(0.8 / 8)
     assert _small_cfg(regime="super").p == pytest.approx(1.2 / 8)
@@ -484,25 +493,60 @@ def test_sweep_regen_graph_varies_instances(tmp_path):
     assert ca != cb
 
 
-@pytest.mark.parametrize("regen", [False, True])
-def test_sweep_frees_the_setup_graph_when_trials_regenerate(tmp_path, monkeypatch, regen):
+@pytest.mark.parametrize("spectrum", [False, True])
+def test_regen_sweep_generates_the_setup_graph_only_for_the_spectrum(tmp_path, monkeypatch,
+                                                                     spectrum):
+    specs = []
+    real_generate = harness.generate
+
+    def recorded_generate(spec):
+        specs.append(spec)
+        return real_generate(spec)
+
+    monkeypatch.setattr(harness, "generate", recorded_generate)
+    cfg = _small_cfg(out=str(tmp_path / "r.jsonl"), trials=3, regen_graph=True,
+                     spectrum=spectrum)
+    run_sweep(cfg)
+    trial_specs = [replace(cfg.gen, seed=trial_seed(cfg.gen.seed, i)) for i in range(3)]
+    assert specs == [cfg.gen] * spectrum + trial_specs
+    assert cfg.gen.seed not in [s.seed for s in trial_specs]
+
+
+def test_fixed_graph_sweep_keeps_its_setup_graph_for_every_trial(tmp_path, monkeypatch):
     setup, alive = [], []
     real_generate, real_trial = harness.generate, harness._run_trial
 
     def tracked_generate(spec):
         g = real_generate(spec)
-        if not setup:
-            setup.append(weakref.ref(g))
+        setup.append(weakref.ref(g))
         return g
 
     def watched_trial(g, cfg, spect, trial_index):
-        alive.append(setup[0]() is not None)
+        alive.append(setup[0]() is g)
         return real_trial(g, cfg, spect, trial_index)
 
     monkeypatch.setattr(harness, "generate", tracked_generate)
     monkeypatch.setattr(harness, "_run_trial", watched_trial)
-    run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=3, regen_graph=regen))
-    assert alive == [not regen] * 3
+    run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=3))
+    assert len(setup) == 1 and alive == [True] * 3
+
+
+@pytest.mark.parametrize("gen", [
+    GenSpec("random_regular", n=500, d=8, seed=21),
+    GenSpec("blowup", blowup_factor=2, base=GenSpec("random_regular", n=250, d=4, seed=3)),
+])
+def test_config_record_does_not_depend_on_regen_graph(tmp_path, gen):
+    heads = []
+    for regen in (False, True):
+        out = str(tmp_path / f"regen_{regen}.jsonl")
+        run_sweep(_small_cfg(out=out, gen=gen, trials=1, regen_graph=regen))
+        with open(out, encoding="utf-8") as fh:
+            heads.append(json.loads(fh.readline()))
+    fixed, regen = heads
+    assert (fixed["n"], fixed["d"]) == (500, 8)
+    assert fixed["config"].pop("regen_graph") is False
+    assert regen["config"].pop("regen_graph") is True
+    assert fixed == regen
 
 
 def test_sweep_regen_graph_certifies_each_graph_with_its_own_spectrum(tmp_path):
@@ -511,7 +555,9 @@ def test_sweep_regen_graph_certifies_each_graph_with_its_own_spectrum(tmp_path):
                      checkers=("mixing", "corollary_2_3"), pairs=20)
     run_sweep(cfg)
     recs = [json.loads(x) for x in open(out, encoding="utf-8").read().splitlines()]
-    parent_lam = compute_spectrum(generate(cfg.gen), tol=cfg.spectrum_tol).lambda_eff
+    parent = compute_spectrum(generate(cfg.gen), tol=cfg.spectrum_tol)
+    assert recs[0]["spectrum"] == parent.to_dict()
+    parent_lam = parent.lambda_eff
     for t in (r for r in recs if r["kind"] == "trial"):
         g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, t["trial_index"])))
         own_lam = compute_spectrum(g, tol=cfg.spectrum_tol).lambda_eff

@@ -123,7 +123,10 @@ def test_spectrum_report_dict(q4):
 
 
 def test_tol_validation(q4):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol must be positive, got 0.0"):
         compute_spectrum(q4, tol=0.0)
+    for tol in (float("nan"), float("inf")):  # nan never converged, inf cannot be rounded
+        with pytest.raises(ValueError, match=f"tol must be finite, got {tol}"):
+            compute_spectrum(q4, tol=tol)
     with pytest.raises(ValueError, match="the spectrum needs n >= 3, got n=2"):
         compute_spectrum(generate(GenSpec("clique_union", n=2, d=1)))

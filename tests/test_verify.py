@@ -61,6 +61,9 @@ def test_checkers_reject_counts_below_one(rr_small):
         check_giant_expansion(rr_small, sample, census, **dict(giant, samples=0))
     with pytest.raises(ValueError, match="beta_test must be positive, got 0"):
         check_giant_expansion(rr_small, sample, census, **dict(giant, beta_test=0.0))
+    for beta in (float("nan"), float("inf")):  # a nan threshold passed every sample
+        with pytest.raises(ValueError, match=f"beta_test must be finite, got {beta}"):
+            check_giant_expansion(rr_small, sample, census, **dict(giant, beta_test=beta))
 
 
 def test_mixing_is_seed_reproducible(rr_small):
