@@ -42,9 +42,7 @@ class ComponentCensus:
     largest component is labels == labels[roots[0]].
     """
 
-    n: int
     retained: int
-    k_max: int
     sizes: np.ndarray
     edges: np.ndarray
     roots: np.ndarray
@@ -61,11 +59,6 @@ class ComponentCensus:
     @property
     def num_components(self) -> int:
         return self.sizes.size
-
-    def tree_count(self, k: int) -> int:
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"tree census only covers 1..{self.k_max}, got {k}")
-        return int(self.tree_counts[k])
 
     def to_summary(self) -> dict:
         return {
@@ -93,7 +86,6 @@ def take_census(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     mask = sample.membership
-    n = g.n
     if trace is None:
         all_labels, depth = _sample_forest(g, mask)
     elif np.array_equal(trace.accepted_mask(), mask):
@@ -113,41 +105,26 @@ def take_census(
     order = np.lexsort((roots, -sizes))
     roots, sizes, edges = roots[order], sizes[order], edges[order]
 
-    tree_counts = np.zeros(k_max + 1, dtype=np.int64)
-    tree_mask = (sizes <= k_max) & (edges == sizes - 1)
-    if tree_mask.any():
-        tree_counts += np.bincount(sizes[tree_mask], minlength=k_max + 1)[: k_max + 1]
-
-    largest = int(sizes[0]) if sizes.size else 0
-    second = int(sizes[1]) if sizes.size > 1 else 0
-    largest_edges = int(edges[0]) if edges.size else 0
-    retained_edges = int(edges.sum())
-
-    # stragglers: drop the largest component, then drop small trees
-    if sizes.size:
-        rest_sizes, rest_edges = sizes[1:], edges[1:]
-        rest_tree = (rest_sizes <= k_max) & (rest_edges == rest_sizes - 1)
-        strag_v = int(rest_sizes.sum() - rest_sizes[rest_tree].sum())
-        strag_e = int(rest_edges.sum() - rest_edges[rest_tree].sum())
-    else:
-        strag_v = strag_e = 0
+    small_tree = (sizes <= k_max) & (edges == sizes - 1)
+    tree_counts = np.bincount(sizes[small_tree], minlength=k_max + 1)
+    # stragglers: neither the largest component nor a small tree
+    straggler = ~small_tree
+    straggler[:1] = False
 
     cycle_lb, _, _ = _longest_back_edge(g, kept, rows, hit, depth)
 
     return ComponentCensus(
-        n=n,
         retained=sample.retained_count,
-        k_max=k_max,
         sizes=sizes,
         edges=edges,
         roots=roots,
         tree_counts=tree_counts,
-        largest=largest,
-        second_largest=second,
-        largest_edges=largest_edges,
-        retained_edges=retained_edges,
-        straggler_vertices=strag_v,
-        straggler_edges=strag_e,
+        largest=int(sizes[0]) if sizes.size else 0,
+        second_largest=int(sizes[1]) if sizes.size > 1 else 0,
+        largest_edges=int(edges[0]) if edges.size else 0,
+        retained_edges=int(edges.sum()),
+        straggler_vertices=int(sizes[straggler].sum()),
+        straggler_edges=int(edges[straggler].sum()),
         cycle_lb=cycle_lb,
         labels=all_labels,
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import RegularGraph
+from .graph_core import RegularGraph, _upper_edges
 from .rng import TAG_GRAPH, make_generator
 
 __all__ = [
@@ -198,13 +198,8 @@ def _random_regular(n: int, d: int, seed: int) -> RegularGraph:
 # ----------------------------------------------------------------------
 def _hypercube(d: int) -> RegularGraph:
     n = 2**d
-    verts = np.arange(n, dtype=np.int64)
-    nbrs = verts[:, None] ^ (1 << np.arange(d, dtype=np.int64))[None, :]
-    nbrs = np.sort(nbrs, axis=1)
-    rows = np.repeat(verts, d)
-    cols = nbrs.ravel()
-    keep = cols > rows
-    return RegularGraph.from_edges(n, d, rows[keep], cols[keep])
+    nbrs = np.arange(n, dtype=np.int64)[:, None] ^ (1 << np.arange(d, dtype=np.int64))
+    return RegularGraph.from_edges(n, d, *_upper_edges(nbrs))
 
 
 def _clique_union(n: int, d: int) -> RegularGraph:
@@ -216,10 +211,7 @@ def _clique_union(n: int, d: int) -> RegularGraph:
     # drop the diagonal (self) entry of each row
     mask = others[None, :] != within[:, None]
     nbrs = nbrs[mask].reshape(n, d)
-    rows = np.repeat(np.arange(n, dtype=np.int64), d)
-    cols = nbrs.ravel()
-    keep = cols > rows
-    return RegularGraph.from_edges(n, d, rows[keep], cols[keep])
+    return RegularGraph.from_edges(n, d, *_upper_edges(nbrs))
 
 
 def _blowup(base: RegularGraph, s: int) -> RegularGraph:
@@ -230,10 +222,7 @@ def _blowup(base: RegularGraph, s: int) -> RegularGraph:
     # block-expanded neighbor row for each base vertex, shared by its block
     expanded = (base_rows[:, :, None] * s + np.arange(s, dtype=np.int64)).reshape(n0, d)
     nbrs = np.repeat(expanded, s, axis=0)  # (n, d), rows stay sorted
-    rows = np.repeat(np.arange(n, dtype=np.int64), d)
-    cols = nbrs.ravel()
-    keep = cols > rows
-    return RegularGraph.from_edges(n, d, rows[keep], cols[keep])
+    return RegularGraph.from_edges(n, d, *_upper_edges(nbrs))
 
 
 # ----------------------------------------------------------------------

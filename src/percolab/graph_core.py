@@ -125,20 +125,9 @@ class RegularGraph:
         """Adjacency viewed as an (n, d) array; row i = sorted neighbors of i."""
         return self.neighbors.reshape(self.n, self.d)
 
-    def has_edge(self, u, v):
-        """Whether uv is an edge, elementwise over broadcastable id arrays.
-        Ids outside [0, n) are adjacent to nothing (they do not wrap)."""
-        u = np.asarray(u)
-        inside = (u >= 0) & (u < self.n)
-        rows = self.nbrs2d[np.where(inside, u, 0)]
-        return (rows == np.expand_dims(v, -1)).any(axis=-1) & inside
-
     def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edges (u, v) with u < v, lexicographically sorted."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.d)
-        cols = self.neighbors.astype(np.int64)
-        keep = cols > rows
-        return rows[keep], cols[keep]
+        return _upper_edges(self.nbrs2d)
 
     def structurally_equal(self, other: "RegularGraph") -> bool:
         return (
@@ -146,6 +135,16 @@ class RegularGraph:
             and self.d == other.d
             and np.array_equal(self.neighbors, other.neighbors)
         )
+
+
+def _upper_edges(nbrs) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge (u, v), u < v, of an (n, d) neighbour table once, as int64;
+    lexicographically sorted when its rows are."""
+    n, d = nbrs.shape
+    rows = np.repeat(np.arange(n, dtype=np.int64), d)
+    cols = nbrs.ravel().astype(np.int64, copy=False)
+    keep = cols > rows
+    return rows[keep], cols[keep]
 
 
 class VertexSet:

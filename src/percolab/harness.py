@@ -131,13 +131,8 @@ class ExperimentConfig:
             require_positive(name, getattr(self, name))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"regime/epsilon give retention probability {self.p}, not in [0,1]")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        for name in ("pairs", "subsets", "samples"):  # a checker of no instances proves nothing
+        # a count below 1 leaves nothing to run; a checker of no instances proves nothing
+        for name in ("trials", "k_max", "workers", "pairs", "subsets", "samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for c in self.checkers:
@@ -145,6 +140,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown checker id {c!r}; known: {CHECKER_IDS}")
         if any(c in self.checkers for c in SPECTRUM_CHECKERS) and not self.spectrum:
             raise ValueError("mixing/corollary_2_3 checkers need spectrum=true")
+        family = self.gen.base.family if self.gen.family == "blowup" else self.gen.family
+        if self.regen_graph and family != "random_regular":
+            raise ValueError(f"regen_graph needs a random family: {family} has one graph "
+                             f"of each size, so every trial would get the same graph")
         if "giant_expansion" in self.checkers:
             n, d = self.size
             giant_expansion_window(n, d, self.p * d - 1.0, self.alpha)
@@ -330,8 +329,13 @@ def _run_trial(
 ) -> dict:
     """The trial record of one trial: a pure function of (cfg, trial_index)."""
     seed = trial_seed(cfg.master_seed, trial_index)
-    if cfg.regen_graph:
-        g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, trial_index)))
+    if cfg.regen_graph:  # a blow-up ignores its own seed: its base is the random graph
+        gen = cfg.gen
+        if gen.family == "blowup":
+            gen = replace(gen, base=replace(gen.base, seed=trial_seed(gen.base.seed, trial_index)))
+        else:
+            gen = replace(gen, seed=trial_seed(gen.seed, trial_index))
+        g = generate(gen)
         if cfg.spectrum:  # the parent graph's lambda does not certify this one
             spect = compute_spectrum(g, tol=cfg.spectrum_tol)
     stream, trace, sample, census = percolate(g, cfg.p, seed, cfg.k_max)
@@ -471,35 +475,45 @@ def _summary_obj(cfg: ExperimentConfig, trials: list, pred: TheoryPrediction) ->
 # ----------------------------------------------------------------------
 # sweep driver
 # ----------------------------------------------------------------------
-def _read_existing(path: str, config_obj: dict) -> dict:
-    """Map trial_index -> serialized line for resumable prefixes."""
-    found: dict = {}
-    if not os.path.exists(path):
-        return found
+# the keys that resume and compare look up in a record of each kind
+_RECORD_KEYS = {"config": ("config", "prediction"), "trial": ("trial_index",)}
+
+
+def _read_records(path: str) -> tuple[list, str | None]:
+    """(records, torn) of a JSON-lines record file: its records up to the
+    first line that does not parse, and the cause naming that line (None
+    if all parse).  A killed write leaves only such a torn tail; a line
+    that parses but is no record raises ValueError naming the line."""
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    for i, line in enumerate(lines):
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            break  # torn tail from a killed run; recompute from here
-        kind = obj.get("kind")
-        if i == 0:
-            if kind == "config" and obj.get("format") != config_obj["format"]:
-                raise ValueError(f"existing records are format {obj.get('format')}, "
-                                 f"this version writes format {config_obj['format']}")
-            if kind != "config" or obj != config_obj:
-                raise ValueError("existing records were produced by a different config")
-            continue
-        if kind == "trial":
-            found[obj["trial_index"]] = obj
-    return found
+        for lineno, line in enumerate(fh.read().split("\n"), 1):
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return records, (f"{path}:{lineno}: unreadable record "
+                                 f"({exc.msg}: column {exc.colno})")
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: a record must be a JSON object, "
+                                 f"got {type(obj).__name__}")
+            for key in _RECORD_KEYS.get(obj.get("kind"), ()):
+                if key not in obj:
+                    raise ValueError(f"{path}:{lineno}: {obj['kind']} record has no {key!r}")
+            records.append(obj)
+    return records, None
 
 
-def _csv_path(out: str) -> str:
-    return out + ".csv"
+def _read_existing(path: str, config_obj: dict) -> dict:
+    """Map trial_index -> trial record of a resumable file; its torn tail is recomputed."""
+    records = _read_records(path)[0] if os.path.exists(path) else []
+    if records and records[0] != config_obj:
+        head = records[0]
+        if head.get("kind") == "config" and head.get("format") != config_obj["format"]:
+            raise ValueError(f"existing records are format {head.get('format')}, "
+                             f"this version writes format {config_obj['format']}")
+        raise ValueError("existing records were produced by a different config")
+    return {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
 
 
 def _write_csv(path: str, cfg: ExperimentConfig, trials: list) -> None:
@@ -623,7 +637,7 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
 
     summary = _summary_obj(cfg, trials, pred)
     _publish(cfg.out, (_dumps(obj) + "\n" for obj in [config_obj, *trials, summary]))
-    _write_csv(_csv_path(cfg.out), cfg, trials)
+    _write_csv(cfg.out + ".csv", cfg, trials)
     log.info("sweep finished in %.3fs (%d trials)", time.perf_counter() - t_start, cfg.trials)
     return summary
 
@@ -639,16 +653,9 @@ def compare(records_path: str) -> dict:
     Requires the terminating summary sentinel; a sweep that died mid-run
     leaves records without one and must be re-run or resumed first.
     """
-    objs = []
-    with open(records_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().split("\n"), 1):
-            if not line:
-                continue
-            try:
-                objs.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{records_path}:{lineno}: unreadable record ({exc.msg}: "
-                                 f"column {exc.colno}); re-run or resume the sweep") from None
+    objs, torn = _read_records(records_path)
+    if torn:
+        raise ValueError(f"{torn}; re-run or resume the sweep")
     if not objs:
         raise ValueError(f"{records_path}: empty record file")
     if objs[0].get("kind") != "config":

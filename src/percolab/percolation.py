@@ -118,8 +118,6 @@ class DfsTrace:
         return self.component_of >= 0
 
     def epoch_sizes(self) -> np.ndarray:
-        if self.num_epochs == 0:
-            return np.zeros(0, dtype=np.int64)
         return np.bincount(
             self.component_of[self.component_of >= 0], minlength=self.num_epochs
         )

@@ -47,12 +47,11 @@ class SpectralConvergenceError(RuntimeError):
 class SpectrumReport:
     """Extreme eigenpairs as the solver found them, checked against ``tol``.
 
-    ``lam`` is the solver's max(|lambda2|, |lambdaN|).  ``lambda_eff`` and
-    ``ratio``, which every verdict reads, and ``to_dict`` are certified:
-    lambda2 moved up and lambdaN down by ``tol`` (which bounds both
-    residuals), rounded outward to a 1e-6 grid.  Eigenvalues that agree
-    within ``tol`` (another BLAS, the tests' dense oracle) therefore
-    certify and record the same numbers.
+    ``lambda_eff`` and ``ratio``, which every verdict reads, and
+    ``to_dict`` are certified: lambda2 moved up and lambdaN down by
+    ``tol`` (which bounds both residuals), rounded outward to a 1e-6
+    grid.  Eigenvalues that agree within ``tol`` (another BLAS, the
+    tests' dense oracle) therefore certify and record the same numbers.
     """
 
     lambda1: float
@@ -63,10 +62,6 @@ class SpectrumReport:
     tol: float
     iterations: int  # products with B, residuals included; logged, never recorded
     connected: bool
-
-    @property
-    def lam(self) -> float:
-        return max(abs(self.lambda2), abs(self.lambdaN))
 
     def _ends(self) -> tuple[float, float]:
         return (math.ceil((self.lambda2 + self.tol) * 1e6) / 1e6,

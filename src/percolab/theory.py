@@ -25,7 +25,7 @@ between the two shrinks like ~3/d (17.7% for L1 at d=20, eps=0.2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "TheoryPrediction",
@@ -49,15 +49,15 @@ def _check_eps(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     """Root of f in [lo, hi], where f < 0 left of the root and f >= 0 right of it.
 
-    Bisects on interval width, not residual: in solve_x f' ~ eps near the
-    root, so a residual stop would leave O(tol/eps) error in the root.
+    Bisects to width _ROOT_TOL, not to a residual: in solve_x f' ~ eps
+    near the root, so a residual stop would leave O(tol/eps) error there.
     """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
+        if hi - lo <= _ROOT_TOL or mid <= lo or mid >= hi:
             return mid
         if f(mid) < 0.0:
             lo = mid
@@ -66,7 +66,7 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_x(epsilon: float, tol: float = _ROOT_TOL) -> float:
+def solve_x(epsilon: float) -> float:
     """Positive root of x = (1+eps)(1 - exp(-x)), by bisection.
 
     The root sits in (ln(1+eps), 1) for eps below about 0.58; above
@@ -82,10 +82,10 @@ def solve_x(epsilon: float, tol: float = _ROOT_TOL) -> float:
     lo = math.log1p(epsilon)
     hi = one_eps
     assert f(lo) < 0.0 < f(hi)
-    return _bisect(f, lo, hi, tol)
+    return _bisect(f, lo, hi)
 
 
-def solve_y(epsilon: float, tol: float = _ROOT_TOL) -> float:
+def solve_y(epsilon: float) -> float:
     """Root in (0,1) of y e^{-y} = (1+eps) e^{-(1+eps)}; g is increasing there."""
     _check_eps(epsilon)
     target = (1.0 + epsilon) * math.exp(-(1.0 + epsilon))
@@ -93,10 +93,10 @@ def solve_y(epsilon: float, tol: float = _ROOT_TOL) -> float:
     def g(y: float) -> float:
         return y * math.exp(-y) - target
 
-    return _bisect(g, 0.0, 1.0, tol)
+    return _bisect(g, 0.0, 1.0)
 
 
-def solve_sigma(p: float, d: int, tol: float = _ROOT_TOL) -> float:
+def solve_sigma(p: float, d: int) -> float:
     """Largest root in [0,1] of sigma = p(1 - (1-sigma)^(d-1)), by bisection.
 
     sigma is the survival probability of the Bin(d-1, p) branching
@@ -118,7 +118,7 @@ def solve_sigma(p: float, d: int, tol: float = _ROOT_TOL) -> float:
     def f(s: float) -> float:
         return s - p * (1.0 - (1.0 - s) ** (d - 1))
 
-    return _bisect(f, 0.0, 1.0, tol)
+    return _bisect(f, 0.0, 1.0)
 
 
 def subtree_count(d: int, k: int) -> int:
@@ -238,27 +238,9 @@ class TheoryPrediction:
     admissible: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "x": self.x,
-            "y": self.y,
-            "L1_pred": self.L1_pred,
-            "L1_tol": self.L1_tol,
-            "e_L1_pred": self.e_L1_pred,
-            "Zp_pred": self.Zp_pred,
-            "Zp_smalltrees_pred": self.Zp_smalltrees_pred,
-            "subcritical_bound": self.subcritical_bound,
-            "straggler_bound": self.straggler_bound,
-            "T_k_pred": list(self.T_k_pred),
-            "sigma": self.sigma,
-            "L1_pred_finite_d": self.L1_pred_finite_d,
-            "e_L1_pred_finite_d": self.e_L1_pred_finite_d,
-            "T_k_pred_finite_d": list(self.T_k_pred_finite_d),
-            "admissible": dict(self.admissible),
-        }
+        # lists, as a record reads back: resume compares the config record with !=
+        return {**asdict(self), "T_k_pred": list(self.T_k_pred),
+                "T_k_pred_finite_d": list(self.T_k_pred_finite_d)}
 
 
 def predict(n: int, d: int, epsilon: float, alpha: float, k_max: int = 4) -> TheoryPrediction:

@@ -33,6 +33,7 @@ __all__ = [
 
 _MAX_WITNESSES = 200
 _FP_SLACK = 1e-9
+_DRIFT_C = 1.0  # the constant c of Property 3's bound eps^2 c n/d
 
 
 @dataclass
@@ -165,9 +166,8 @@ def check_lemma_2_4(
     return out
 
 
-def check_stream_properties(
-    stream: CoinStream, epsilon: float, d: int, mode: str, c: float = 1.0
-) -> ViolationReport:
+def check_stream_properties(stream: CoinStream, epsilon: float, d: int,
+                            mode: str) -> ViolationReport:
     """Realized-coin-sequence checks.
 
     Property 1 (both modes): at most 2n/d heads in total.
@@ -176,7 +176,7 @@ def check_stream_properties(
     truncated at the end of the stream.
     Property 3 (super): at every index t (0-based count of preceding
     coins, t=0 included) whose next coin is a head, the running head
-    count stays within eps^2*c*n/d of (1+eps)t/d.
+    count stays within eps^2*c*n/d of (1+eps)t/d, c = _DRIFT_C.
     """
     if mode not in ("sub", "super"):
         raise ValueError(f"mode must be 'sub' or 'super', got {mode!r}")
@@ -187,7 +187,7 @@ def check_stream_properties(
     k = (4.0 / epsilon ** 2) * math.log(n / d)
     out = ViolationReport(
         "stream", 0,
-        meta={"mode": mode, "epsilon": epsilon, "d": d, "k": k, "c": c, "n": n},
+        meta={"mode": mode, "epsilon": epsilon, "d": d, "k": k, "c": _DRIFT_C, "n": n},
     )
     checked = 1
     total = int(flips.sum())
@@ -208,7 +208,7 @@ def check_stream_properties(
         for b in bad[:_MAX_WITNESSES]:
             out.add(f"window at {int(starts[b])}", int(counts[b]), k)
     else:
-        bound = epsilon ** 2 * c * n / d
+        bound = epsilon ** 2 * _DRIFT_C * n / d
         ts = heads  # X_{t+1} is a head exactly at these 0-based t
         dev = np.abs(prefix[ts] - (1.0 + epsilon) * ts / d)
         bad = np.flatnonzero(dev > bound)

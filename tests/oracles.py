@@ -115,12 +115,21 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream) -> DfsTrace:
                     depth=depth, accepted_count=accepted)
 
 
+def has_edge(g: RegularGraph, u, v):
+    """Whether uv is an edge of g, elementwise over broadcastable id arrays.
+    Ids outside [0, n) are adjacent to nothing (they do not wrap)."""
+    u = np.asarray(u)
+    inside = (u >= 0) & (u < g.n)
+    rows = g.nbrs2d[np.where(inside, u, 0)]
+    return (rows == np.expand_dims(v, -1)).any(axis=-1) & inside
+
+
 def validate_cycle(g: RegularGraph, cycle, sample: PercolationSample | None = None) -> bool:
     if cycle is None or len(cycle) < 3 or len(set(cycle)) != len(cycle):
         return False
     c = np.asarray(cycle, dtype=np.int64)
     # has_edge is False for ids outside [0, n), so they never index the sample
-    if not g.has_edge(c, np.roll(c, -1)).all():
+    if not has_edge(g, c, np.roll(c, -1)).all():
         return False
     return sample is None or bool(sample.membership[c].all())
 
@@ -231,7 +240,7 @@ def _triangles_and_claws(g: RegularGraph) -> tuple[int, int]:
     as 2 ordered pairs each; the claws at v are the triangles of the
     complement F of local[v], trace(F^3)/6."""
     rows = g.nbrs2d
-    local = g.has_edge(rows[:, :, None], rows[:, None, :])
+    local = has_edge(g, rows[:, :, None], rows[:, None, :])
     f = (~local & ~np.eye(g.d, dtype=bool)).astype(np.int64)
     return int(local.sum()) // 6, int(((f @ f) * f).sum()) // 6
 
@@ -243,9 +252,9 @@ def _induced_p4s(g: RegularGraph) -> int:
     boolean product, built from about n*d**4/2 bytes."""
     b, c = g.edge_list()
     ends_a, ends_e = g.nbrs2d[b], g.nbrs2d[c]
-    ok_a = (ends_a != c[:, None]) & ~g.has_edge(ends_a, c[:, None])
-    ok_e = (ends_e != b[:, None]) & ~g.has_edge(ends_e, b[:, None])
-    joined = g.has_edge(ends_a[:, :, None], ends_e[:, None, :])
+    ok_a = (ends_a != c[:, None]) & ~has_edge(g, ends_a, c[:, None])
+    ok_e = (ends_e != b[:, None]) & ~has_edge(g, ends_e, b[:, None])
+    joined = has_edge(g, ends_a[:, :, None], ends_e[:, None, :])
     return int((ok_a[:, :, None] & ok_e[:, None, :] & ~joined).sum())
 
 

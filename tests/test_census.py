@@ -47,7 +47,7 @@ def test_census_one_vertex_per_clique():
     c = take_census(g, _members(g, [0, 4, 8]))
     assert c.num_components == 3
     assert c.largest == 1 and c.second_largest == 1
-    assert c.tree_count(1) == 3  # the largest component is itself a 1-tree
+    assert c.tree_counts[1] == 3  # the largest component is itself a 1-tree
     assert c.sizes.tolist() == [1, 1, 1]
     assert c.edges.tolist() == [0, 0, 0]
     assert c.straggler_vertices == 0
@@ -60,7 +60,7 @@ def test_census_mixed_components(c6):
     assert c.sizes.tolist() == [2, 1]
     assert c.edges.tolist() == [1, 0]
     assert c.largest == 2 and c.second_largest == 1
-    assert c.tree_count(1) == 1 and c.tree_count(2) == 1
+    assert c.tree_counts.tolist() == [0, 1, 1, 0, 0]
     assert c.cycle_lb == 0
 
 
@@ -98,7 +98,7 @@ def test_census_random_invariants(rr_small):
             assert c.second_largest == c.sizes[1]
         # every component labeled tree must satisfy e = v - 1
         for k in range(1, 6):
-            assert c.tree_count(k) == int(
+            assert c.tree_counts[k] == int(
                 np.count_nonzero((c.sizes == k) & (c.edges == k - 1))
             )
 
@@ -107,10 +107,7 @@ def test_census_k_max_guards(k4):
     with pytest.raises(ValueError):
         take_census(k4, _full(k4), k_max=0)
     c = take_census(k4, _full(k4), k_max=2)
-    with pytest.raises(ValueError):
-        c.tree_count(3)
-    with pytest.raises(ValueError):
-        c.tree_count(0)
+    assert c.tree_counts.tolist() == [0, 0, 0]  # sizes 1..k_max only; K4 is no tree
 
 
 def test_census_empty_sample(q4):

@@ -184,6 +184,22 @@ def test_sweep_and_compare_roundtrip(tmp_path, capsys):
     assert "theorem_1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("head, cause", [
+    ("[1,2]", "bad.jsonl:1: a record must be a JSON object, got list"),
+    ('{"config":{"trials":1},"kind":"config"}', "bad.jsonl:1: config record has no 'prediction'"),
+    ('{"kind":"trial","seed":1}', "bad.jsonl:1: trial record has no 'trial_index'"),
+], ids=["not_an_object", "no_prediction", "no_trial_index"])
+def test_malformed_record_file_is_a_clean_error(tmp_path, capsys, head, cause):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(head + "\n")
+    resume = ["sweep", "--n", "400", "--d", "8", "--graph-seed", "2", "--epsilon", "0.6",
+              "--regime", "sub", "--seed", "11", "--trials", "2", "--out", str(bad), "--resume"]
+    for argv in (["compare", "--records", str(bad)], resume):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {os.path.join(tmp_path, cause)}\n"
+    assert bad.read_text() == head + "\n"  # the failed resume wrote nothing
+
+
 def test_sweep_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from oracles import petersen_graph
+from oracles import has_edge, petersen_graph
 from percolab.generators import (
     GenSpec,
     GenSpecError,
@@ -65,9 +65,9 @@ def test_clique_union_blocks(cliques60):
     g = cliques60
     assert g.n == 60 and g.d == 5
     # within-block complete, across-block empty
-    assert g.has_edge(0, 5) and g.has_edge(6, 11)
-    assert not g.has_edge(5, 6)
-    assert not g.has_edge(0, 59)
+    assert has_edge(g, 0, 5) and has_edge(g, 6, 11)
+    assert not has_edge(g, 5, 6)
+    assert not has_edge(g, 0, 59)
 
 
 def test_blowup_structure():
@@ -78,11 +78,11 @@ def test_blowup_structure():
     for v in range(g.n):
         for w in g.nbrs2d[v]:
             # vertex v sits in the block of base vertex v // 3
-            assert base.has_edge(v // 3, int(w) // 3)
+            assert has_edge(base, v // 3, int(w) // 3)
         # blocks are independent sets
         blk = v // 3 * 3
         for w in range(blk, blk + 3):
-            assert not g.has_edge(v, w)
+            assert not has_edge(g, v, w)
 
 
 def test_blowup_size_fields_checked():
@@ -94,8 +94,8 @@ def test_blowup_size_fields_checked():
 
 def test_reference_graphs(petersen, c6):
     assert petersen.n == 10 and petersen.d == 3
-    assert petersen.has_edge(0, 5) and petersen.has_edge(5, 7)
-    assert not petersen.has_edge(5, 6)
+    assert has_edge(petersen, 0, 5) and has_edge(petersen, 5, 7)
+    assert not has_edge(petersen, 5, 6)
     assert c6.n == 6 and c6.d == 2
     with pytest.raises(GenSpecError):
         cycle_graph(2)

@@ -493,6 +493,33 @@ def test_sweep_regen_graph_varies_instances(tmp_path):
     assert ca != cb
 
 
+def test_regen_blowup_sweep_draws_a_graph_per_trial(tmp_path, monkeypatch):
+    specs, graphs = [], []
+    real_generate = harness.generate
+
+    def recorded_generate(spec):
+        specs.append(spec)
+        graphs.append(real_generate(spec))
+        return graphs[-1]
+
+    monkeypatch.setattr(harness, "generate", recorded_generate)
+    gen = GenSpec("blowup", blowup_factor=2, base=GenSpec("random_regular", n=250, d=4, seed=3))
+    run_sweep(_small_cfg(out=str(tmp_path / "b.jsonl"), gen=gen, trials=3, regen_graph=True))
+    # a blow-up is built from its base, so each trial reseeds the base
+    assert [s.base.seed for s in specs] == [trial_seed(3, i) for i in range(3)]
+    assert len({g.neighbors.tobytes() for g in graphs}) == 3
+
+
+@pytest.mark.parametrize("gen, family", [
+    (GenSpec("hypercube", n=16, d=4), "hypercube"),
+    (GenSpec("blowup", blowup_factor=2, base=GenSpec("clique_union", n=20, d=4)), "clique_union"),
+], ids=["hypercube", "blowup_of_clique_union"])
+def test_regen_graph_rejects_a_family_of_one_graph(gen, family):
+    with pytest.raises(ValueError, match=f"regen_graph needs a random family: {family} has one"):
+        _small_cfg(gen=gen, regen_graph=True).validate()
+    _small_cfg(gen=gen).validate()  # a fixed-graph sweep of it is fine
+
+
 @pytest.mark.parametrize("spectrum", [False, True])
 def test_regen_sweep_generates_the_setup_graph_only_for_the_spectrum(tmp_path, monkeypatch,
                                                                      spectrum):

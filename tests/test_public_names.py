@@ -26,3 +26,32 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     unused = sorted(f"{module}: {name}" for name, module in defined.items()
                     if name not in referenced)
     assert not unused, unused
+
+
+# members kept although only the tests read them, each with its reason
+MEMBERS_FOR_TESTS = {
+    # the tests' way to substitute an explicit coin stream for a seeded one
+    "CoinStream.from_bits",
+}
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    reads = [(path, node.lineno, node.attr) for path in files
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)]
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                # a read inside the member's own def (recursion) does not count
+                own = range(fn.lineno, fn.end_lineno + 1)
+                if not any(name == fn.name and not (p == path and line in own)
+                           for p, line, name in reads):
+                    unread.append(f"{cls.name}.{fn.name}")
+    assert sorted(set(unread) - MEMBERS_FOR_TESTS) == []
+    assert MEMBERS_FOR_TESTS <= set(unread)  # an exemption the library now reads is stale

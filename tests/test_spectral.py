@@ -42,7 +42,6 @@ def test_closed_form_spectra_with_oracle(name, l2, ln, request, dense_extremes):
     assert rep.lambda1 == pytest.approx(g.d, abs=1e-8)
     assert rep.lambda2 == pytest.approx(l2, abs=1e-8)
     assert rep.lambdaN == pytest.approx(ln, abs=1e-8)
-    assert rep.lam == pytest.approx(max(abs(l2), abs(ln)), abs=1e-8)
     assert rep.connected
 
 
@@ -101,7 +100,7 @@ def test_certify_single_clique():
     g = generate(GenSpec("clique_union", n=20, d=19))
     rep = compute_spectrum(g)
     # complete graph: lam = 1, ratio = 1/19 <= delta(0.5) = 0.0625
-    assert rep.lam == pytest.approx(1.0, abs=1e-8)
+    assert max(abs(rep.lambda2), abs(rep.lambdaN)) == pytest.approx(1.0, abs=1e-8)
     assert rep.ratio <= delta_of_alpha(0.5)
     assert rep.ratio > delta_of_alpha(0.2)  # delta(0.2) = 0.2^10 is far below 1/19
 

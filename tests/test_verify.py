@@ -222,7 +222,7 @@ def test_stream_all_tails_passes_everywhere():
 
 def test_stream_total_ones_bound():
     s = CoinStream.from_bits(np.ones(100, dtype=np.uint8))
-    out = check_stream_properties(s, 0.2, 10, "super", c=1e9)
+    out = check_stream_properties(s, 0.2, 10, "super")
     assert not out.passed
     assert any(w == "total_ones" for (w, _, _) in out.violations)
 
@@ -245,14 +245,14 @@ def test_stream_trailing_window_truncated():
     assert out.passed
 
 
-def test_stream_super_drift_and_c_scaling():
+def test_stream_super_drift():
     n, d, eps = 10_000, 10, 0.5
     bits = np.zeros(n, dtype=np.uint8)
     bits[:300] = 1  # relentless heads: count outruns (1+eps)t/d
-    s1 = check_stream_properties(CoinStream.from_bits(bits), eps, d, "super", c=1.0)
-    assert not s1.passed
-    s2 = check_stream_properties(CoinStream.from_bits(bits), eps, d, "super", c=3.0)
-    assert s2.passed  # same stream clears a 3x looser constant
+    out = check_stream_properties(CoinStream.from_bits(bits), eps, d, "super")
+    assert not out.passed
+    # the bound is eps^2 c n/d with c = 1, which the report records
+    assert out.meta["c"] == 1.0 and out.violations[0][2] == eps ** 2 * n / d
 
 
 def test_stream_super_deficit_side():
