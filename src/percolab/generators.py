@@ -61,18 +61,30 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenSpec:
-    """What to build: family, size, degree, seed, optional blow-up base."""
+    """What to build: family, size, degree and seed.  A blow-up gives its
+    own n, d and seed plus ``blowup_factor`` s and ``base_family``; it is
+    built from ``base``, the base_family graph of size n/s, degree d/s
+    and the same seed."""
 
     family: str
     n: int = 0
     d: int = 0
     seed: int = 0
     blowup_factor: int | None = None
-    base: "GenSpec | None" = None
+    base_family: str | None = None
+
+    @property
+    def base(self) -> "GenSpec":
+        """The base graph a blow-up is built from."""
+        s = self.blowup_factor
+        return GenSpec(self.base_family, self.n // s, self.d // s, self.seed)
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise GenSpecError(f"unknown family {self.family!r}")
+        for key in ("blowup_factor", "base_family"):
+            if self.family != "blowup" and getattr(self, key) is not None:
+                raise GenSpecError(f"{key} applies only to family blowup, not {self.family}")
         if self.family == "random_regular":
             if self.d < 1 or self.d >= self.n:
                 raise GenSpecError(f"need 1 <= d < n, got n={self.n} d={self.d}")
@@ -87,18 +99,16 @@ class GenSpec:
                     f"clique_union needs (d+1) | n, got n={self.n} d={self.d}"
                 )
         elif self.family == "blowup":
-            if self.base is None:
-                raise GenSpecError("blowup requires a base GenSpec")
-            if self.base.family == "blowup":
-                raise GenSpecError("blowup base must be a concrete family")
-            if self.blowup_factor is None or self.blowup_factor < 2:
-                raise GenSpecError("blowup_factor must be an integer >= 2")
-            self.base.validate()
             s = self.blowup_factor
-            if self.n not in (0, s * self.base.n) or self.d not in (0, s * self.base.d):
-                raise GenSpecError(
-                    "blowup n,d must be blank (0) or equal s*base.n, s*base.d"
-                )
+            if s is None or s < 2:
+                raise GenSpecError(f"blowup_factor must be an integer >= 2, got {s}")
+            if self.base_family in (None, "blowup"):
+                raise GenSpecError(f"blowup needs a base_family other than blowup, "
+                                   f"got {self.base_family}")
+            if min(self.n, self.d) < 1 or self.n % s or self.d % s:
+                raise GenSpecError(f"blowup needs n and d positive multiples of "
+                                   f"blowup_factor {s}, got n={self.n} d={self.d}")
+            self.base.validate()
 
 
 def generate(spec: GenSpec) -> RegularGraph:
@@ -110,8 +120,7 @@ def generate(spec: GenSpec) -> RegularGraph:
         return _hypercube(spec.d)
     if spec.family == "clique_union":
         return _clique_union(spec.n, spec.d)
-    base = generate(spec.base)
-    return _blowup(base, spec.blowup_factor)
+    return _blowup(generate(spec.base), spec.blowup_factor)
 
 
 # ----------------------------------------------------------------------

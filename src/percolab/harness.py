@@ -109,16 +109,8 @@ class ExperimentConfig:
     beta_test: float = 0.01
 
     @property
-    def size(self) -> tuple[int, int]:
-        """(n, d) of the graph ``gen`` builds; a blow-up may leave both 0."""
-        if self.gen.family == "blowup" and not (self.gen.n and self.gen.d):
-            s = self.gen.blowup_factor
-            return s * self.gen.base.n, s * self.gen.base.d
-        return self.gen.n, self.gen.d
-
-    @property
     def p(self) -> float:
-        return retention_p(self.epsilon, self.regime, self.size[1])
+        return retention_p(self.epsilon, self.regime, self.gen.d)
 
     def validate(self) -> None:
         self.gen.validate()
@@ -140,52 +132,39 @@ class ExperimentConfig:
                 raise ValueError(f"unknown checker id {c!r}; known: {CHECKER_IDS}")
         if any(c in self.checkers for c in SPECTRUM_CHECKERS) and not self.spectrum:
             raise ValueError("mixing/corollary_2_3 checkers need spectrum=true")
-        family = self.gen.base.family if self.gen.family == "blowup" else self.gen.family
+        family = self.gen.base_family if self.gen.family == "blowup" else self.gen.family
         if self.regen_graph and family != "random_regular":
             raise ValueError(f"regen_graph needs a random family: {family} has one graph "
                              f"of each size, so every trial would get the same graph")
         if "giant_expansion" in self.checkers:
-            n, d = self.size
-            giant_expansion_window(n, d, self.p * d - 1.0, self.alpha)
+            giant_expansion_window(self.gen.n, self.gen.d, self.p * self.gen.d - 1.0, self.alpha)
 
     def to_dict(self) -> dict:
-        # keyed by the flat config keys.  workers and out are scheduling
-        # and storage, not experiment identity: records must be
-        # byte-identical across pool sizes and output paths, so they stay
-        # out of the file
-        obj = _flat(self, "cfg")
-        del obj["workers"], obj["out"]
-        obj.update(gen=_gen_to_dict(self.gen), checkers=list(self.checkers))
+        """The flat config keys of the config record, unset (None) keys left
+        out.  workers and out are scheduling and storage, not experiment
+        identity: records must be byte-identical across pool sizes and
+        output paths, so they stay out of the file."""
+        obj = {}
+        for key, (part, name, _) in CONFIG_KEYS.items():
+            value = getattr(self.gen if part == "gen" else self, name)
+            if value is not None and key not in ("workers", "out"):
+                obj[key] = list(value) if key == "checkers" else value
         return obj
-
-
-def _gen_to_dict(gen: GenSpec) -> dict:
-    out = _flat(gen, "gen")
-    if gen.blowup_factor is not None:
-        out["blowup_factor"] = gen.blowup_factor
-    if gen.base is not None:
-        out["base"] = _gen_to_dict(gen.base)
-    return out
 
 
 # ----------------------------------------------------------------------
 # flat key=value config files
 # ----------------------------------------------------------------------
+_FLAGS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
+
+
 def _parse_scalar(text: str):
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    if text.lower() in _FLAGS:
+        return _FLAGS[text.lower()]
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
     return text
 
 
@@ -210,20 +189,15 @@ def _checker_ids(value) -> tuple:
     return tuple(value)
 
 
-# flat config key -> (part, field, cast).  "gen" keys fill the GenSpec,
-# "blowup" and "base" keys its blow-up factor and base GenSpec (read only
-# when family = blowup), "cfg" keys the ExperimentConfig, whose config
-# record uses the same keys.
+# flat config key -> (part, field, type).  "gen" keys fill the GenSpec,
+# "cfg" keys the ExperimentConfig; the config record stores the same keys.
 CONFIG_KEYS = {
     "family": ("gen", "family", str),
     "n": ("gen", "n", int),
     "d": ("gen", "d", int),
     "graph_seed": ("gen", "seed", int),
-    "blowup_factor": ("blowup", "blowup_factor", int),
-    "base_family": ("base", "family", str),
-    "base_n": ("base", "n", int),
-    "base_d": ("base", "d", int),
-    "base_seed": ("base", "seed", int),
+    "blowup_factor": ("gen", "blowup_factor", int),
+    "base_family": ("gen", "base_family", str),
     "epsilon": ("cfg", "epsilon", float),
     "alpha": ("cfg", "alpha", float),
     "regime": ("cfg", "regime", str),
@@ -248,24 +222,24 @@ _REQUIRED_KEYS = tuple(key for key, (part, name, _) in CONFIG_KEYS.items()
                        if part == "cfg" and name not in CONFIG_DEFAULTS)
 
 
+def _cast(key: str, kind, value):
+    """value as its CONFIG_KEYS type, which it must already have: a float key
+    also takes an int, checkers a comma string or a list, and only a bool key a bool."""
+    takes = {float: (int, float), _checker_ids: (str, list, tuple)}.get(kind, kind)
+    if not isinstance(value, takes) or isinstance(value, bool) and kind is not bool:
+        raise ValueError(f"config key {key} takes {kind.__name__.strip('_')}, got {value!r}")
+    return kind(value)
+
+
 def _part(mapping: dict, part: str) -> dict:
     """The given keys of one part of CONFIG_KEYS, cast and renamed to fields; None is not given."""
-    return {name: cast(mapping[key]) for key, (p, name, cast) in CONFIG_KEYS.items()
+    return {name: _cast(key, kind, mapping[key]) for key, (p, name, kind) in CONFIG_KEYS.items()
             if p == part and mapping.get(key) is not None}
 
 
-def _flat(obj, part: str) -> dict:
-    """The fields of one part of CONFIG_KEYS on obj, keyed by their flat keys."""
-    return {key: getattr(obj, name) for key, (p, name, _) in CONFIG_KEYS.items() if p == part}
-
-
 def gen_spec_from_mapping(mapping: dict) -> GenSpec:
-    """The GenSpec of the flat gen, blow-up and base keys (family defaults to random_regular)."""
-    gen = {"family": "random_regular", **_part(mapping, "gen")}
-    if gen["family"] == "blowup":
-        gen.update(_part(mapping, "blowup"),
-                   base=GenSpec(**{"family": "random_regular", **_part(mapping, "base")}))
-    return GenSpec(**gen)
+    """The GenSpec of the flat gen keys (family defaults to random_regular)."""
+    return GenSpec(**{"family": "random_regular", **_part(mapping, "gen")})
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -329,13 +303,8 @@ def _run_trial(
 ) -> dict:
     """The trial record of one trial: a pure function of (cfg, trial_index)."""
     seed = trial_seed(cfg.master_seed, trial_index)
-    if cfg.regen_graph:  # a blow-up ignores its own seed: its base is the random graph
-        gen = cfg.gen
-        if gen.family == "blowup":
-            gen = replace(gen, base=replace(gen.base, seed=trial_seed(gen.base.seed, trial_index)))
-        else:
-            gen = replace(gen, seed=trial_seed(gen.seed, trial_index))
-        g = generate(gen)
+    if cfg.regen_graph:
+        g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, trial_index)))
         if cfg.spectrum:  # the parent graph's lambda does not certify this one
             spect = compute_spectrum(g, tol=cfg.spectrum_tol)
     stream, trace, sample, census = percolate(g, cfg.p, seed, cfg.k_max)
@@ -437,6 +406,11 @@ def compare_rows(trials: list, pred: TheoryPrediction, regime: str) -> list:
     return rows
 
 
+def _predict(cfg: ExperimentConfig) -> TheoryPrediction:
+    """The prediction that a sweep's summary and compare judge its trials against."""
+    return predict(cfg.gen.n, cfg.gen.d, cfg.epsilon, cfg.alpha, cfg.k_max)
+
+
 def _summary_obj(cfg: ExperimentConfig, trials: list, pred: TheoryPrediction) -> dict:
     cen = [t["census"] for t in trials]
 
@@ -475,8 +449,11 @@ def _summary_obj(cfg: ExperimentConfig, trials: list, pred: TheoryPrediction) ->
 # ----------------------------------------------------------------------
 # sweep driver
 # ----------------------------------------------------------------------
+# the record format this version reads and writes
+_FORMAT = 5
 # the keys that resume and compare look up in a record of each kind
-_RECORD_KEYS = {"config": ("config", "prediction"), "trial": ("trial_index",)}
+_RECORD_KEYS = {"config": ("config", "format"),
+                "trial": ("trial_index", "seed", "census", "dfs", "checks")}
 
 
 def _read_records(path: str) -> tuple[list, str | None]:
@@ -486,33 +463,44 @@ def _read_records(path: str) -> tuple[list, str | None]:
     that parses but is no record raises ValueError naming the line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().split("\n"), 1):
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                return records, (f"{path}:{lineno}: unreadable record "
-                                 f"({exc.msg}: column {exc.colno})")
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: a record must be a JSON object, "
-                                 f"got {type(obj).__name__}")
-            for key in _RECORD_KEYS.get(obj.get("kind"), ()):
-                if key not in obj:
-                    raise ValueError(f"{path}:{lineno}: {obj['kind']} record has no {key!r}")
-            records.append(obj)
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return records, (f"{path}:{lineno}: unreadable record "
+                             f"({exc.msg}: column {exc.colno})")
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: a record must be a JSON object, "
+                             f"got {type(obj).__name__}")
+        for key in _RECORD_KEYS.get(obj.get("kind"), ()):
+            if key not in obj:
+                raise ValueError(f"{path}:{lineno}: {obj['kind']} record has no {key!r}")
+        records.append(obj)
     return records, None
+
+
+def _head_config(path: str, head: dict) -> ExperimentConfig:
+    """The config of a record file's first record, which must be a config
+    record of the format this version writes; ValueError naming the file."""
+    if head.get("kind") != "config":
+        raise ValueError(f"{path}:1: first record must be the config record")
+    if head["format"] != _FORMAT:
+        raise ValueError(f"{path}:1: records are format {head['format']}, "
+                         f"this version writes format {_FORMAT}")
+    try:
+        return config_from_mapping(head["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: config record: {exc}") from None
 
 
 def _read_existing(path: str, config_obj: dict) -> dict:
     """Map trial_index -> trial record of a resumable file; its torn tail is recomputed."""
     records = _read_records(path)[0] if os.path.exists(path) else []
-    if records and records[0] != config_obj:
-        head = records[0]
-        if head.get("kind") == "config" and head.get("format") != config_obj["format"]:
-            raise ValueError(f"existing records are format {head.get('format')}, "
-                             f"this version writes format {config_obj['format']}")
-        raise ValueError("existing records were produced by a different config")
+    if records:
+        _head_config(path, records[0])
+        if records[0] != config_obj:
+            raise ValueError(f"{path}: existing records were produced by a different config")
     return {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
 
 
@@ -585,7 +573,6 @@ def _warm_kernels() -> None:
 def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     """Execute all trials, persist JSON-lines + CSV, return the summary.
 
-    The prediction and the config record take n and d from ``cfg.size``.
     The ``graph_seed`` graph is built only where something reads it: the
     trials of a fixed-graph sweep, or the record's spectrum.  A
     regenerating sweep without the spectrum builds no set-up graph, and
@@ -595,22 +582,21 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     if cfg.out is None:
         raise ValueError("config needs an output path: missing config key out")
     t_start = time.perf_counter()
-    n, d = cfg.size
     graph = generate(cfg.gen) if cfg.spectrum or not cfg.regen_graph else None
     spect = compute_spectrum(graph, tol=cfg.spectrum_tol) if cfg.spectrum else None
     if cfg.regen_graph:  # each trial generates its own graph and never reads this one
         graph = None
-    pred = predict(n, d, cfg.epsilon, cfg.alpha, cfg.k_max)
+    pred = _predict(cfg)
 
     config_obj = {
         "kind": "config",
         "config": cfg.to_dict(),
-        "n": n,
-        "d": d,
+        "n": cfg.gen.n,
+        "d": cfg.gen.d,
         "p": cfg.p,
         "prediction": pred.to_dict(),
         "spectrum": None if spect is None else spect.to_dict(),
-        "format": 4,
+        "format": _FORMAT,
     }
 
     have = _read_existing(cfg.out, config_obj) if resume else {}
@@ -646,9 +632,9 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
 # offline comparison
 # ----------------------------------------------------------------------
 def compare(records_path: str) -> dict:
-    """Rebuild the per-metric comparison table from a finished record file,
-    against the prediction of the record's own inputs and the fixed
-    TOLERANCES.
+    """Rebuild the summary of a finished record file, with its ``regime``:
+    the sweep's config is read back from the config record, and its trials
+    are judged against that config's prediction at the fixed TOLERANCES.
 
     Requires the terminating summary sentinel; a sweep that died mid-run
     leaves records without one and must be re-run or resumed first.
@@ -658,24 +644,14 @@ def compare(records_path: str) -> dict:
         raise ValueError(f"{torn}; re-run or resume the sweep")
     if not objs:
         raise ValueError(f"{records_path}: empty record file")
-    if objs[0].get("kind") != "config":
-        raise ValueError(f"{records_path}: first record must be the config record")
+    cfg = _head_config(records_path, objs[0])
     if objs[-1].get("kind") != "summary" or not objs[-1].get("complete"):
-        raise ValueError(
-            f"{records_path}: missing terminating sentinel record; sweep incomplete"
-        )
-    head = objs[0]
-    trials = [o for o in objs if o.get("kind") == "trial"]
-    if len(trials) != head["config"]["trials"]:
-        raise ValueError(
-            f"{records_path}: {len(trials)} trial records, config says {head['config']['trials']}"
-        )
-    p = head["prediction"]
-    prediction = predict(p["n"], p["d"], p["epsilon"], p["alpha"], len(p["T_k_pred"]))
-    rows = compare_rows(trials, prediction, head["config"]["regime"])
-    return {
-        "rows": rows,
-        "pass": all(r["pass"] for r in rows),
-        "trials": len(trials),
-        "regime": head["config"]["regime"],
-    }
+        raise ValueError(f"{records_path}: missing terminating sentinel record; sweep incomplete")
+    trials = objs[1:-1]
+    for i, t in enumerate(trials):
+        if t.get("kind") != "trial" or t["trial_index"] != i:
+            raise ValueError(f"{records_path}:{i + 2}: expected the record of trial {i}, got "
+                             f"a {t.get('kind')} record with trial_index {t.get('trial_index')}")
+    if len(trials) != cfg.trials:
+        raise ValueError(f"{records_path}: {len(trials)} trial records, config says {cfg.trials}")
+    return {**_summary_obj(cfg, trials, _predict(cfg)), "regime": cfg.regime}

@@ -250,8 +250,8 @@ def test_criterion_10_subset_expansion(super_run):
         rep = check_lemma_2_4(g, sample, alpha=ALPHA, subsets=1000, seed=s)
         violations += len(rep.violations)
     blow = check_blowup_pairs(
-        generate(GenSpec("blowup", blowup_factor=2,
-                         base=GenSpec("random_regular", n=5000, d=10, seed=7)))
+        generate(GenSpec("blowup", n=10000, d=20, seed=7, blowup_factor=2,
+                         base_family="random_regular"))
     )
     dt = time.perf_counter() - t0
     ok = violations == 0 and blow.passed

@@ -148,7 +148,7 @@ def test_cycle_bound_matches_census(q4):
         assert take_census(q4, sample).cycle_lb == longest_cycle_lower_bound(q4, sample)
 
 
-_BLOWUP = GenSpec("blowup", blowup_factor=2, base=GenSpec("random_regular", n=30, d=4, seed=2))
+_BLOWUP = GenSpec("blowup", n=60, d=8, seed=2, blowup_factor=2, base_family="random_regular")
 
 # cycle_lb at p = 0, 0.2, 0.35, 0.6, 1 for sample seeds 0 and 3, as the
 # stand-alone cycle scan that preceded the dfs_explore forest computed them
@@ -160,7 +160,7 @@ _PINNED_CYCLE_LB = [
     ("petersen", [0, 0, 0, 0, 0, 0, 5, 5, 9, 9]),
     (GenSpec("clique_union", n=60, d=5), [0, 0, 3, 3, 4, 4, 6, 5, 6, 6]),
     (_BLOWUP, [0, 0, 3, 0, 15, 18, 27, 28, 48, 48]),
-    (GenSpec("blowup", blowup_factor=3, base=GenSpec("hypercube", n=8, d=3)),
+    (GenSpec("blowup", n=24, d=9, blowup_factor=3, base_family="hypercube"),
      [0, 0, 0, 0, 6, 10, 10, 12, 18, 18]),
 ]
 

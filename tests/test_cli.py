@@ -184,11 +184,19 @@ def test_sweep_and_compare_roundtrip(tmp_path, capsys):
     assert "theorem_1" in capsys.readouterr().out
 
 
+_TRIAL_KEYS = ("trial_index", "seed", "census", "dfs", "checks")
+_NO_TRIALS = {"family": "random_regular", "n": 400, "d": 8, "graph_seed": 2, "epsilon": 0.6,
+              "regime": "sub", "seed": 11}
+
+
 @pytest.mark.parametrize("head, cause", [
     ("[1,2]", "bad.jsonl:1: a record must be a JSON object, got list"),
-    ('{"config":{"trials":1},"kind":"config"}', "bad.jsonl:1: config record has no 'prediction'"),
-    ('{"kind":"trial","seed":1}', "bad.jsonl:1: trial record has no 'trial_index'"),
-], ids=["not_an_object", "no_prediction", "no_trial_index"])
+    ('{"config":{"trials":1},"kind":"config"}', "bad.jsonl:1: config record has no 'format'"),
+    *[(json.dumps({"kind": "trial", **{k: 0 for k in _TRIAL_KEYS if k != key}}),
+       f"bad.jsonl:1: trial record has no {key!r}") for key in _TRIAL_KEYS],
+    (json.dumps({"kind": "config", "format": 5, "config": _NO_TRIALS}),
+     "bad.jsonl:1: config record: missing required config keys: trials"),
+], ids=["not_an_object", "no_format", *[f"no_{k}" for k in _TRIAL_KEYS], "no_trials"])
 def test_malformed_record_file_is_a_clean_error(tmp_path, capsys, head, cause):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(head + "\n")

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,16 +43,12 @@ def test_genspec_validation_errors():
         GenSpec("hypercube", n=15, d=4).validate()
     with pytest.raises(GenSpecError, match="\\(d\\+1\\)"):
         GenSpec("clique_union", n=10, d=3).validate()
-    with pytest.raises(GenSpecError, match="base"):
-        GenSpec("blowup", blowup_factor=2).validate()
-    with pytest.raises(GenSpecError, match="concrete"):
-        GenSpec(
-            "blowup",
-            blowup_factor=2,
-            base=GenSpec("blowup", blowup_factor=2, base=GenSpec("hypercube", n=4, d=2)),
-        ).validate()
-    with pytest.raises(GenSpecError, match=">= 2"):
-        GenSpec("blowup", blowup_factor=1, base=GenSpec("hypercube", n=4, d=2)).validate()
+    with pytest.raises(GenSpecError, match="base_family other than blowup, got None"):
+        GenSpec("blowup", n=8, d=4, blowup_factor=2).validate()
+    with pytest.raises(GenSpecError, match="base_family other than blowup, got blowup"):
+        GenSpec("blowup", n=8, d=4, blowup_factor=2, base_family="blowup").validate()
+    with pytest.raises(GenSpecError, match=">= 2, got 1"):
+        GenSpec("blowup", n=4, d=2, blowup_factor=1, base_family="hypercube").validate()
 
 
 def test_hypercube_edges_are_bit_flips(q4):
@@ -71,7 +68,7 @@ def test_clique_union_blocks(cliques60):
 
 
 def test_blowup_structure():
-    spec = GenSpec("blowup", blowup_factor=3, base=GenSpec("hypercube", n=8, d=3))
+    spec = GenSpec("blowup", n=24, d=9, blowup_factor=3, base_family="hypercube")
     g = generate(spec)
     assert g.n == 24 and g.d == 9
     base = generate(GenSpec("hypercube", n=8, d=3))
@@ -86,10 +83,13 @@ def test_blowup_structure():
 
 
 def test_blowup_size_fields_checked():
-    base = GenSpec("hypercube", n=8, d=3)
-    GenSpec("blowup", n=16, d=6, blowup_factor=2, base=base).validate()
-    with pytest.raises(GenSpecError, match="blank"):
-        GenSpec("blowup", n=17, d=6, blowup_factor=2, base=base).validate()
+    spec = GenSpec("blowup", n=16, d=6, seed=4, blowup_factor=2, base_family="hypercube")
+    spec.validate()
+    assert spec.base == GenSpec("hypercube", n=8, d=3, seed=4)
+    with pytest.raises(GenSpecError, match="multiples of blowup_factor 2, got n=17 d=6"):
+        replace(spec, n=17).validate()
+    with pytest.raises(GenSpecError, match="hypercube needs n = 2\\^d, got n=8 d=4"):
+        replace(spec, d=8).validate()  # the base is checked too
 
 
 def test_reference_graphs(petersen, c6):
@@ -130,7 +130,7 @@ _PINNED = [
      "e65ebdc96b61e2a50ebdf66eb2e38037b4dbcdb08bd386a63d0aa82842967509"),
     (GenSpec("clique_union", n=60, d=5), 0,
      "7fb4715b357716e0345cf1d0624640734cfdb1141cedf38f3b6cf2c6c5e68365"),
-    (GenSpec("blowup", blowup_factor=3, base=GenSpec("random_regular", n=30, d=4, seed=2)), 2,
+    (GenSpec("blowup", n=90, d=12, seed=2, blowup_factor=3, base_family="random_regular"), 2,
      "7dc38f2ec275046fb3886c4bef7eeec8c63e08dcf024149f43eb172c731306a5"),
 ]
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -79,21 +80,61 @@ def test_load_config_file_rejects_bare_tokens(tmp_path):
         load_config_file(p)
 
 
+_BLOWUP_MAPPING = {"family": "blowup", "n": 200, "d": 10, "graph_seed": 3, "blowup_factor": 2,
+                   "base_family": "random_regular", "epsilon": 0.2, "trials": 1, "seed": 0}
+
+
 def test_config_from_mapping_blowup():
-    cfg = config_from_mapping({
-        "family": "blowup",
-        "blowup_factor": 2,
-        "base_family": "random_regular",
-        "base_n": 100,
-        "base_d": 5,
-        "base_seed": 3,
-        "epsilon": 0.2,
-        "regime": "super",
-        "trials": 1,
-        "seed": 0,
-    })
-    assert cfg.gen.family == "blowup" and cfg.gen.base.d == 5
-    assert cfg.p == pytest.approx(1.2 / 10)  # d comes from factor * base degree
+    cfg = config_from_mapping(_BLOWUP_MAPPING)
+    assert cfg.gen.family == "blowup" and cfg.gen.base == GenSpec("random_regular", 100, 5, 3)
+    assert cfg.p == pytest.approx(1.2 / 10)
+
+
+@pytest.mark.parametrize("change, cause", [
+    ({"n": None}, "blowup needs n and d positive multiples of blowup_factor 2, got n=0 d=10"),
+    ({"d": None}, "blowup needs n and d positive multiples of blowup_factor 2, got n=200 d=0"),
+    ({"n": 201}, "blowup needs n and d positive multiples of blowup_factor 2, got n=201 d=10"),
+    ({"d": 9}, "blowup needs n and d positive multiples of blowup_factor 2, got n=200 d=9"),
+    ({"base_family": None}, "blowup needs a base_family other than blowup, got None"),
+    ({"blowup_factor": None}, "blowup_factor must be an integer >= 2, got None"),
+    ({"family": "random_regular", "base_family": None},
+     "blowup_factor applies only to family blowup, not random_regular"),
+    ({"family": "random_regular", "blowup_factor": None},
+     "base_family applies only to family blowup, not random_regular"),
+], ids=["blank_n", "blank_d", "n_not_multiple", "d_not_multiple", "no_base_family",
+        "no_blowup_factor", "blowup_factor_off_blowup", "base_family_off_blowup"])
+def test_config_from_mapping_rejects_a_bad_blowup_by_name(change, cause):
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        config_from_mapping({**_BLOWUP_MAPPING, **change})
+
+
+# one value per key type that the type does not take, as a config file
+# spells it and as a mapping (a record, a caller) gives it
+@pytest.mark.parametrize("key, text, value", [
+    ("regen_graph", "flase", 1),
+    ("trials", "1.9", True),
+    ("epsilon", "high", True),
+    ("family", "5", 5),
+    ("checkers", "5", 5),
+], ids=["bool", "int", "float", "str", "checkers"])
+def test_config_values_are_cast_exactly(tmp_path, key, text, value):
+    good = {"n": 400, "d": 8, "epsilon": 0.2, "trials": 2, "seed": 1}
+    path = tmp_path / "sweep.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in good.items()) + f"{key} = {text}\n")
+    from_file = load_config_file(path)[key]
+    for bad in (from_file, value):
+        with pytest.raises(ValueError, match=f"^config key {key} takes .*, got "
+                                             f"{re.escape(repr(bad))}$"):
+            config_from_mapping({**good, key: bad})
+
+
+def test_config_values_of_the_right_type_are_taken():
+    cfg = config_from_mapping({"n": 400, "d": 8, "epsilon": 1, "trials": 2, "seed": 1,
+                               "regen_graph": False, "checkers": ["stream"]})
+    assert cfg.epsilon == 1.0 and isinstance(cfg.epsilon, float)
+    assert cfg.checkers == ("stream",) and cfg.regen_graph is False
+    with pytest.raises(ValueError, match="^config key n takes int, got 400.7$"):
+        config_from_mapping({"n": 400.7, "d": 8, "epsilon": 0.2, "trials": 2, "seed": 1})
 
 
 def test_config_from_mapping_names_missing_keys():
@@ -114,16 +155,25 @@ def test_config_from_mapping_rejects_unknown_keys():
     assert cfg.alpha == 0.1 and cfg.regime == "super"  # the field defaults
 
 
-def test_config_from_mapping_accepts_benchmark_workloads():
+def _workload_mappings() -> list:
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for name in workloads.WORKLOADS:
-        mapping = workloads.sweep_mapping(name, 1)
+    return [workloads.sweep_mapping(name, 1) for name in workloads.WORKLOADS]
+
+
+def test_config_from_mapping_accepts_benchmark_workloads():
+    for mapping in _workload_mappings():
         cfg = config_from_mapping(mapping)
         assert cfg.gen.n == mapping["n"] and cfg.master_seed == mapping["seed"]
         assert cfg.checkers == tuple(mapping["checkers"].split(","))
+
+
+def test_config_record_reads_back_to_its_config():
+    for mapping in [*_workload_mappings(), dict(_BLOWUP_MAPPING, workers=2, out="b.jsonl")]:
+        cfg = config_from_mapping(mapping)
+        assert config_from_mapping(cfg.to_dict()) == replace(cfg, workers=1, out=None)
 
 
 def test_config_validation_errors():
@@ -198,11 +248,10 @@ def test_giant_expansion_config_rejected_before_generation(tmp_path, monkeypatch
                "regime": "super", "trials": 1, "seed": 0, "checkers": "giant_expansion"}
     with pytest.raises(ValueError, match="empty subset-size window"):
         config_from_mapping(mapping)
-    # the admissible side of the bound, and a blow-up whose n, d are left blank
+    # the admissible side of the bound, for a random graph and for a blow-up
     config_from_mapping(dict(mapping, n=20000, alpha=0.01))
-    config_from_mapping({"family": "blowup", "blowup_factor": 2, "base_n": 10000,
-                         "base_d": 4, "epsilon": 0.2, "trials": 1, "seed": 0,
-                         "alpha": 0.01, "checkers": "giant_expansion"})
+    config_from_mapping(dict(mapping, family="blowup", n=20000, d=8, blowup_factor=2,
+                             base_family="random_regular", alpha=0.01))
 
 
 def test_small_giant_fails_its_trial_and_the_sweep_writes(tmp_path):
@@ -399,7 +448,7 @@ def test_sweep_output_path_invisible_in_records(tmp_path):
     assert open(out_a, "rb").read() == open(out_b, "rb").read()
     assert open(out_a + ".csv", "rb").read() == open(out_b + ".csv", "rb").read()
     head = json.loads(open(out_a, encoding="utf-8").readline())
-    assert "out" not in head["config"] and head["format"] == 4
+    assert "out" not in head["config"] and head["format"] == 5
     assert "tolerances" not in head["config"]
 
 
@@ -441,7 +490,7 @@ def test_sweep_resume_names_the_record_format(tmp_path):
     old["config"]["tolerances"] = {}
     out.write_text(json.dumps(old, sort_keys=True, separators=(",", ":")) + "\n" + rest,
                    encoding="utf-8")
-    with pytest.raises(ValueError, match="records are format 3, this version writes format 4"):
+    with pytest.raises(ValueError, match="records are format 3, this version writes format 5"):
         run_sweep(_small_cfg(out=str(out)), resume=True)
 
 
@@ -503,16 +552,18 @@ def test_regen_blowup_sweep_draws_a_graph_per_trial(tmp_path, monkeypatch):
         return graphs[-1]
 
     monkeypatch.setattr(harness, "generate", recorded_generate)
-    gen = GenSpec("blowup", blowup_factor=2, base=GenSpec("random_regular", n=250, d=4, seed=3))
+    gen = GenSpec("blowup", n=500, d=8, seed=3, blowup_factor=2, base_family="random_regular")
     run_sweep(_small_cfg(out=str(tmp_path / "b.jsonl"), gen=gen, trials=3, regen_graph=True))
-    # a blow-up is built from its base, so each trial reseeds the base
+    # trial i runs on the graph of the spec perfbench's check_run and replay
+    # rebuild it from; a blow-up's base shares its seed, so the base is reseeded
+    assert specs == [replace(gen, seed=trial_seed(3, i)) for i in range(3)]
     assert [s.base.seed for s in specs] == [trial_seed(3, i) for i in range(3)]
     assert len({g.neighbors.tobytes() for g in graphs}) == 3
 
 
 @pytest.mark.parametrize("gen, family", [
     (GenSpec("hypercube", n=16, d=4), "hypercube"),
-    (GenSpec("blowup", blowup_factor=2, base=GenSpec("clique_union", n=20, d=4)), "clique_union"),
+    (GenSpec("blowup", n=40, d=8, blowup_factor=2, base_family="clique_union"), "clique_union"),
 ], ids=["hypercube", "blowup_of_clique_union"])
 def test_regen_graph_rejects_a_family_of_one_graph(gen, family):
     with pytest.raises(ValueError, match=f"regen_graph needs a random family: {family} has one"):
@@ -560,7 +611,7 @@ def test_fixed_graph_sweep_keeps_its_setup_graph_for_every_trial(tmp_path, monke
 
 @pytest.mark.parametrize("gen", [
     GenSpec("random_regular", n=500, d=8, seed=21),
-    GenSpec("blowup", blowup_factor=2, base=GenSpec("random_regular", n=250, d=4, seed=3)),
+    GenSpec("blowup", n=500, d=8, seed=3, blowup_factor=2, base_family="random_regular"),
 ])
 def test_config_record_does_not_depend_on_regen_graph(tmp_path, gen):
     heads = []
@@ -604,20 +655,41 @@ def test_compare_matches_summary_rows(tmp_path):
     assert result["trials"] == 4 and result["regime"] == "sub"
 
 
+@pytest.mark.parametrize("regime", ["sub", "super"])
+def test_compare_rebuilds_the_summary_line(tmp_path, regime):
+    out = str(tmp_path / "cmp.jsonl")
+    run_sweep(_small_cfg(out=out, regime=regime, checkers=("stream",)))
+    with open(out, encoding="utf-8") as fh:
+        summary = json.loads(fh.read().splitlines()[-1])
+    result = compare(out)
+    assert result.pop("regime") == regime
+    assert result == summary
+
+
+def test_compare_requires_each_trial_once_in_order(tmp_path):
+    # trial 0 three times passes as three trials unless the indices are checked
+    out = tmp_path / "dup.jsonl"
+    run_sweep(_small_cfg(out=str(out), trials=3))
+    lines = out.read_text(encoding="utf-8").splitlines()
+    out.write_text("\n".join([lines[0]] + [lines[1]] * 3 + [lines[-1]]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="dup.jsonl:3: expected the record of trial 1, got a "
+                                         "trial record with trial_index 0$"):
+        compare(str(out))
+
+
 def test_compare_error_cases(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         compare(str(empty))
 
-    noconf = tmp_path / "noconf.jsonl"
-    noconf.write_text('{"kind":"trial","trial_index":0}\n')
-    with pytest.raises(ValueError, match="config record"):
-        compare(str(noconf))
-
     out = str(tmp_path / "torn.jsonl")
     run_sweep(_small_cfg(out=out))
     lines = open(out, encoding="utf-8").read().splitlines()
+    noconf = tmp_path / "noconf.jsonl"
+    noconf.write_text(lines[1] + "\n")
+    with pytest.raises(ValueError, match="noconf.jsonl:1: first record must be the config record"):
+        compare(str(noconf))
     headless = tmp_path / "nosentinel.jsonl"
     headless.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="sentinel"):
@@ -625,8 +697,14 @@ def test_compare_error_cases(tmp_path):
 
     extra = tmp_path / "extra.jsonl"
     extra.write_text("\n".join(lines[:-1] + [lines[1], lines[-1]]) + "\n")
-    with pytest.raises(ValueError, match="trial records"):
+    with pytest.raises(ValueError, match="extra.jsonl:6: expected the record of trial 4, got a "
+                                         "trial record with trial_index 0"):
         compare(str(extra))
+
+    short = tmp_path / "short.jsonl"
+    short.write_text("\n".join(lines[:-2] + [lines[-1]]) + "\n")
+    with pytest.raises(ValueError, match="short.jsonl: 3 trial records, config says 4"):
+        compare(str(short))
 
     # a file cut off inside its third record names that line, not a char offset
     cut = tmp_path / "cut.jsonl"

@@ -168,8 +168,8 @@ def test_subset_expansion_window_errors(rr2000):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def blowup2():
-    base = GenSpec("random_regular", n=100, d=5, seed=3)
-    return generate(GenSpec("blowup", blowup_factor=2, base=base))
+    return generate(GenSpec("blowup", n=200, d=10, seed=3, blowup_factor=2,
+                            base_family="random_regular"))
 
 
 def test_blowup_pairs_default_sizes(blowup2):
@@ -186,8 +186,7 @@ def test_blowup_pairs_explicit_sizes(blowup2):
 def test_blowup_pairs_guards(blowup2, q4):
     with pytest.raises(ValueError, match="factor 2"):
         check_blowup_pairs(q4)
-    base = GenSpec("hypercube", n=16, d=4)
-    g3 = generate(GenSpec("blowup", blowup_factor=3, base=base))
+    g3 = generate(GenSpec("blowup", n=48, d=12, blowup_factor=3, base_family="hypercube"))
     with pytest.raises(ValueError, match="factor 2"):
         check_blowup_pairs(g3)
     with pytest.raises(ValueError, match="even"):
