@@ -451,9 +451,16 @@ def _summary_obj(cfg: ExperimentConfig, trials: list, pred: TheoryPrediction) ->
 # ----------------------------------------------------------------------
 # the record format this version reads and writes
 _FORMAT = 5
-# the keys that resume and compare look up in a record of each kind
-_RECORD_KEYS = {"config": ("config", "format"),
-                "trial": ("trial_index", "seed", "census", "dfs", "checks")}
+# the keys that resume and compare look up in a record of each kind;
+# "part.key" names a key of the record's dict `part`, listed after `part`
+_RECORD_KEYS = {
+    "config": ("config", "format"),
+    "trial": ("trial_index", "seed", "census", "dfs", "checks",
+              *(f"census.{k}" for k in ("retained", "components", "largest", "second_largest",
+                                        "largest_edges", "retained_edges", "tree_counts",
+                                        "straggler_vertices", "cycle_lb")),
+              "dfs.epochs", "dfs.largest_epoch"),
+}
 
 
 def _read_records(path: str) -> tuple[list, str | None]:
@@ -473,9 +480,12 @@ def _read_records(path: str) -> tuple[list, str | None]:
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{lineno}: a record must be a JSON object, "
                              f"got {type(obj).__name__}")
-        for key in _RECORD_KEYS.get(obj.get("kind"), ()):
-            if key not in obj:
-                raise ValueError(f"{path}:{lineno}: {obj['kind']} record has no {key!r}")
+        for name in _RECORD_KEYS.get(obj.get("kind"), ()):
+            part, _, key = name.rpartition(".")
+            owner = obj[part] if part else obj
+            if not isinstance(owner, dict) or key not in owner:
+                raise ValueError(f"{path}:{lineno}: {obj['kind']} record"
+                                 f"{' ' + part if part else ''} has no {key!r}")
         records.append(obj)
     return records, None
 

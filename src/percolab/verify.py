@@ -62,9 +62,37 @@ class ViolationReport:
         self.passed = False
 
 
+def _draw_side(rng: np.random.Generator, n: int, k: int) -> tuple[np.ndarray, bool]:
+    """A uniform k-subset of range(n) as (ids, complemented): the ids of
+    the smaller of the set and its complement, and whether they are the
+    complement's."""
+    complemented = k > n - k
+    ids = rng.choice(n, size=n - k if complemented else k, replace=False, shuffle=False)
+    return ids, complemented
+
+
+def _mixing_count(g: RegularGraph, B: np.ndarray, b_comp: bool,
+                  C: np.ndarray, c_comp: bool) -> int:
+    """e(B, C) of two sets as _draw_side gives them, by one
+    edge_count_between on the drawn ids.  Every row holds d entries, so
+    e(S, V) = d|S| under the ordered-pair count, and e(V-S, C) = d|C| - e(S, C)."""
+    e = edge_count_between(g, B, C)
+    if c_comp:  # e(B, V-C) -> e(B, C), B still as drawn
+        e = g.d * B.size - e
+    if b_comp:
+        e = g.d * (g.n - C.size if c_comp else C.size) - e
+    return e
+
+
 def check_mixing(g: RegularGraph, report: SpectrumReport, pairs: int, seed: int) -> ViolationReport:
     """Edge-count mixing on random vertex-set pairs:
-    |e(B,C) - d|B||C|/n| <= lambda sqrt(|B||C|), ordered-pair edge count."""
+    |e(B,C) - d|B||C|/n| <= lambda sqrt(|B||C|), ordered-pair edge count.
+
+    A pair draws its sizes |B| and |C| uniformly from [1, n], then each
+    set uniformly among the sets of its size, drawn as the smaller of the
+    set and its complement.  Earlier versions drew each set itself, so a
+    failing check in records they wrote names other witness pairs for the
+    same seed; a passing report names no sets and reads the same."""
     if pairs < 1:  # a check of no instances must not pass
         raise ValueError(f"pairs must be at least 1, got {pairs}")
     rng = make_generator(seed, TAG_PAIRS)
@@ -74,9 +102,7 @@ def check_mixing(g: RegularGraph, report: SpectrumReport, pairs: int, seed: int)
     for i in range(pairs):
         nb = int(rng.integers(1, n + 1))
         nc = int(rng.integers(1, n + 1))
-        B = rng.choice(n, size=nb, replace=False)
-        C = rng.choice(n, size=nc, replace=False)
-        e = edge_count_between(g, B, C)
+        e = _mixing_count(g, *_draw_side(rng, n, nb), *_draw_side(rng, n, nc))
         expected = d * nb * nc / n
         bound = lam * math.sqrt(nb * nc) + _FP_SLACK
         if abs(e - expected) > bound:

@@ -185,6 +185,12 @@ def test_sweep_and_compare_roundtrip(tmp_path, capsys):
 
 
 _TRIAL_KEYS = ("trial_index", "seed", "census", "dfs", "checks")
+# a trial record whose census and dfs hold every key that compare and resume read
+_TRIAL = {"kind": "trial", "trial_index": 0, "seed": 1, "checks": [],
+          "census": dict.fromkeys(("retained", "components", "largest", "second_largest",
+                                   "largest_edges", "retained_edges", "straggler_vertices",
+                                   "cycle_lb"), 1) | {"tree_counts": [1]},
+          "dfs": {"epochs": 1, "largest_epoch": 3}}
 _NO_TRIALS = {"family": "random_regular", "n": 400, "d": 8, "graph_seed": 2, "epsilon": 0.6,
               "regime": "sub", "seed": 11}
 
@@ -196,7 +202,12 @@ _NO_TRIALS = {"family": "random_regular", "n": 400, "d": 8, "graph_seed": 2, "ep
        f"bad.jsonl:1: trial record has no {key!r}") for key in _TRIAL_KEYS],
     (json.dumps({"kind": "config", "format": 5, "config": _NO_TRIALS}),
      "bad.jsonl:1: config record: missing required config keys: trials"),
-], ids=["not_an_object", "no_format", *[f"no_{k}" for k in _TRIAL_KEYS], "no_trials"])
+    (json.dumps({**_TRIAL, "census": {k: v for k, v in _TRIAL["census"].items() if k != "largest"}}),
+     "bad.jsonl:1: trial record census has no 'largest'"),
+    (json.dumps({**_TRIAL, "dfs": {"largest_epoch": 3}}),
+     "bad.jsonl:1: trial record dfs has no 'epochs'"),
+], ids=["not_an_object", "no_format", *[f"no_{k}" for k in _TRIAL_KEYS], "no_trials",
+        "census_no_largest", "dfs_no_epochs"])
 def test_malformed_record_file_is_a_clean_error(tmp_path, capsys, head, cause):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(head + "\n")

@@ -1,16 +1,20 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from oracles import check_blowup_pairs, clique_expansion_demo, sample_vertices
 from percolab.census import take_census
-from percolab.generators import GenSpec, generate
-from percolab.graph_core import VertexSet
+from percolab.generators import GenSpec, cycle_graph, generate
+from percolab.graph_core import VertexSet, edge_count_between
 from percolab.percolation import CoinStream, PercolationSample
 from percolab.spectral import SpectrumReport, compute_spectrum
 from percolab.verify import (
     ViolationReport,
+    _draw_side,
+    _mixing_count,
     check_corollary_2_3,
     check_giant_expansion,
     check_lemma_2_4,
@@ -77,6 +81,52 @@ def test_mixing_detects_understated_lambda(rr_small):
     out = check_mixing(rr_small, _fake_spectrum(rr_small.d, 0.005), pairs=100, seed=2)
     assert not out.passed
     assert out.violations
+
+
+@pytest.mark.parametrize("graph", ["rr_small", "cliques60", "cycle7"])
+def test_mixing_count_through_complements_matches_explicit_sets(request, graph):
+    g = cycle_graph(7) if graph == "cycle7" else request.getfixturevalue(graph)
+    n = g.n
+    rng = np.random.default_rng(4)
+    sizes = (1, n // 2, (n + 1) // 2, n - 1, n)  # size n leaves an empty complement
+    for nb in sizes:
+        for nc in sizes:
+            B, C = rng.permutation(n)[:nb], rng.permutation(n)[:nc]
+            e = edge_count_between(g, B, C)
+            if nb == n:
+                assert e == g.d * nc
+            for b_comp in (False, True):
+                for c_comp in (False, True):
+                    b_ids = np.setdiff1d(np.arange(n), B) if b_comp else B
+                    c_ids = np.setdiff1d(np.arange(n), C) if c_comp else C
+                    assert _mixing_count(g, b_ids, b_comp, c_ids, c_comp) == e, \
+                        (nb, nc, b_comp, c_comp)
+
+
+@pytest.mark.parametrize("n", [50, 51])
+def test_mixing_draw_is_the_smaller_side(n):
+    rng = np.random.default_rng(6)
+    for k in range(1, n + 1):
+        ids, complemented = _draw_side(rng, n, k)
+        assert complemented == (k > n - k)
+        assert ids.size == min(k, n - k)
+        assert np.unique(ids).size == ids.size
+        assert ids.size == 0 or (ids.min() >= 0 and ids.max() < n)
+
+
+def test_mixing_draw_is_uniform_over_k_subsets():
+    # n=6, k=4 is drawn as a 2-set complement; all 15 4-sets equally likely
+    rng = np.random.default_rng(8)
+    draws = 6000
+    counts = Counter()
+    for _ in range(draws):
+        ids, complemented = _draw_side(rng, 6, 4)
+        assert complemented
+        counts[frozenset(range(6)) - frozenset(ids.tolist())] += 1
+    assert len(counts) == 15
+    expected = draws / 15
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert stat < chi2.ppf(0.999, 14), stat
 
 
 # ----------------------------------------------------------------------
