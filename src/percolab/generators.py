@@ -212,15 +212,9 @@ def _hypercube(d: int) -> RegularGraph:
 
 
 def _clique_union(n: int, d: int) -> RegularGraph:
-    k = d + 1
-    base = np.arange(n, dtype=np.int64) // k * k
-    within = np.arange(n, dtype=np.int64) % k
-    others = np.arange(k, dtype=np.int64)
-    nbrs = base[:, None] + others[None, :]
-    # drop the diagonal (self) entry of each row
-    mask = others[None, :] != within[:, None]
-    nbrs = nbrs[mask].reshape(n, d)
-    return RegularGraph.from_edges(n, d, *_upper_edges(nbrs))
+    verts = np.arange(n, dtype=np.int64)[:, None]
+    clique = verts // (d + 1) * (d + 1) + np.arange(d + 1)  # each vertex's clique, itself included
+    return RegularGraph.from_edges(n, d, *_upper_edges(clique[clique != verts].reshape(n, d)))
 
 
 def _blowup(base: RegularGraph, s: int) -> RegularGraph:
@@ -241,9 +235,4 @@ def cycle_graph(n: int) -> RegularGraph:
     if n < 3:
         raise GenSpecError("cycle needs n >= 3")
     verts = np.arange(n, dtype=np.int64)
-    return RegularGraph.from_edges(
-        n,
-        2,
-        np.concatenate([verts[:-1], [0]]),
-        np.concatenate([verts[1:], [n - 1]]),
-    )
+    return RegularGraph.from_edges(n, 2, verts, (verts + 1) % n)

@@ -97,8 +97,7 @@ class RegularGraph:
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
         deg = np.bincount(src, minlength=n)
-        off_target = np.full(n, d, dtype=np.int64)
-        if not np.array_equal(deg, off_target):
+        if np.any(deg != d):
             bad = int(np.argmax(deg != d))
             raise RegularityError(
                 f"vertex {bad} has degree {int(deg[bad])}, expected {d}"

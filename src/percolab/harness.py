@@ -6,7 +6,9 @@ summary record that doubles as the completion sentinel.  Every byte of
 the record file is a pure function of (config, master_seed): trial seeds
 are counter-derived, floats serialize via repr, keys are sorted, and
 wall-clock time is logged but never serialized.  A companion CSV table
-holds the per-trial census columns.  Both files are written whole to a
+holds one row per trial; its columns, the summary's medians and the
+type of each trial-record field come from one table, _TRIAL_FIELDS.
+Both files are written whole to a
 temp file and then moved over the old one, so a sweep killed while
 writing leaves the previous files for --resume to read.
 
@@ -295,12 +297,8 @@ def run_checks(checkers, params, g: RegularGraph, stream: CoinStream, sample: Pe
     return reports
 
 
-def _run_trial(
-    g: RegularGraph,
-    cfg: ExperimentConfig,
-    spect: SpectrumReport | None,
-    trial_index: int,
-) -> dict:
+def _run_trial(g: RegularGraph, cfg: ExperimentConfig, spect: SpectrumReport | None,
+               trial_index: int) -> dict:
     """The trial record of one trial: a pure function of (cfg, trial_index)."""
     seed = trial_seed(cfg.master_seed, trial_index)
     if cfg.regen_graph:
@@ -309,14 +307,9 @@ def _run_trial(
             spect = compute_spectrum(g, tol=cfg.spectrum_tol)
     stream, trace, sample, census = percolate(g, cfg.p, seed, cfg.k_max)
     checks = run_checks(cfg.checkers, cfg, g, stream, sample, census, spect, seed)
-    return {
-        "kind": "trial",
-        "trial_index": trial_index,
-        "seed": seed,
-        "census": census.to_summary(),
-        "dfs": trace.summary(),
-        "checks": [r.to_dict() for r in checks],
-    }
+    return {"kind": "trial", "trial_index": trial_index, "seed": seed,
+            "census": census.to_summary(), "dfs": trace.summary(),
+            "checks": [r.to_dict() for r in checks]}
 
 
 _WORKER_STATE: dict = {}
@@ -341,6 +334,95 @@ def _dumps(obj: dict) -> str:
 
 
 # ----------------------------------------------------------------------
+# the trial record
+# ----------------------------------------------------------------------
+# field -> (type, CSV column, summary median), None where there is none,
+# nested as in the record: census is ComponentCensus.to_summary, dfs is
+# DfsTrace.summary.  [int] is the k_max tree counts, one column and median
+# per k; the checks column says whether every check report passed.
+_TRIAL_FIELDS = {
+    "trial_index": (int, "trial_index", None),
+    "seed": (int, "seed", None),
+    "census": {
+        "retained": (int, "retained", "retained_median"),
+        "components": (int, "components", "components_median"),
+        "largest": (int, "largest", "L1_median"),
+        "second_largest": (int, "second_largest", "L2_median"),
+        "largest_edges": (int, "largest_edges", "eL1_median"),
+        "retained_edges": (int, "retained_edges", "Zp_median"),
+        "tree_counts": ([int], "T{k}", "T{k}_median"),
+        "straggler_vertices": (int, "straggler_vertices", None),
+        "straggler_edges": (int, None, None),
+        "cycle_lb": (int, "cycle_lb", "cycle_lb_median"),
+    },
+    "dfs": {
+        "epochs": (int, "epochs", None),
+        "accepted": (int, None, None),
+        "rejected": (int, None, None),
+        "largest_epoch": (int, "largest_epoch", None),
+        "coins": (int, None, None),
+    },
+    "checks": ([{"checker": str, "pass": bool}], "checks_pass", None),
+}
+_CSV, _MEDIAN = 1, 2  # the label columns of a _TRIAL_FIELDS row
+
+
+def _passes(trials: list, checker: str | None = None) -> list:
+    """The pass flags of the trials' check reports, of one checker if given."""
+    return [r["pass"] for t in trials for r in t["checks"] if checker in (None, r["checker"])]
+
+
+def _labelled(trial: dict, col: int) -> dict:
+    """label -> value of the trial's fields labelled in column col (_CSV or
+    _MEDIAN) of _TRIAL_FIELDS, in table order."""
+    out = {}
+    for key, row in _TRIAL_FIELDS.items():
+        owner, rows = (trial[key], row.items()) if isinstance(row, dict) else (trial, [(key, row)])
+        for name, sub in rows:
+            kind, label, value = sub[0], sub[col], owner[name]
+            if label is None:
+                continue
+            if kind == [int]:
+                out.update((label.format(k=k), v) for k, v in enumerate(value, 1))
+            else:
+                out[label] = int(all(_passes([trial]))) if isinstance(kind, list) else value
+    return out
+
+
+def _medians(trials: list) -> dict:
+    """The summary's medians, by label, of the trials' fields with one."""
+    labelled = [_labelled(t, _MEDIAN) for t in trials]
+    return {label: float(median(v[label] for v in labelled)) for label in labelled[0]}
+
+
+def _fault(value, kind, k_max: int | None, path: str = "") -> str | None:
+    """Why the trial record's field at path ("" the record itself) does not
+    hold a value of kind, or None: kind is a type (a bool is no int), [kind]
+    a list of them ([int], the tree counts, k_max long once k_max is known),
+    or a dict of the keys the value holds, each a kind or a table row."""
+    at = f"trial record {path}".rstrip()
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            return f"{at} takes an object, got {value!r}"
+        missing = [key for key in kind if key not in value]
+        if missing:
+            return f"{at} has no {missing[0]!r}"
+        subs = [(value[key], sub, f"{path}.{key}" if path else key) for key, sub in kind.items()]
+    elif isinstance(kind, list):
+        size = k_max if kind == [int] else None
+        if not isinstance(value, list) or size not in (None, len(value)):
+            takes = "a list" if size is None else f"k_max = {size} ints"
+            return f"{at} takes {takes}, got {value!r}"
+        subs = [(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return None
+    else:
+        return f"{at} takes {kind.__name__}, got {value!r}"
+    faults = (_fault(v, sub[0] if isinstance(sub, tuple) else sub, k_max, p) for v, sub, p in subs)
+    return next(filter(None, faults), None)
+
+
+# ----------------------------------------------------------------------
 # comparison rows
 # ----------------------------------------------------------------------
 def _rate(flags) -> float:
@@ -360,22 +442,17 @@ def compare_rows(trials: list, pred: TheoryPrediction, regime: str) -> list:
     d=20.  The asymptotic L1_pred stays gated by L1_window_rate, which
     is Theorem 2's own window."""
     cen = [t["census"] for t in trials]
+    medians = _medians(trials)
     rows = []
 
     def row(metric, claim, measured, predicted, claim_bound, tolerance, passed):
-        rows.append({
-            "metric": metric,
-            "claim": claim,
-            "measured": float(measured),
-            "predicted": None if predicted is None else float(predicted),
-            "claim_bound": None if claim_bound is None else float(claim_bound),
-            "tolerance": float(tolerance),
-            "pass": bool(passed),
-        })
+        rows.append({"metric": metric, "claim": claim, "measured": float(measured),
+                     "predicted": None if predicted is None else float(predicted),
+                     "claim_bound": None if claim_bound is None else float(claim_bound),
+                     "tolerance": float(tolerance), "pass": bool(passed)})
 
-    def median_row(metric, claim, values, target, claim_bound=None):
-        med = median(values)
-        t = TOLERANCES[metric]
+    def median_row(metric, claim, target, claim_bound=None):
+        med, t = medians[metric], TOLERANCES[metric]
         row(metric, claim, med, target, claim_bound, t, abs(med - target) <= t * target)
 
     def rate_row(metric, claim, key, ok, claim_bound):
@@ -384,24 +461,21 @@ def compare_rows(trials: list, pred: TheoryPrediction, regime: str) -> list:
         row(metric, claim, rate, 1.0, claim_bound, t, rate >= t)
 
     if regime == "super":
-        median_row("L1_median", "theorem_2", [c["largest"] for c in cen], pred.L1_pred_finite_d,
-                   pred.L1_tol)
+        median_row("L1_median", "theorem_2", pred.L1_pred_finite_d, pred.L1_tol)
         rate_row("L1_window_rate", "theorem_2", "largest",
                  lambda v: abs(v - pred.L1_pred) <= pred.L1_tol, pred.L1_tol)
         rate_row("L2_rate", "theorem_3", "second_largest",
                  lambda v: v <= pred.straggler_bound, pred.straggler_bound)
         for k in (1, 2):
-            median_row(f"T{k}_median", "lemma_5_4", [c["tree_counts"][k - 1] for c in cen],
-                       pred.T_k_pred_finite_d[k - 1])
-        median_row("Zp_median", "lemma_6_1", [c["retained_edges"] for c in cen], pred.Zp_pred)
-        median_row("eL1_median", "theorem_4", [c["largest_edges"] for c in cen],
-                   pred.e_L1_pred_finite_d)
+            median_row(f"T{k}_median", "lemma_5_4", pred.T_k_pred_finite_d[k - 1])
+        median_row("Zp_median", "lemma_6_1", pred.Zp_pred)
+        median_row("eL1_median", "theorem_4", pred.e_L1_pred_finite_d)
         cycle_bound = pred.epsilon ** 2 * pred.n / (100.0 * pred.d)
         rate_row("cycle_rate", "theorem_5", "cycle_lb", lambda v: v >= cycle_bound, cycle_bound)
     else:
         bound = pred.subcritical_bound
         rate_row("max_component_rate", "theorem_1", "largest", lambda v: v <= bound, bound)
-        med = median(c["largest"] for c in cen)
+        med = medians["L1_median"]
         row("max_component_median", "theorem_1", med, bound, bound, 1.0, med <= bound)
     return rows
 
@@ -412,35 +486,13 @@ def _predict(cfg: ExperimentConfig) -> TheoryPrediction:
 
 
 def _summary_obj(cfg: ExperimentConfig, trials: list, pred: TheoryPrediction) -> dict:
-    cen = [t["census"] for t in trials]
-
-    def med(key):
-        return float(median(c[key] for c in cen))
-
-    metrics = {
-        "L1_median": med("largest"),
-        "L2_median": med("second_largest"),
-        "eL1_median": med("largest_edges"),
-        "Zp_median": med("retained_edges"),
-        "retained_median": med("retained"),
-        "cycle_lb_median": med("cycle_lb"),
-        "components_median": med("components"),
-    }
-    for k in range(1, cfg.k_max + 1):
-        metrics[f"T{k}_median"] = float(median(c["tree_counts"][k - 1] for c in cen))
-    checker_rates = {}
-    for cid in cfg.checkers:
-        flags = []
-        for t in trials:
-            flags.extend(r["pass"] for r in t["checks"] if r["checker"] == cid)
-        checker_rates[cid] = _rate(flags)
     rows = compare_rows(trials, pred, cfg.regime)
     return {
         "kind": "summary",
         "complete": True,
         "trials": len(trials),
-        "metrics": metrics,
-        "checker_pass_rates": checker_rates,
+        "metrics": _medians(trials),
+        "checker_pass_rates": {cid: _rate(_passes(trials, cid)) for cid in cfg.checkers},
         "rows": rows,
         "pass": all(r["pass"] for r in rows),
     }
@@ -451,43 +503,33 @@ def _summary_obj(cfg: ExperimentConfig, trials: list, pred: TheoryPrediction) ->
 # ----------------------------------------------------------------------
 # the record format this version reads and writes
 _FORMAT = 5
-# the keys that resume and compare look up in a record of each kind;
-# "part.key" names a key of the record's dict `part`, listed after `part`
-_RECORD_KEYS = {
-    "config": ("config", "format"),
-    "trial": ("trial_index", "seed", "census", "dfs", "checks",
-              *(f"census.{k}" for k in ("retained", "components", "largest", "second_largest",
-                                        "largest_edges", "retained_edges", "tree_counts",
-                                        "straggler_vertices", "cycle_lb")),
-              "dfs.epochs", "dfs.largest_epoch"),
-}
 
 
-def _read_records(path: str) -> tuple[list, str | None]:
-    """(records, torn) of a JSON-lines record file: its records up to the
-    first line that does not parse, and the cause naming that line (None
-    if all parse).  A killed write leaves only such a torn tail; a line
-    that parses but is no record raises ValueError naming the line."""
-    records = []
+def _read_records(path: str) -> tuple:
+    """(config, records, torn) of a JSON-lines record file: the config of
+    its first record, its records up to the first line that does not
+    parse, and the cause naming that line (None if all parse).  A killed
+    write leaves only such a torn tail; a line that parses but is no
+    record of this format raises ValueError naming the line."""
+    cfg, records = None, []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, 1):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            return records, (f"{path}:{lineno}: unreadable record "
-                             f"({exc.msg}: column {exc.colno})")
+            return cfg, records, (f"{path}:{lineno}: unreadable record "
+                                  f"({exc.msg}: column {exc.colno})")
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{lineno}: a record must be a JSON object, "
                              f"got {type(obj).__name__}")
-        for name in _RECORD_KEYS.get(obj.get("kind"), ()):
-            part, _, key = name.rpartition(".")
-            owner = obj[part] if part else obj
-            if not isinstance(owner, dict) or key not in owner:
-                raise ValueError(f"{path}:{lineno}: {obj['kind']} record"
-                                 f"{' ' + part if part else ''} has no {key!r}")
+        fault = obj.get("kind") == "trial" and _fault(obj, _TRIAL_FIELDS, cfg and cfg.k_max)
+        if fault:
+            raise ValueError(f"{path}:{lineno}: {fault}")
+        if lineno == 1:
+            cfg = _head_config(path, obj)
         records.append(obj)
-    return records, None
+    return cfg, records, None
 
 
 def _head_config(path: str, head: dict) -> ExperimentConfig:
@@ -495,6 +537,9 @@ def _head_config(path: str, head: dict) -> ExperimentConfig:
     record of the format this version writes; ValueError naming the file."""
     if head.get("kind") != "config":
         raise ValueError(f"{path}:1: first record must be the config record")
+    for key in ("config", "format"):
+        if key not in head:
+            raise ValueError(f"{path}:1: config record has no {key!r}")
     if head["format"] != _FORMAT:
         raise ValueError(f"{path}:1: records are format {head['format']}, "
                          f"this version writes format {_FORMAT}")
@@ -504,32 +549,12 @@ def _head_config(path: str, head: dict) -> ExperimentConfig:
         raise ValueError(f"{path}:1: config record: {exc}") from None
 
 
-def _read_existing(path: str, config_obj: dict) -> dict:
-    """Map trial_index -> trial record of a resumable file; its torn tail is recomputed."""
-    records = _read_records(path)[0] if os.path.exists(path) else []
-    if records:
-        _head_config(path, records[0])
-        if records[0] != config_obj:
-            raise ValueError(f"{path}: existing records were produced by a different config")
-    return {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
-
-
-def _write_csv(path: str, cfg: ExperimentConfig, trials: list) -> None:
-    cols = ["trial_index", "seed", "retained", "components", "largest", "second_largest",
-            "largest_edges", "retained_edges"]
-    cols += [f"T{k}" for k in range(1, cfg.k_max + 1)]
-    cols += ["straggler_vertices", "cycle_lb", "epochs", "largest_epoch", "checks_pass"]
+def _write_csv(path: str, trials: list) -> None:
+    rows = [_labelled(t, _CSV) for t in trials]
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for t in trials:
-        c, d = t["census"], t["dfs"]
-        row = [t["trial_index"], t["seed"], c["retained"], c["components"], c["largest"],
-               c["second_largest"], c["largest_edges"], c["retained_edges"]]
-        row += [c["tree_counts"][k - 1] for k in range(1, cfg.k_max + 1)]
-        row += [c["straggler_vertices"], c["cycle_lb"], d["epochs"], d["largest_epoch"],
-                int(all(r["pass"] for r in t["checks"]))]
-        w.writerow(row)
+    w = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
     _publish(path, [buf.getvalue()])
 
 
@@ -575,11 +600,6 @@ def _resident_mb() -> float:
     return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
-def _warm_kernels() -> None:
-    """Compile the jitted kernel in the parent before any fork."""
-    percolate(cycle_graph(6), 0.5, 7, 4)
-
-
 def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     """Execute all trials, persist JSON-lines + CSV, return the summary.
 
@@ -609,10 +629,14 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
         "format": _FORMAT,
     }
 
-    have = _read_existing(cfg.out, config_obj) if resume else {}
+    # a resumed file's trials by index; its torn tail is recomputed
+    records = _read_records(cfg.out)[1] if resume and os.path.exists(cfg.out) else []
+    if records and records[0] != config_obj:
+        raise ValueError(f"{cfg.out}: existing records were produced by a different config")
+    have = {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
     missing = [i for i in range(cfg.trials) if i not in have]
 
-    _warm_kernels()
+    percolate(cycle_graph(6), 0.5, 7, 4)  # compiles the jitted kernel once, before any fork
     _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
     try:
         if cfg.workers > 1 and missing:
@@ -633,7 +657,7 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
 
     summary = _summary_obj(cfg, trials, pred)
     _publish(cfg.out, (_dumps(obj) + "\n" for obj in [config_obj, *trials, summary]))
-    _write_csv(cfg.out + ".csv", cfg, trials)
+    _write_csv(cfg.out + ".csv", trials)
     log.info("sweep finished in %.3fs (%d trials)", time.perf_counter() - t_start, cfg.trials)
     return summary
 
@@ -649,12 +673,11 @@ def compare(records_path: str) -> dict:
     Requires the terminating summary sentinel; a sweep that died mid-run
     leaves records without one and must be re-run or resumed first.
     """
-    objs, torn = _read_records(records_path)
+    cfg, objs, torn = _read_records(records_path)
     if torn:
         raise ValueError(f"{torn}; re-run or resume the sweep")
     if not objs:
         raise ValueError(f"{records_path}: empty record file")
-    cfg = _head_config(records_path, objs[0])
     if objs[-1].get("kind") != "summary" or not objs[-1].get("complete"):
         raise ValueError(f"{records_path}: missing terminating sentinel record; sweep incomplete")
     trials = objs[1:-1]

@@ -118,9 +118,7 @@ class DfsTrace:
         return self.component_of >= 0
 
     def epoch_sizes(self) -> np.ndarray:
-        return np.bincount(
-            self.component_of[self.component_of >= 0], minlength=self.num_epochs
-        )
+        return np.bincount(self.component_of[self.accepted_mask()], minlength=self.num_epochs)
 
     def summary(self) -> dict:
         sizes = self.epoch_sizes()

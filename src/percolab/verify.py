@@ -211,37 +211,28 @@ def check_stream_properties(stream: CoinStream, epsilon: float, d: int,
     flips = stream.flips
     n = flips.size
     k = (4.0 / epsilon ** 2) * math.log(n / d)
-    out = ViolationReport(
-        "stream", 0,
-        meta={"mode": mode, "epsilon": epsilon, "d": d, "k": k, "c": _DRIFT_C, "n": n},
-    )
-    checked = 1
-    total = int(flips.sum())
-    if total > 2 * n / d:
-        out.add("total_ones", total, 2 * n / d)
-
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(flips, out=prefix[1:])
     heads = np.flatnonzero(flips)
-
+    # the total, then one instance per head: the window it starts (sub), or
+    # the drift at the t it follows (super: X_{t+1} is a head at these 0-based t)
+    out = ViolationReport(
+        "stream", 1 + heads.size,
+        meta={"mode": mode, "epsilon": epsilon, "d": d, "k": k, "c": _DRIFT_C, "n": n},
+    )
+    total = int(flips.sum())
+    if total > 2 * n / d:
+        out.add("total_ones", total, 2 * n / d)
     if mode == "sub":
-        w = int(k * d)
-        starts = heads
-        ends = np.minimum(starts + w, n)
-        counts = prefix[ends] - prefix[starts]
-        bad = np.flatnonzero(counts >= k)
-        checked += starts.size
-        for b in bad[:_MAX_WITNESSES]:
-            out.add(f"window at {int(starts[b])}", int(counts[b]), k)
+        bound, witness = k, "window at {}"
+        measured = prefix[np.minimum(heads + int(k * d), n)] - prefix[heads]
+        bad = np.flatnonzero(measured >= k)
     else:
-        bound = epsilon ** 2 * _DRIFT_C * n / d
-        ts = heads  # X_{t+1} is a head exactly at these 0-based t
-        dev = np.abs(prefix[ts] - (1.0 + epsilon) * ts / d)
-        bad = np.flatnonzero(dev > bound)
-        checked += ts.size
-        for b in bad[:_MAX_WITNESSES]:
-            out.add(f"t={int(ts[b])}", float(dev[b]), bound)
-    out.instances_checked = checked
+        bound, witness = epsilon ** 2 * _DRIFT_C * n / d, "t={}"
+        measured = np.abs(prefix[heads] - (1.0 + epsilon) * heads / d)
+        bad = np.flatnonzero(measured > bound)
+    for b in bad[:_MAX_WITNESSES]:
+        out.add(witness.format(int(heads[b])), measured[b], bound)
     return out
 
 

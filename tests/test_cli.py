@@ -184,15 +184,33 @@ def test_sweep_and_compare_roundtrip(tmp_path, capsys):
     assert "theorem_1" in capsys.readouterr().out
 
 
-_TRIAL_KEYS = ("trial_index", "seed", "census", "dfs", "checks")
-# a trial record whose census and dfs hold every key that compare and resume read
-_TRIAL = {"kind": "trial", "trial_index": 0, "seed": 1, "checks": [],
-          "census": dict.fromkeys(("retained", "components", "largest", "second_largest",
-                                   "largest_edges", "retained_edges", "straggler_vertices",
-                                   "cycle_lb"), 1) | {"tree_counts": [1]},
-          "dfs": {"epochs": 1, "largest_epoch": 3}}
+_TRIAL_KEYS = tuple(harness._TRIAL_FIELDS)
+_K_MAX = harness.CONFIG_DEFAULTS["k_max"]
+
+
+def _typed(row):
+    """A value of the type a _TRIAL_FIELDS row gives; a part gets one per row."""
+    if isinstance(row, dict):
+        return {key: _typed(sub) for key, sub in row.items()}
+    kind = row[0]
+    return 1 if kind is int else [1] * _K_MAX if kind == [int] else []
+
+
+# a trial record whose every field has the type the table gives it
+_TRIAL = {"kind": "trial", **_typed(harness._TRIAL_FIELDS), "trial_index": 0}
 _NO_TRIALS = {"family": "random_regular", "n": 400, "d": 8, "graph_seed": 2, "epsilon": 0.6,
               "regime": "sub", "seed": 11}
+
+
+def _after_config(trial: dict, **config) -> str:
+    """A config record of the sweep below, then the trial record on line 2."""
+    head = {"kind": "config", "format": 5, "config": {**_NO_TRIALS, "trials": 2, **config}}
+    return json.dumps(head) + "\n" + json.dumps(trial)
+
+
+def _census(**fields) -> dict:
+    """_TRIAL with the given census fields replaced."""
+    return {**_TRIAL, "census": {**_TRIAL["census"], **fields}}
 
 
 @pytest.mark.parametrize("head, cause", [
@@ -206,8 +224,26 @@ _NO_TRIALS = {"family": "random_regular", "n": 400, "d": 8, "graph_seed": 2, "ep
      "bad.jsonl:1: trial record census has no 'largest'"),
     (json.dumps({**_TRIAL, "dfs": {"largest_epoch": 3}}),
      "bad.jsonl:1: trial record dfs has no 'epochs'"),
+    (_after_config(_census(largest="x")),
+     "bad.jsonl:2: trial record census.largest takes int, got 'x'"),
+    (_after_config(_census(largest=None)),
+     "bad.jsonl:2: trial record census.largest takes int, got None"),
+    (_after_config(_census(largest=True)),
+     "bad.jsonl:2: trial record census.largest takes int, got True"),
+    (_after_config(_census(tree_counts=[1])),
+     "bad.jsonl:2: trial record census.tree_counts takes k_max = 4 ints, got [1]"),
+    (_after_config(_TRIAL, k_max=2),
+     "bad.jsonl:2: trial record census.tree_counts takes k_max = 2 ints, got [1, 1, 1, 1]"),
+    (_after_config({**_TRIAL, "checks": [{"checker": "stream"}]}),
+     "bad.jsonl:2: trial record checks[0] has no 'pass'"),
+    (_after_config({**_TRIAL, "checks": [{"checker": "stream", "pass": 1}]}),
+     "bad.jsonl:2: trial record checks[0].pass takes bool, got 1"),
+    (_after_config({**_TRIAL, "trial_index": "0"}),
+     "bad.jsonl:2: trial record trial_index takes int, got '0'"),
 ], ids=["not_an_object", "no_format", *[f"no_{k}" for k in _TRIAL_KEYS], "no_trials",
-        "census_no_largest", "dfs_no_epochs"])
+        "census_no_largest", "dfs_no_epochs", "largest_str", "largest_null", "largest_bool",
+        "tree_counts_short",
+        "tree_counts_not_k_max", "check_no_pass", "check_pass_not_bool", "trial_index_str"])
 def test_malformed_record_file_is_a_clean_error(tmp_path, capsys, head, cause):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(head + "\n")

@@ -518,8 +518,9 @@ def test_sweep_csv_mirror(tmp_path):
     with open(out + ".csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    assert header[:4] == ["trial_index", "seed", "retained", "components"]
-    assert "T4" in header and "checks_pass" in header
+    assert header == ["trial_index", "seed", "retained", "components", "largest",
+                      "second_largest", "largest_edges", "retained_edges", "T1", "T2", "T3", "T4",
+                      "straggler_vertices", "cycle_lb", "epochs", "largest_epoch", "checks_pass"]
     assert len(body) == cfg.trials
     recs = [json.loads(x) for x in open(out, encoding="utf-8").read().splitlines()]
     t0 = next(r for r in recs if r.get("trial_index") == 0)
@@ -527,6 +528,16 @@ def test_sweep_csv_mirror(tmp_path):
     assert int(row0[2]) == t0["census"]["retained"]
     assert int(row0[header.index("cycle_lb")]) == t0["census"]["cycle_lb"]
     assert row0[header.index("checks_pass")] == "1"
+    assert set(recs[-1]["metrics"]) == {
+        "L1_median", "L2_median", "eL1_median", "Zp_median", "retained_median", "cycle_lb_median",
+        "components_median", "T1_median", "T2_median", "T3_median", "T4_median"}
+
+
+def test_trial_field_table_lists_what_the_producers_write():
+    g = generate(GenSpec("random_regular", n=500, d=8, seed=21))
+    _, trace, _, census = harness.percolate(g, 1.2 / 8, 5, 4)
+    assert list(census.to_summary()) == list(harness._TRIAL_FIELDS["census"])
+    assert list(trace.summary()) == list(harness._TRIAL_FIELDS["dfs"])
 
 
 def test_sweep_regen_graph_varies_instances(tmp_path):
