@@ -537,9 +537,11 @@ def _head_config(path: str, head: dict) -> ExperimentConfig:
     record of the format this version writes; ValueError naming the file."""
     if head.get("kind") != "config":
         raise ValueError(f"{path}:1: first record must be the config record")
-    for key in ("config", "format"):
+    for key, kind, takes in (("config", dict, "an object"), ("format", int, "int")):
         if key not in head:
             raise ValueError(f"{path}:1: config record has no {key!r}")
+        if not isinstance(head[key], kind) or isinstance(head[key], bool):  # a bool is no int
+            raise ValueError(f"{path}:1: config record {key} takes {takes}, got {head[key]!r}")
     if head["format"] != _FORMAT:
         raise ValueError(f"{path}:1: records are format {head['format']}, "
                          f"this version writes format {_FORMAT}")

@@ -8,11 +8,30 @@ delta(alpha) = alpha^(2/alpha).
 The solver works on B = A - ((d+1)/n) J, J the all-ones matrix, which
 keeps A's non-trivial eigenpairs and moves the all-ones vector from
 eigenvalue d to -1.  Every graph with an edge has lamN <= -1 <= lam2, so
-B's two extreme eigenvalues are exactly lam2 and lamN, and one Lanczos
-run (scipy.sparse.linalg.eigsh, which="BE") takes both ends of the
-spectrum from one Krylov space, with B x = A x - (d+1) mean(x) over a
-CSR adjacency.  The residuals ||B v - theta v||_2 are checked against
-``tol``.
+B's two extreme eigenvalues are exactly lam2 and lamN.  B x is
+A x - (d+1) mean(x) over a CSR adjacency.
+
+Both ends come from one Lanczos run (scipy.sparse.linalg.eigsh,
+which="BE") on a Chebyshev filter of B rather than on B itself, which
+takes far fewer of ARPACK's restarts, each of which orthogonalises
+against the whole Krylov basis:
+
+1. A probe, a loose eigsh run on B, returns Ritz values thetaN <= theta2.
+   Ritz values lie inside the spectrum, so lamN <= thetaN and
+   theta2 <= lam2, and c = 0.95 min(theta2, -thetaN) is below both
+   |lamN| and lam2.
+2. The filtered run takes the extremes of T_k(B/c), T_k the Chebyshev
+   polynomial of odd degree k, applied by its three-term recurrence.
+   T_k is bounded by 1 on [-1, 1] and odd and increasing outside it, so
+   lam2 and lamN map to the largest and smallest filtered eigenvalues
+   and the rest of the spectrum is squeezed into [-1, 1] between them.
+3. lam2 and lamN are the Rayleigh quotients of B at the two returned
+   vectors, and the residuals ||B v - theta v||_2 are checked against
+   ``tol``.
+
+Where c is not positive (a complete graph, or lam2 = 0 as on the 4-cycle)
+or so small that T_k(d/c) would blow rounding up past the filtered
+spectrum, the filter is degree 1: the run is on B itself.
 """
 
 from __future__ import annotations
@@ -35,6 +54,17 @@ __all__ = [
 
 ITERATION_CAP = 100_000
 _V0_SEED = 0x5EED_0401
+# the probe only has to place c below both ends, so a loose run on a small
+# basis does; the filtered run's basis can stay small too, because the
+# filter has already pulled the ends away from the rest of the spectrum
+PROBE_NCV, PROBE_TOL = 20, 1e-2
+FILTER_DEGREE = 7  # odd: T_k keeps lam2 on top and lamN at the bottom
+FILTER_NCV = 24
+# T_k(d/c) bounds the filtered operator's norm.  The filter runs only while
+# that is at most 1e8, so that its rounding (1e8 x 2.2e-16) stays far below
+# 1, the bound of the filtered interior that both ends exceed: while
+# c >= d / cosh(acosh(1e8) / k), about 0.13 d at k = 7
+_FILTER_FLOOR = 1 / math.cosh(math.acosh(1e8) / FILTER_DEGREE)
 
 log = logging.getLogger("percolab.spectral")
 
@@ -60,7 +90,7 @@ class SpectrumReport:
     residual2: float
     residualN: float
     tol: float
-    iterations: int  # products with B, residuals included; logged, never recorded
+    iterations: int  # every product with B: probe, filtered run and residuals; never recorded
     connected: bool
 
     def _ends(self) -> tuple[float, float]:
@@ -110,9 +140,13 @@ def delta_of_alpha(alpha: float) -> float:
     return float(alpha ** (2.0 / alpha))
 
 
-def _residual(shifted, theta: float, vec: np.ndarray) -> float:
+def _rayleigh(shifted, vec: np.ndarray) -> tuple[float, float]:
+    """(theta, ||B v - theta v||_2) at the unit vector v along vec, theta
+    the Rayleigh quotient of B."""
     vec = vec / np.linalg.norm(vec)
-    return float(np.linalg.norm(shifted(vec) - theta * vec))
+    bv = shifted(vec)
+    theta = float(vec @ bv)
+    return theta, float(np.linalg.norm(bv - theta * vec))
 
 
 def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
@@ -133,14 +167,29 @@ def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
         matvecs += 1
         return a @ x - (d + 1) * x.mean()
 
-    op = LinearOperator((n, n), matvec=shifted, dtype=np.float64)
     v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
-    w, vecs = eigsh(op, k=2, which="BE", v0=v0, ncv=min(n, 64), maxiter=ITERATION_CAP,
-                    tol=min(tol * 1e-2, 1e-10))
-    lam2, lamn = float(w[-1]), float(w[0])
-    r2 = _residual(shifted, lam2, vecs[:, -1])
-    rn = _residual(shifted, lamn, vecs[:, 0])
-    log.debug("spectrum: %d matvecs, residuals %.3e, %.3e", matvecs, r2, rn)
+    theta = eigsh(LinearOperator((n, n), matvec=shifted, dtype=np.float64), k=2, which="BE",
+                  v0=v0, ncv=min(n, PROBE_NCV), maxiter=ITERATION_CAP, tol=PROBE_TOL,
+                  return_eigenvectors=False)
+    probe = matvecs
+    c = 0.95 * float(min(theta.max(), -theta.min()))
+    # a c that is not positive fails the floor too; degree 1 runs on B itself
+    degree, scale = (FILTER_DEGREE, c) if 0 < _FILTER_FLOOR * d <= c else (1, 1.0)
+
+    def filtered(x):  # T_k(B/c) x: T_1 = B/c, T_j+1 = 2 (B/c) T_j - T_j-1
+        prev, cur = x, shifted(x) / scale
+        for _ in range(degree - 1):
+            prev, cur = cur, 2 / scale * shifted(cur) - prev
+        return cur
+
+    _, vecs = eigsh(LinearOperator((n, n), matvec=filtered, dtype=np.float64), k=2, which="BE",
+                    v0=v0, ncv=min(n, FILTER_NCV), maxiter=ITERATION_CAP,
+                    tol=min(tol * 1e-3, 1e-11))
+    run = matvecs - probe
+    lam2, r2 = _rayleigh(shifted, vecs[:, -1])
+    lamn, rn = _rayleigh(shifted, vecs[:, 0])
+    log.debug("spectrum: filter c=%.6g degree %d, %d products in the probe, %d in the filtered "
+              "run; residuals %.3e, %.3e", c, degree, probe, run, r2, rn)
     if r2 > tol or rn > tol:
         raise SpectralConvergenceError(f"residuals ({r2:.3e}, {rn:.3e}) exceed tol {tol:.3e}")
     # lambda1 = d exactly: the all-ones vector is an exact eigenvector of a

@@ -216,6 +216,14 @@ def _census(**fields) -> dict:
 @pytest.mark.parametrize("head, cause", [
     ("[1,2]", "bad.jsonl:1: a record must be a JSON object, got list"),
     ('{"config":{"trials":1},"kind":"config"}', "bad.jsonl:1: config record has no 'format'"),
+    (json.dumps({"kind": "config", "format": "5", "config": _NO_TRIALS}),
+     "bad.jsonl:1: config record format takes int, got '5'"),
+    (json.dumps({"kind": "config", "format": True, "config": _NO_TRIALS}),
+     "bad.jsonl:1: config record format takes int, got True"),
+    (json.dumps({"kind": "config", "format": 5, "config": [1]}),
+     "bad.jsonl:1: config record config takes an object, got [1]"),
+    (json.dumps({"kind": "config", "format": 5, "config": None}),
+     "bad.jsonl:1: config record config takes an object, got None"),
     *[(json.dumps({"kind": "trial", **{k: 0 for k in _TRIAL_KEYS if k != key}}),
        f"bad.jsonl:1: trial record has no {key!r}") for key in _TRIAL_KEYS],
     (json.dumps({"kind": "config", "format": 5, "config": _NO_TRIALS}),
@@ -240,7 +248,8 @@ def _census(**fields) -> dict:
      "bad.jsonl:2: trial record checks[0].pass takes bool, got 1"),
     (_after_config({**_TRIAL, "trial_index": "0"}),
      "bad.jsonl:2: trial record trial_index takes int, got '0'"),
-], ids=["not_an_object", "no_format", *[f"no_{k}" for k in _TRIAL_KEYS], "no_trials",
+], ids=["not_an_object", "no_format", "format_str", "format_bool", "config_list", "config_null",
+        *[f"no_{k}" for k in _TRIAL_KEYS], "no_trials",
         "census_no_largest", "dfs_no_epochs", "largest_str", "largest_null", "largest_bool",
         "tree_counts_short",
         "tree_counts_not_k_max", "check_no_pass", "check_pass_not_bool", "trial_index_str"])

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -62,17 +64,62 @@ def test_eigsh_agrees_with_dense_oracle_random(dense_extremes):
     assert it.lambdaN == pytest.approx(lamn, abs=1e-7)
 
 
+# graphs no fixture builds: criterion 12's two random graphs, the 4-cycle
+# (lambda2 = 0, so the probe's c is not positive), five disjoint K10s (c is
+# positive but below the filter floor, so T_7(d/c) would pass 1e8) and a
+# hypercube blow-up, whose zero eigenvalues fill the filter's interior
+BUILT = {
+    "rr2000_12": lambda: generate(GenSpec("random_regular", n=2000, d=12, seed=31)),
+    "rr1200_7": lambda: generate(GenSpec("random_regular", n=1200, d=7, seed=8)),
+    "c4": lambda: cycle_graph(4),
+    "cliques50_9": lambda: generate(GenSpec("clique_union", n=50, d=9)),
+    "q6x2": lambda: generate(GenSpec("blowup", n=128, d=12, blowup_factor=2,
+                                     base_family="hypercube")),
+}
+# records pinned to the digit, so that a solver change which moves an
+# eigenvalue or a residual across the rounding grid fails here
+PINNED = {
+    "rr2000_12": {"lambda1": 12.0, "lambda2": 6.576339, "lambdaN": -6.605642, "lam": 6.605642,
+                  "ratio": 0.5504701666666666, "residual2": 1e-09, "residualN": 1e-09,
+                  "connected": True},
+    "rr1200_7": {"lambda1": 7.0, "lambda2": 4.853933, "lambdaN": -4.844699, "lam": 4.853933,
+                 "ratio": 0.6934189999999999, "residual2": 1e-09, "residualN": 1e-09,
+                 "connected": True},
+}
+
+
+def _graph(name, request):
+    return BUILT[name]() if name in BUILT else request.getfixturevalue(name)
+
+
 @pytest.mark.parametrize("name", ["k4", "c6", "petersen", "q4", "cliques60",
-                                  "rr2000_12", "rr1200_7"])
+                                  "rr2000_12", "rr1200_7", "c3", "k20", "c4", "cliques50_9",
+                                  "q6x2"])
 def test_oracle_eigenvalues_certify_the_same_record(name, request, dense_extremes):
-    # criterion 12's two random graphs: the record certifies the same
-    # numbers whether its eigenvalues come from eigsh or from the dense oracle
-    specs = {"rr2000_12": GenSpec("random_regular", n=2000, d=12, seed=31),
-             "rr1200_7": GenSpec("random_regular", n=1200, d=7, seed=8)}
-    g = generate(specs[name]) if name in specs else request.getfixturevalue(name)
+    # the record certifies the same numbers whether its eigenvalues come
+    # from the filtered Lanczos run or from the dense oracle
+    g = _graph(name, request)
     it = compute_spectrum(g)
     lam2, lamn = dense_extremes(g)
     assert replace(it, lambda2=lam2, lambdaN=lamn).to_dict() == it.to_dict()
+    assert it.to_dict() == PINNED.get(name, it.to_dict())
+
+
+@pytest.mark.parametrize("name,degree", [("c3", 1), ("k20", 1), ("c4", 1), ("cliques50_9", 1),
+                                         ("cliques60", 7), ("q6x2", 7), ("rr1200_7", 7)])
+def test_filter_is_logged(name, degree, request, caplog):
+    # degree 1 where c is not positive (c3, k20, c4) or below the floor
+    # (cliques50_9): those runs are on B itself
+    with caplog.at_level(logging.DEBUG, logger="percolab.spectral"):
+        rep = compute_spectrum(_graph(name, request))
+    line = re.fullmatch(r"spectrum: filter c=(\S+) degree (\d+), (\d+) products in the probe, "
+                        r"(\d+) in the filtered run; residuals \S+, \S+",
+                        caplog.records[-1].getMessage())
+    c, logged, probe, run = float(line[1]), *map(int, line.groups()[1:])
+    assert logged == degree
+    assert 0 < c < min(rep.lambda2, -rep.lambdaN) if degree > 1 else c < 0.13 * rep.lambda1
+    assert run % degree == 0
+    assert rep.iterations == probe + run + 2  # the probe, the filtered run, one per residual
 
 
 def test_disconnected_graph_flagged(cliques60):
