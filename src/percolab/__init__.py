@@ -12,14 +12,11 @@ from .census import (
 )
 from .generators import GenSpec, GenSpecError, GenerationError, generate
 from .graph_core import (
-    GraphFormatError,
     RegularGraph,
     RegularityError,
     VertexSet,
     edge_count_between,
     external_neighborhood,
-    read_graph,
-    write_graph,
 )
 from .harness import ExperimentConfig, compare, run_sweep
 from .percolation import (
@@ -50,7 +47,6 @@ __all__ = [
     "GenSpec",
     "GenSpecError",
     "GenerationError",
-    "GraphFormatError",
     "PercolationSample",
     "RegularGraph",
     "RegularityError",
@@ -73,11 +69,9 @@ __all__ = [
     "generate",
     "longest_cycle_lower_bound",
     "predict",
-    "read_graph",
     "run_dfs",
     "run_sweep",
     "solve_x",
     "solve_y",
     "take_census",
-    "write_graph",
 ]

@@ -1,10 +1,12 @@
 """Command line front end.
 
-Subcommands: generate, spectrum, percolate, sweep, verify, theory,
-compare, each a thin layer over the library: ``harness`` runs trials
-and owns the config schema.  Every flag named after a flat config key
+Subcommands: spectrum, percolate, sweep, verify, theory, compare, each
+a thin layer over the library: ``harness`` runs trials and owns the
+config schema.  Every flag named after a flat config key
 (``harness.CONFIG_KEYS``) is built from that table by _config_flags; in
-a sweep, a flag given on the command line wins over the file.
+a sweep, a flag given on the command line wins over the file.  A graph
+is named by its gen keys alone: spectrum, percolate and verify build it
+from the same flags a sweep's config record stores.
 ``--log-level``, given before the subcommand, sets what the library logs
 to stderr.
 """
@@ -17,7 +19,6 @@ import logging
 import sys
 
 from .generators import FAMILIES, generate
-from .graph_core import read_graph, write_graph
 from .harness import (
     CHECKER_IDS,
     CONFIG_DEFAULTS,
@@ -85,26 +86,19 @@ def _config_flags(p: argparse.ArgumentParser, keys: str, required: str = "",
                        **kw)
 
 
-def _cmd_generate(args) -> int:
-    g = generate(gen_spec_from_mapping(vars(args)))
-    write_graph(g, args.out)
-    print(f"wrote {args.out}: n={g.n} d={g.d}")
-    return 0
-
-
 def _cmd_spectrum(args) -> int:
-    g = read_graph(args.graph)
-    report = compute_spectrum(g, tol=args.spectrum_tol)
+    delta = None if args.alpha is None else delta_of_alpha(args.alpha)
+    report = compute_spectrum(generate(gen_spec_from_mapping(vars(args))), tol=args.spectrum_tol)
     obj = report.to_dict()
-    if args.alpha is not None:
+    if delta is not None:
         obj["alpha"] = args.alpha
-        obj["admissible"] = report.ratio <= delta_of_alpha(args.alpha)
+        obj["admissible"] = report.ratio <= delta
     _print_json(obj)
     return 0
 
 
 def _cmd_percolate(args) -> int:
-    g = read_graph(args.graph)
+    g = generate(gen_spec_from_mapping(vars(args)))
     _, trace, _, census = percolate(g, args.p, args.seed, args.k_max)
     _print_json({"dfs": trace.summary(), "census": census.to_summary()})
     return 0
@@ -137,18 +131,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = read_graph(args.graph)
     checkers = [c.strip() for c in args.checker.split(",") if c.strip()]
     if not checkers:  # no checker passes vacuously
         raise ValueError(f"--checker names no checker id; known: {list(CHECKER_IDS)}")
     unknown = [c for c in checkers if c not in CHECKER_IDS]
     if unknown:
         raise ValueError(f"unknown checker ids {unknown}; known: {list(CHECKER_IDS)}")
-    p = args.p if args.p is not None else retention_p(args.epsilon, args.regime, g.d)
+    delta_of_alpha(args.alpha)  # rejects an alpha outside (0, 1], as a sweep does
+    spec = gen_spec_from_mapping(vars(args))
+    spec.validate()  # p and the window below read its n and d; fail before building
+    p = args.p if args.p is not None else retention_p(args.epsilon, args.regime, spec.d)
     if args.p is not None:  # judge the coins at the drift they were drawn with
-        args.epsilon = (p * g.d - 1.0) * (-1.0 if args.regime == "sub" else 1.0)
-    if "giant_expansion" in checkers:  # fail before any spectrum or exploration
-        giant_expansion_window(g.n, g.d, p * g.d - 1.0, args.alpha)
+        args.epsilon = (p * spec.d - 1.0) * (-1.0 if args.regime == "sub" else 1.0)
+    if "giant_expansion" in checkers:
+        giant_expansion_window(spec.n, spec.d, p * spec.d - 1.0, args.alpha)
+    g = generate(spec)
     spect = None
     if any(c in SPECTRUM_CHECKERS for c in checkers):
         spect = compute_spectrum(g, tol=args.spectrum_tol)
@@ -174,19 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="log_level", help="what the library logs to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="build a graph and write it to a file")
-    _config_flags(p, _GEN_KEYS + " out", required="out",
-                  family={"help": "default random_regular"})
-    p.set_defaults(fn=_cmd_generate)
-
-    p = sub.add_parser("spectrum", help="extreme adjacency eigenvalues of a graph file")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("spectrum", help="extreme adjacency eigenvalues of a graph")
+    _config_flags(p, _GEN_KEYS, required="n d", family={"help": "default random_regular"})
     _config_flags(p, "spectrum_tol alpha", defaults=True, alpha={
         "default": None, "help": "also report the spectral admissibility verdict"})
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("percolate", help="one seeded exploration + component census")
-    p.add_argument("--graph", required=True)
+    _config_flags(p, _GEN_KEYS, required="n d", family={"help": "default random_regular"})
     p.add_argument("--p", type=float, required=True)
     _config_flags(p, "seed k_max", required="seed", defaults=True)
     p.set_defaults(fn=_cmd_percolate)
@@ -201,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="run structural checkers on a graph file")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("verify", help="run structural checkers on a graph")
+    _config_flags(p, _GEN_KEYS, required="n d", family={"help": "default random_regular"})
     p.add_argument("--checker", required=True, help="comma-separated checker ids")
     p.add_argument("--p", type=float)
     _config_flags(p, "seed epsilon regime alpha pairs subsets samples beta_test k_max "

@@ -2,8 +2,7 @@
 
 The adjacency is stored as ``neighbors``, the flat length-n*d array of
 neighbor ids in which row v is ``neighbors[v*d:(v+1)*d]``, sorted
-ascending: regularity makes the row offsets implicit.  Sorted rows give
-a canonical serialization.
+ascending: regularity makes the row offsets implicit.
 
 Vertex ids are dense 0-based integers.  A graph carries no record of
 how it was built: a blow-up's blocks are read off its rows (the
@@ -28,21 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GraphFormatError",
     "RegularityError",
     "RegularGraph",
     "VertexSet",
     "edge_count_between",
     "external_neighborhood",
-    "read_graph",
-    "write_graph",
 ]
-
-FORMAT_MAGIC = "ndl-graph 1"
-
-
-class GraphFormatError(ValueError):
-    """Malformed graph file; message carries the 1-based line number."""
 
 
 class RegularityError(ValueError):
@@ -213,62 +203,3 @@ def external_neighborhood(g: RegularGraph, S) -> np.ndarray:
     mask[S] = False
     return mask
 
-
-# ----------------------------------------------------------------------
-# file format
-# ----------------------------------------------------------------------
-def write_graph(g: RegularGraph, path) -> None:
-    """Write the canonical text format (see module docstring of format)."""
-    u, v = g.edge_list()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{FORMAT_MAGIC}\n")
-        fh.write(f"{g.n} {g.d}\n")
-        fh.write("\n".join(f"{a} {b}" for a, b in zip(u.tolist(), v.tolist())))
-        if u.size:
-            fh.write("\n")
-
-
-def _parse_int_pair(line: str, lineno: int) -> tuple[int, int]:
-    parts = line.split(" ")
-    if len(parts) != 2:
-        raise GraphFormatError(
-            f"line {lineno}: expected two space-separated integers, got {line!r}"
-        )
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"line {lineno}: non-integer field in {line!r}") from exc
-
-
-def read_graph(path) -> RegularGraph:
-    """Parse the text format; rejects non-regular or non-simple inputs."""
-    with open(path, "r", newline="\n") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != FORMAT_MAGIC:
-        raise GraphFormatError(f"line 1: expected header {FORMAT_MAGIC!r}")
-    if len(lines) < 2:
-        raise GraphFormatError("line 2: missing '<n> <d>' line")
-    n, d = _parse_int_pair(lines[1], 2)
-    if n <= 0 or d < 1:
-        raise GraphFormatError(f"line 2: invalid n={n} d={d}")
-    if n * d % 2 != 0:
-        raise GraphFormatError(f"line 2: n*d odd for n={n} d={d}")
-    m = n * d // 2
-    body = lines[2:]
-    if len(body) != m:
-        raise GraphFormatError(
-            f"line {len(lines) + 1}: expected {m} edge lines, found {len(body)}"
-        )
-    uu = np.empty(m, dtype=np.int64)
-    vv = np.empty(m, dtype=np.int64)
-    for i, line in enumerate(body):
-        a, b = _parse_int_pair(line, i + 3)
-        if not a < b:
-            raise GraphFormatError(f"line {i + 3}: edge must satisfy u < v, got {line!r}")
-        if a < 0 or b >= n:
-            raise GraphFormatError(f"line {i + 3}: vertex id out of range (n={n}) in {line!r}")
-        uu[i] = a
-        vv[i] = b
-    return RegularGraph.from_edges(n, d, uu, vv)

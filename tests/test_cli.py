@@ -9,54 +9,32 @@ from dataclasses import MISSING, fields
 import pytest
 
 import percolab
-from percolab import census, harness
+from percolab import census, cli, harness
 from percolab.cli import build_parser, main
-from percolab.graph_core import read_graph
 from percolab.harness import CONFIG_KEYS, ExperimentConfig
 from percolab.spectral import delta_of_alpha
 
-
-@pytest.fixture()
-def graph_file(tmp_path):
-    path = str(tmp_path / "g.graph")
-    rc = main([
-        "generate", "--family", "random_regular",
-        "--n", "300", "--d", "6", "--graph-seed", "4", "--out", path,
-    ])
-    assert rc == 0
-    return path
+# the gen keys of the graph most commands below build: the only name a graph has
+_GRAPH = ["--family", "random_regular", "--n", "300", "--d", "6", "--graph-seed", "4"]
 
 
-def test_generate_writes_readable_graph(graph_file, capsys):
-    g = read_graph(graph_file)
-    assert g.n == 300 and g.d == 6
+def _no_generate(spec):
+    raise AssertionError("the command built a graph it should have rejected first")
 
 
-def test_generate_hypercube(tmp_path, capsys):
-    path = str(tmp_path / "q.graph")
-    rc = main(["generate", "--family", "hypercube", "--n", "16", "--d", "4", "--out", path])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "wrote" in out and "n=16" in out.replace(" ", "")
-    assert read_graph(path).d == 4
-
-
-def test_debug_log_level_reports_pairing_attempts(graph_file, tmp_path):
-    path = str(tmp_path / "logged.graph")
+def test_debug_log_level_reports_pairing_attempts():
     src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "percolab.cli", "--log-level", "debug", "generate",
-         "--family", "random_regular", "--n", "300", "--d", "6", "--graph-seed", "4",
-         "--out", path],
+    debug, quiet = (subprocess.run(
+        [sys.executable, "-m", "percolab.cli", "--log-level", level, "percolate", *_GRAPH,
+         "--p", "0.3", "--seed", "3"],
         capture_output=True, text=True, env=env, check=True,
-    )
-    assert "pairing attempt 1" in proc.stderr
-    assert "n=300 d=6 seed=4" in proc.stderr
-    assert "pairing attempt" not in proc.stdout
-    # logging leaves the graph file as the default level writes it
-    with open(path, "rb") as a, open(graph_file, "rb") as b:
-        assert a.read() == b.read()
+    ) for level in ("debug", "warning"))
+    assert "pairing attempt 1" in debug.stderr
+    assert "n=300 d=6 seed=4" in debug.stderr
+    assert "pairing attempt" not in debug.stdout
+    # logging leaves stdout as the default level prints it
+    assert debug.stdout == quiet.stdout and quiet.stderr == ""
 
 
 def test_pool_workers_log_each_trial(tmp_path):
@@ -81,67 +59,63 @@ def test_pool_workers_log_each_trial(tmp_path):
     assert "resident" not in (tmp_path / "r.jsonl.csv").read_text()
 
 
-def test_spectrum_needs_three_vertices(tmp_path, capsys):
-    path = str(tmp_path / "k2.graph")
-    assert main(["generate", "--family", "clique_union", "--n", "2", "--d", "1",
-                 "--out", path]) == 0
-    capsys.readouterr()
-    assert main(["spectrum", "--graph", path]) == 1
+def test_spectrum_needs_three_vertices(capsys):
+    assert main(["spectrum", "--family", "clique_union", "--n", "2", "--d", "1"]) == 1
     assert "error: the spectrum needs n >= 3, got n=2" in capsys.readouterr().err
 
 
-def test_spectrum_command(graph_file, capsys):
-    rc = main(["spectrum", "--graph", graph_file])
+def test_spectrum_command(capsys):
+    rc = main(["spectrum", *_GRAPH])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["lambda1"] == pytest.approx(6.0, abs=1e-8)
     assert "admissible" not in rep
-    rc = main(["spectrum", "--graph", graph_file, "--alpha", "0.9"])
+    rc = main(["spectrum", *_GRAPH, "--alpha", "0.9"])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert isinstance(rep["admissible"], bool)
 
 
-def test_spectrum_alpha_verdict_names_no_method(graph_file, capsys):
+def test_spectrum_alpha_verdict_names_no_method(capsys):
     # one solver: there is no --method, and the report does not name one
     with pytest.raises(SystemExit):
-        main(["spectrum", "--graph", graph_file, "--method", "iterative"])
+        main(["spectrum", *_GRAPH, "--method", "iterative"])
     capsys.readouterr()
-    rc = main(["spectrum", "--graph", graph_file, "--alpha", "0.5"])
+    rc = main(["spectrum", *_GRAPH, "--alpha", "0.5"])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert "method" not in rep and rep["alpha"] == 0.5
     assert rep["admissible"] == (rep["ratio"] <= delta_of_alpha(0.5))
 
 
-def test_spectrum_tol_is_the_config_key(graph_file, capsys):
+def test_spectrum_tol_is_the_config_key(capsys):
     # the residual bound is the spectrum_tol config key, as in sweep and verify
-    assert main(["spectrum", "--graph", graph_file]) == 0
+    assert main(["spectrum", *_GRAPH]) == 0
     assert json.loads(capsys.readouterr().out)["residual2"] == pytest.approx(1e-9)
-    assert main(["spectrum", "--graph", graph_file, "--spectrum-tol", "0.5"]) == 0
+    assert main(["spectrum", *_GRAPH, "--spectrum-tol", "0.5"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["residual2"] == rep["residualN"] == pytest.approx(0.05)  # one tol/10 step
     with pytest.raises(SystemExit):
-        main(["spectrum", "--graph", graph_file, "--tol", "0.5"])
+        main(["spectrum", *_GRAPH, "--tol", "0.5"])
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_spectrum_rejects_a_non_finite_tol(graph_file, capsys, value):
+def test_spectrum_rejects_a_non_finite_tol(capsys, value):
     capsys.readouterr()
-    assert main(["spectrum", "--graph", graph_file, "--spectrum-tol", value]) == 1
+    assert main(["spectrum", *_GRAPH, "--spectrum-tol", value]) == 1
     captured = capsys.readouterr()
     assert f"error: tol must be finite, got {value}" in captured.err
     assert captured.out == ""
 
 
-def test_percolate_command(graph_file, capsys):
-    rc = main(["percolate", "--graph", graph_file, "--p", "0.4", "--seed", "3"])
+def test_percolate_command(capsys):
+    rc = main(["percolate", *_GRAPH, "--p", "0.4", "--seed", "3"])
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["census"]["retained"] == obj["dfs"]["accepted"]
     assert obj["dfs"]["coins"] == 300
-    rc = main(["percolate", "--graph", graph_file, "--p", "1.5", "--seed", "3"])
+    rc = main(["percolate", *_GRAPH, "--p", "1.5", "--seed", "3"])
     assert rc == 1  # domain error surfaces as exit 1, not a traceback
 
 
@@ -149,9 +123,9 @@ def _no_walk(g, mask):
     raise AssertionError("the census walked the sample again")
 
 
-def test_percolate_walks_the_sample_once(graph_file, capsys, monkeypatch):
+def test_percolate_walks_the_sample_once(capsys, monkeypatch):
     monkeypatch.setattr(census, "_sample_forest", _no_walk)
-    assert main(["percolate", "--graph", graph_file, "--p", "0.3", "--seed", "3"]) == 0
+    assert main(["percolate", *_GRAPH, "--p", "0.3", "--seed", "3"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["census"]["components"] == obj["dfs"]["epochs"]
 
@@ -402,51 +376,46 @@ _GIANT_PARAMS = ["--epsilon", "0.5", "--alpha", "0.01", "--samples", "20"]
 
 @pytest.fixture(scope="module")
 def giant_trial(tmp_path_factory):
-    """The graph file and the trial record of a one-trial sweep (master seed 5)
-    with the stream and giant_expansion checkers."""
-    tmp = tmp_path_factory.mktemp("giant")
-    path, out = str(tmp / "g.graph"), str(tmp / "r.jsonl")
-    assert main(["generate", *_GIANT_GRAPH, "--out", path]) == 0
+    """The trial record of a one-trial sweep (master seed 5) of the
+    _GIANT_GRAPH graph with the stream and giant_expansion checkers."""
+    out = str(tmp_path_factory.mktemp("giant") / "r.jsonl")
     main(["sweep", *_GIANT_GRAPH, *_GIANT_PARAMS, "--checkers", "stream,giant_expansion",
           "--seed", "5", "--trials", "1", "--out", out])
     with open(out, encoding="utf-8") as fh:
         (trial,) = [r for r in map(json.loads, fh) if r["kind"] == "trial"]
-    return path, trial
+    return trial
 
 
 def test_verify_prints_the_checks_of_the_sweep_trial_of_its_seed(giant_trial, capsys):
-    path, trial = giant_trial
+    # the sweep's gen flags name the same graph to verify
     capsys.readouterr()
-    rc = main(["verify", "--graph", path, "--checker", "stream,giant_expansion",
-               "--seed", str(trial["seed"]), *_GIANT_PARAMS])
-    assert _json_stream(capsys.readouterr().out) == trial["checks"]
-    assert rc == (0 if all(r["pass"] for r in trial["checks"]) else 1)
+    rc = main(["verify", *_GIANT_GRAPH, "--checker", "stream,giant_expansion",
+               "--seed", str(giant_trial["seed"]), *_GIANT_PARAMS])
+    assert _json_stream(capsys.readouterr().out) == giant_trial["checks"]
+    assert rc == (0 if all(r["pass"] for r in giant_trial["checks"]) else 1)
 
 
-def test_verify_walks_the_sample_once(giant_trial, capsys, monkeypatch):
-    path, _ = giant_trial
+def test_verify_walks_the_sample_once(capsys, monkeypatch):
     monkeypatch.setattr(census, "_sample_forest", _no_walk)
-    main(["verify", "--graph", path, "--checker", "giant_expansion", "--seed", "8",
+    main(["verify", *_GIANT_GRAPH, "--checker", "giant_expansion", "--seed", "8",
           *_GIANT_PARAMS])
     (report,) = _json_stream(capsys.readouterr().out)
     assert report["meta"]["giant"] > 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_verify_rejects_a_non_finite_beta_test(giant_trial, capsys, value):
-    path, trial = giant_trial
-    capsys.readouterr()
-    rc = main(["verify", "--graph", path, "--checker", "giant_expansion",
-               "--seed", str(trial["seed"]), *_GIANT_PARAMS, "--beta-test", value])
+def test_verify_rejects_a_non_finite_beta_test(capsys, value):
+    rc = main(["verify", *_GIANT_GRAPH, "--checker", "giant_expansion", "--seed", "8",
+               *_GIANT_PARAMS, "--beta-test", value])
     assert rc == 1
     captured = capsys.readouterr()
     assert f"error: beta_test must be finite, got {value}" in captured.err
     assert captured.out == ""
 
 
-def test_verify_command(graph_file, capsys):
+def test_verify_command(capsys):
     rc = main([
-        "verify", "--graph", graph_file, "--checker", "stream,mixing",
+        "verify", *_GRAPH, "--checker", "stream,mixing",
         "--seed", "5", "--epsilon", "0.5", "--regime", "sub", "--pairs", "50",
     ])
     reports = _json_stream(capsys.readouterr().out)
@@ -455,34 +424,31 @@ def test_verify_command(graph_file, capsys):
     assert all(r["pass"] for r in reports)
 
 
-def test_verify_giant_expansion_names_admissible_alpha(graph_file, capsys):
-    rc = main(["verify", "--graph", graph_file, "--checker", "giant_expansion", "--seed", "1"])
+def test_verify_giant_expansion_names_admissible_alpha(capsys):
+    rc = main(["verify", *_GRAPH, "--checker", "giant_expansion", "--seed", "1"])
     assert rc == 1
     captured = capsys.readouterr()
     assert "giant_expansion needs alpha <= 0.01505 at eps=0.2" in captured.err
     assert captured.out == ""
 
 
-def test_verify_p_judges_the_stream_at_its_own_epsilon(tmp_path, capsys):
+def test_verify_p_judges_the_stream_at_its_own_epsilon(capsys):
     # coins drawn at p = 0.13 on d = 10 drift at eps = 0.3; judged at the
     # default eps = 0.2 they fail, e.g. at t=303 (8.64 against 8.0)
-    path = str(tmp_path / "rr2000.graph")
-    assert main(["generate", "--family", "random_regular", "--n", "2000", "--d", "10",
-                 "--graph-seed", "3", "--out", path]) == 0
-    capsys.readouterr()
-    rc = main(["verify", "--graph", path, "--checker", "stream", "--seed", "7", "--p", "0.13",
+    rr2000 = ["--family", "random_regular", "--n", "2000", "--d", "10", "--graph-seed", "3"]
+    rc = main(["verify", *rr2000, "--checker", "stream", "--seed", "7", "--p", "0.13",
                "--epsilon", "0.2"])
     (report,) = _json_stream(capsys.readouterr().out)
     assert rc == 0 and report["pass"]
     assert report["meta"]["epsilon"] == pytest.approx(0.3)
-    rc = main(["verify", "--graph", path, "--checker", "stream", "--seed", "7", "--p", "0.07",
+    rc = main(["verify", *rr2000, "--checker", "stream", "--seed", "7", "--p", "0.07",
                "--regime", "sub"])
     (report,) = _json_stream(capsys.readouterr().out)
     assert report["meta"]["epsilon"] == pytest.approx(0.3)
 
 
-def test_verify_rejects_checkers_that_check_nothing(graph_file, capsys):
-    rc = main(["verify", "--graph", graph_file, "--checker", "mixing,lemma_2_4",
+def test_verify_rejects_checkers_that_check_nothing(capsys):
+    rc = main(["verify", *_GRAPH, "--checker", "mixing,lemma_2_4",
                "--seed", "1", "--pairs", "-5", "--subsets", "0", "--alpha", "0.2"])
     assert rc == 1
     captured = capsys.readouterr()
@@ -490,26 +456,43 @@ def test_verify_rejects_checkers_that_check_nothing(graph_file, capsys):
     assert captured.out == ""
 
 
-def test_verify_rejects_an_empty_checker_list(graph_file, capsys):
+def test_verify_rejects_an_empty_checker_list(capsys):
     for spec in (",", " , "):
-        rc = main(["verify", "--graph", graph_file, "--checker", spec, "--seed", "1"])
+        rc = main(["verify", *_GRAPH, "--checker", spec, "--seed", "1"])
         assert rc == 1
         captured = capsys.readouterr()
         assert "error: --checker names no checker id" in captured.err
         assert captured.out == ""
 
 
-def test_verify_unknown_checker(graph_file, capsys):
-    assert main(["verify", "--graph", graph_file, "--checker", "psychic", "--seed", "1"]) == 1
+def test_verify_unknown_checker(capsys):
+    assert main(["verify", *_GRAPH, "--checker", "psychic", "--seed", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: unknown checker ids ['psychic']; known: ['stream', ")
     assert captured.out == ""
 
 
-def test_missing_graph_file_is_a_clean_error(tmp_path, capsys):
-    rc = main(["spectrum", "--graph", str(tmp_path / "nope.graph")])
+_COMMANDS = {"spectrum": ["spectrum"], "percolate": ["percolate", "--p", "0.3", "--seed", "1"],
+             "verify": ["verify", "--checker", "stream", "--seed", "1"]}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_infeasible_spec_is_a_clean_error(capsys, command):
+    rc = main([*_COMMANDS[command], "--family", "hypercube", "--n", "15", "--d", "4"])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: hypercube needs n = 2^d, got n=15 d=4\n")
+
+
+@pytest.mark.parametrize("checker", ["corollary_2_3", "lemma_2_4", None])
+@pytest.mark.parametrize("value", ["nan", "5", "-1"])
+def test_alpha_outside_the_unit_interval_is_rejected_before_the_graph(
+        capsys, monkeypatch, checker, value):
+    # a sweep rejects these through delta_of_alpha; verify and spectrum do too,
+    # before building the graph (spectrum also before its 35 s run at n=200k)
+    monkeypatch.setattr(cli, "generate", _no_generate)
+    command = ["verify", "--checker", checker, "--seed", "1"] if checker else ["spectrum"]
+    assert main([*command, *_GRAPH, "--alpha", value]) == 1
+    assert capsys.readouterr() == ("", f"error: alpha must be in (0, 1], got {float(value)}\n")
 
 
 def test_cli_requires_subcommand(capsys):

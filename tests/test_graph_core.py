@@ -3,14 +3,11 @@ import pytest
 
 from oracles import has_edge
 from percolab.graph_core import (
-    GraphFormatError,
     RegularGraph,
     RegularityError,
     VertexSet,
     edge_count_between,
     external_neighborhood,
-    read_graph,
-    write_graph,
 )
 
 
@@ -158,52 +155,3 @@ def test_set_queries_reject_a_mask(k4):
     with pytest.raises(TypeError, match="not a bool mask"):
         edge_count_between(k4, [0], mask)
 
-
-# ----------------------------------------------------------------------
-# file format
-# ----------------------------------------------------------------------
-def test_write_read_roundtrip(tmp_path, q4, petersen):
-    for name, g in [("q4", q4), ("pet", petersen)]:
-        p = tmp_path / f"{name}.g"
-        write_graph(g, p)
-        h = read_graph(p)
-        assert g.structurally_equal(h)
-        assert np.array_equal(h.nbrs2d, g.nbrs2d)
-
-
-def test_read_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.g"
-    p.write_text("nope\n1 1\n")
-    with pytest.raises(GraphFormatError, match="line 1"):
-        read_graph(p)
-
-
-def test_read_rejects_wrong_edge_count(tmp_path):
-    p = tmp_path / "short.g"
-    p.write_text("ndl-graph 1\n4 3\n0 1\n0 2\n")
-    with pytest.raises(GraphFormatError, match="expected 6 edge lines"):
-        read_graph(p)
-
-
-def test_read_rejects_unordered_edge(tmp_path):
-    p = tmp_path / "ord.g"
-    p.write_text("ndl-graph 1\n2 1\n1 0\n")
-    with pytest.raises(GraphFormatError, match="line 3.*u < v"):
-        read_graph(p)
-
-
-def test_read_rejects_out_of_range_vertex(tmp_path):
-    p = tmp_path / "oob.g"
-    p.write_text("ndl-graph 1\n2 1\n0 5\n")
-    with pytest.raises(GraphFormatError, match="line 3.*out of range"):
-        read_graph(p)
-    p.write_text("ndl-graph 1\n4 1\n2 3\n-1 1\n")
-    with pytest.raises(GraphFormatError, match="line 4: vertex id out of range .* in '-1 1'"):
-        read_graph(p)
-
-
-def test_read_rejects_non_integer(tmp_path):
-    p = tmp_path / "alpha.g"
-    p.write_text("ndl-graph 1\n2 1\n0 x\n")
-    with pytest.raises(GraphFormatError, match="line 3"):
-        read_graph(p)
