@@ -6,16 +6,18 @@ config schema.  Every flag named after a flat config key
 (``harness.CONFIG_KEYS``) is built from that table by _config_flags; in
 a sweep, a flag given on the command line wins over the file.  A graph
 is named by its gen keys alone: spectrum, percolate and verify build it
-from the same flags a sweep's config record stores.
-``--log-level``, given before the subcommand, sets what the library logs
-to stderr.
+from the same flags a sweep's config record stores.  verify is a one-trial
+sweep.  ``--log-level``, given before the subcommand, sets what the
+library logs to stderr; no flag may be given by a prefix of its name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import os
 import sys
 
 from .generators import FAMILIES, generate
@@ -30,12 +32,12 @@ from .harness import (
     gen_spec_from_mapping,
     load_config_file,
     percolate,
-    retention_p,
-    run_checks,
     run_sweep,
+    trial_at_seed,
 )
-from .spectral import compute_spectrum, delta_of_alpha
-from .theory import giant_expansion_window, predict
+from .percolation import require_probability
+from .spectral import compute_spectrum, delta_of_alpha, require_positive
+from .theory import predict
 
 _BOOL = argparse.BooleanOptionalAction
 _ROW_COLUMNS = ("metric", "claim", "measured", "predicted", "claim_bound", "tolerance", "pass")
@@ -88,16 +90,17 @@ def _config_flags(p: argparse.ArgumentParser, keys: str, required: str = "",
 
 def _cmd_spectrum(args) -> int:
     delta = None if args.alpha is None else delta_of_alpha(args.alpha)
+    require_positive("tol", args.spectrum_tol)  # as compute_spectrum does, before building
     report = compute_spectrum(generate(gen_spec_from_mapping(vars(args))), tol=args.spectrum_tol)
     obj = report.to_dict()
     if delta is not None:
-        obj["alpha"] = args.alpha
-        obj["admissible"] = report.ratio <= delta
+        obj.update(alpha=args.alpha, admissible=report.ratio <= delta)
     _print_json(obj)
     return 0
 
 
 def _cmd_percolate(args) -> int:
+    require_probability(args.p)  # as CoinStream does, before building
     g = generate(gen_spec_from_mapping(vars(args)))
     _, trace, _, census = percolate(g, args.p, args.seed, args.k_max)
     _print_json({"dfs": trace.summary(), "census": census.to_summary()})
@@ -134,26 +137,14 @@ def _cmd_verify(args) -> int:
     checkers = [c.strip() for c in args.checker.split(",") if c.strip()]
     if not checkers:  # no checker passes vacuously
         raise ValueError(f"--checker names no checker id; known: {list(CHECKER_IDS)}")
-    unknown = [c for c in checkers if c not in CHECKER_IDS]
-    if unknown:
-        raise ValueError(f"unknown checker ids {unknown}; known: {list(CHECKER_IDS)}")
-    delta_of_alpha(args.alpha)  # rejects an alpha outside (0, 1], as a sweep does
-    spec = gen_spec_from_mapping(vars(args))
-    spec.validate()  # p and the window below read its n and d; fail before building
-    p = args.p if args.p is not None else retention_p(args.epsilon, args.regime, spec.d)
-    if args.p is not None:  # judge the coins at the drift they were drawn with
-        args.epsilon = (p * spec.d - 1.0) * (-1.0 if args.regime == "sub" else 1.0)
-    if "giant_expansion" in checkers:
-        giant_expansion_window(spec.n, spec.d, p * spec.d - 1.0, args.alpha)
-    g = generate(spec)
-    spect = None
-    if any(c in SPECTRUM_CHECKERS for c in checkers):
-        spect = compute_spectrum(g, tol=args.spectrum_tol)
-    stream, _, sample, census = percolate(g, p, args.seed, args.k_max)
-    reports = run_checks(checkers, args, g, stream, sample, census, spect, args.seed)
-    for r in reports:
-        _print_json(r.to_dict())
-    return 0 if all(r.passed for r in reports) else 1
+    # a one-trial sweep config, validated as a sweep's is; --seed is its trial seed
+    cfg = config_from_mapping({
+        **{k: v for k, v in vars(args).items() if k in CONFIG_KEYS}, "trials": 1,
+        "checkers": checkers, "spectrum": any(c in SPECTRUM_CHECKERS for c in checkers)})
+    checks = trial_at_seed(cfg, args.seed)["checks"]
+    for r in checks:
+        _print_json(r)
+    return 0 if all(r["pass"] for r in checks) else 1
 
 
 def _cmd_compare(args) -> int:
@@ -165,44 +156,46 @@ def _cmd_compare(args) -> int:
 
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="percolab",
+    # no prefixes of flags: a misspelt flag must not set another config key
+    ap = argparse.ArgumentParser(prog="percolab", allow_abbrev=False,
                                  description="site-percolation laboratory for regular graphs")
     ap.add_argument("--log-level", choices=("warning", "info", "debug"), default="warning",
                     dest="log_level", help="what the library logs to stderr")
-    sub = ap.add_subparsers(dest="command", required=True)
+    command = functools.partial(ap.add_subparsers(dest="command", required=True).add_parser,
+                                allow_abbrev=False)
 
-    p = sub.add_parser("spectrum", help="extreme adjacency eigenvalues of a graph")
+    p = command("spectrum", help="extreme adjacency eigenvalues of a graph")
     _config_flags(p, _GEN_KEYS, required="n d", family={"help": "default random_regular"})
     _config_flags(p, "spectrum_tol alpha", defaults=True, alpha={
         "default": None, "help": "also report the spectral admissibility verdict"})
     p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("percolate", help="one seeded exploration + component census")
+    p = command("percolate", help="one seeded exploration + component census")
     _config_flags(p, _GEN_KEYS, required="n d", family={"help": "default random_regular"})
     p.add_argument("--p", type=float, required=True)
     _config_flags(p, "seed k_max", required="seed", defaults=True)
     p.set_defaults(fn=_cmd_percolate)
 
-    p = sub.add_parser("theory", help="closed-form predictions as a table")
+    p = command("theory", help="closed-form predictions as a table")
     _config_flags(p, "n d epsilon alpha k_max", required="n d epsilon", defaults=True)
     p.set_defaults(fn=_cmd_theory)
 
-    p = sub.add_parser("sweep", help="run trials, write JSON-lines records + CSV")
+    p = command("sweep", help="run trials, write JSON-lines records + CSV")
     p.add_argument("--config", help="flat key=value file; flags below override it")
     _config_flags(p, " ".join(CONFIG_KEYS), checkers={"help": "comma-separated checker ids"})
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="run structural checkers on a graph")
+    p = command("verify", help="one sweep trial's checks, by its trial seed")
     _config_flags(p, _GEN_KEYS, required="n d", family={"help": "default random_regular"})
     p.add_argument("--checker", required=True, help="comma-separated checker ids")
-    p.add_argument("--p", type=float)
     _config_flags(p, "seed epsilon regime alpha pairs subsets samples beta_test k_max "
-                  "spectrum_tol", required="seed", defaults=True, epsilon={"default": 0.2, "help":
-                  "p = (1 ± eps)/d by --regime; ignored when --p is given, eps then follows p"})
+                  "spectrum_tol", required="seed", defaults=True,
+                  epsilon={"default": 0.2, "help": "p = (1 ± eps)/d by --regime"},
+                  seed={"help": "the trial seed: a sweep trial record's seed"})
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("compare", help="theory-vs-measurement table from a record file")
+    p = command("compare", help="theory-vs-measurement table from a record file")
     p.add_argument("--records", required=True)
     p.set_defaults(fn=_cmd_compare)
 
@@ -214,7 +207,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+        return rc
+    except BrokenPipeError:  # the reader left: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,10 +31,10 @@ import time
 from dataclasses import MISSING, dataclass, fields, replace
 from statistics import median
 
-from .census import ComponentCensus, take_census
+from .census import take_census
 from .generators import GenSpec, cycle_graph, generate
 from .graph_core import RegularGraph, VertexSet
-from .percolation import CoinStream, PercolationSample, run_dfs
+from .percolation import CoinStream, PercolationSample, require_probability, run_dfs
 from .rng import TAG_SUBSETS, make_generator, trial_seed
 from .spectral import SpectrumReport, compute_spectrum, delta_of_alpha, require_positive
 from .theory import TheoryPrediction, giant_expansion_window, predict
@@ -60,9 +60,8 @@ __all__ = [
     "load_config_file",
     "percolate",
     "release_free_heap",
-    "retention_p",
-    "run_checks",
     "run_sweep",
+    "trial_at_seed",
 ]
 
 log = logging.getLogger("percolab.harness")
@@ -82,12 +81,6 @@ TOLERANCES = {
     "cycle_rate": 1.0,
     "max_component_rate": 1.0,
 }
-
-
-def retention_p(epsilon: float, regime: str, d: int) -> float:
-    """p = (1 + eps)/d in the supercritical regime, (1 - eps)/d in the subcritical one."""
-    sign = -1.0 if regime == "sub" else 1.0
-    return (1.0 + sign * epsilon) / d
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -112,7 +105,8 @@ class ExperimentConfig:
 
     @property
     def p(self) -> float:
-        return retention_p(self.epsilon, self.regime, self.gen.d)
+        """(1 + eps)/d in the supercritical regime, (1 - eps)/d in the subcritical one."""
+        return (1.0 + (-1.0 if self.regime == "sub" else 1.0) * self.epsilon) / self.gen.d
 
     def validate(self) -> None:
         self.gen.validate()
@@ -123,8 +117,7 @@ class ExperimentConfig:
         delta_of_alpha(self.alpha)  # rejects an alpha outside (0, 1], naming it
         for name in ("spectrum_tol", "beta_test"):
             require_positive(name, getattr(self, name))
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"regime/epsilon give retention probability {self.p}, not in [0,1]")
+        require_probability(self.p)
         # a count below 1 leaves nothing to run; a checker of no instances proves nothing
         for name in ("trials", "k_max", "workers", "pairs", "subsets", "samples"):
             if getattr(self, name) < 1:
@@ -273,31 +266,46 @@ def percolate(g: RegularGraph, p: float, seed: int, k_max: int):
     return stream, trace, sample, take_census(g, sample, k_max, trace)
 
 
-def run_checks(checkers, params, g: RegularGraph, stream: CoinStream, sample: PercolationSample,
-               census: ComponentCensus | None, spect: SpectrumReport | None, seed: int) -> list:
-    """One report per checker id, in order.  ``params`` (an ExperimentConfig
-    or the CLI's parsed arguments) supplies epsilon, regime, alpha, pairs,
-    subsets, samples and beta_test; only giant_expansion reads ``census``."""
-    reports = []
-    for cid in checkers:
+def _setup(cfg: ExperimentConfig) -> tuple:
+    """(graph, spect) of a sweep's set-up.  The graph_seed graph is built only
+    for the spectrum or a fixed graph's trials; a regenerating sweep gets None."""
+    graph = generate(cfg.gen) if cfg.spectrum or not cfg.regen_graph else None
+    spect = compute_spectrum(graph, tol=cfg.spectrum_tol) if cfg.spectrum else None
+    return (None if cfg.regen_graph else graph), spect
+
+
+def _trial(g: RegularGraph, cfg: ExperimentConfig, spect: SpectrumReport | None,
+           seed: int) -> dict:
+    """The record, bar trial_index, of the trial of trial seed ``seed`` on g:
+    exploration, census, then one report per checker of cfg, in order."""
+    stream, trace, sample, census = percolate(g, cfg.p, seed, cfg.k_max)
+    checks = []
+    for cid in cfg.checkers:
         if cid == "stream":
-            reports.append(check_stream_properties(stream, params.epsilon, g.d, params.regime))
+            checks.append(check_stream_properties(stream, cfg.epsilon, g.d, cfg.regime))
         elif cid == "mixing":
-            reports.append(check_mixing(g, spect, params.pairs, seed))
+            checks.append(check_mixing(g, spect, cfg.pairs, seed))
         elif cid == "corollary_2_3":
             rng = make_generator(seed, TAG_SUBSETS, 23)
-            half = rng.choice(g.n, size=(g.n + 1) // 2, replace=False)
-            half_set = VertexSet.from_indices(g.n, half)
-            reports.append(check_corollary_2_3(g, spect, half_set, params.alpha))
+            half = VertexSet.from_indices(g.n, rng.choice(g.n, (g.n + 1) // 2, replace=False))
+            checks.append(check_corollary_2_3(g, spect, half, cfg.alpha))
         elif cid == "lemma_2_4":
-            reports.append(check_lemma_2_4(g, sample, params.alpha, params.subsets, seed, spect))
+            checks.append(check_lemma_2_4(g, sample, cfg.alpha, cfg.subsets, seed, spect))
         elif cid == "giant_expansion":
-            reports.append(check_giant_expansion(
-                g, sample, census, params.alpha, params.samples, params.beta_test, seed))
-    return reports
+            checks.append(check_giant_expansion(
+                g, sample, census, cfg.alpha, cfg.samples, cfg.beta_test, seed))
+    return {"kind": "trial", "seed": seed, "census": census.to_summary(),
+            "dfs": trace.summary(), "checks": [r.to_dict() for r in checks]}
 
 
-def _run_trial(g: RegularGraph, cfg: ExperimentConfig, spect: SpectrumReport | None,
+def trial_at_seed(cfg: ExperimentConfig, seed: int) -> dict:
+    """The record, bar trial_index, of the trial of trial seed ``seed`` in a
+    fixed-graph sweep of cfg, made by that sweep's own set-up and trial body."""
+    graph, spect = _setup(cfg)
+    return _trial(graph, cfg, spect, seed)
+
+
+def _run_trial(g: RegularGraph | None, cfg: ExperimentConfig, spect: SpectrumReport | None,
                trial_index: int) -> dict:
     """The trial record of one trial: a pure function of (cfg, trial_index)."""
     seed = trial_seed(cfg.master_seed, trial_index)
@@ -305,11 +313,7 @@ def _run_trial(g: RegularGraph, cfg: ExperimentConfig, spect: SpectrumReport | N
         g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, trial_index)))
         if cfg.spectrum:  # the parent graph's lambda does not certify this one
             spect = compute_spectrum(g, tol=cfg.spectrum_tol)
-    stream, trace, sample, census = percolate(g, cfg.p, seed, cfg.k_max)
-    checks = run_checks(cfg.checkers, cfg, g, stream, sample, census, spect, seed)
-    return {"kind": "trial", "trial_index": trial_index, "seed": seed,
-            "census": census.to_summary(), "dfs": trace.summary(),
-            "checks": [r.to_dict() for r in checks]}
+    return {**_trial(g, cfg, spect, seed), "trial_index": trial_index}
 
 
 _WORKER_STATE: dict = {}
@@ -603,21 +607,12 @@ def _resident_mb() -> float:
 
 
 def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
-    """Execute all trials, persist JSON-lines + CSV, return the summary.
-
-    The ``graph_seed`` graph is built only where something reads it: the
-    trials of a fixed-graph sweep, or the record's spectrum.  A
-    regenerating sweep without the spectrum builds no set-up graph, and
-    with the spectrum it drops that graph before the trials.
-    """
+    """Execute all trials, persist JSON-lines + CSV, return the summary."""
     cfg.validate()
     if cfg.out is None:
         raise ValueError("config needs an output path: missing config key out")
     t_start = time.perf_counter()
-    graph = generate(cfg.gen) if cfg.spectrum or not cfg.regen_graph else None
-    spect = compute_spectrum(graph, tol=cfg.spectrum_tol) if cfg.spectrum else None
-    if cfg.regen_graph:  # each trial generates its own graph and never reads this one
-        graph = None
+    graph, spect = _setup(cfg)
     pred = _predict(cfg)
 
     config_obj = {

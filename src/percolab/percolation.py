@@ -36,6 +36,7 @@ __all__ = [
     "DfsTrace",
     "PercolationSample",
     "components_oracle",
+    "require_probability",
     "run_dfs",
 ]
 
@@ -55,14 +56,19 @@ class PercolationSample:
         return cls(p=p, seed=seed, membership=mask, retained_count=int(mask.sum()))
 
 
+def require_probability(p: float) -> None:
+    """Reject a retention probability outside [0, 1], nan included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"retention probability must be in [0,1], got {p}")
+
+
 class CoinStream:
     """Pre-drawn Bernoulli(p) coins; draw i is a pure function of (seed, i)."""
 
     __slots__ = ("seed", "p", "flips", "consumed")
 
     def __init__(self, n: int, p: float, seed: int):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"retention probability must be in [0,1], got {p}")
+        require_probability(p)
         rng = make_generator(seed, TAG_COINS)
         self.seed = seed
         self.p = p

@@ -22,6 +22,14 @@ def _no_generate(spec):
     raise AssertionError("the command built a graph it should have rejected first")
 
 
+@pytest.fixture
+def no_graph(monkeypatch):
+    """Fail any graph build: spectrum and percolate build through cli, verify
+    through the sweep's set-up in harness."""
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "generate", _no_generate)
+
+
 def test_debug_log_level_reports_pairing_attempts():
     src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -101,7 +109,7 @@ def test_spectrum_tol_is_the_config_key(capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_spectrum_rejects_a_non_finite_tol(capsys, value):
+def test_spectrum_rejects_a_non_finite_tol(capsys, no_graph, value):
     capsys.readouterr()
     assert main(["spectrum", *_GRAPH, "--spectrum-tol", value]) == 1
     captured = capsys.readouterr()
@@ -115,8 +123,14 @@ def test_percolate_command(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["census"]["retained"] == obj["dfs"]["accepted"]
     assert obj["dfs"]["coins"] == 300
-    rc = main(["percolate", *_GRAPH, "--p", "1.5", "--seed", "3"])
-    assert rc == 1  # domain error surfaces as exit 1, not a traceback
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+def test_percolate_rejects_p_outside_the_unit_interval_before_the_graph(capsys, no_graph, value):
+    # a domain error surfaces as exit 1, not a traceback, and costs no graph
+    assert main(["percolate", *_GRAPH, "--p", value, "--seed", "3"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: retention probability must be in [0,1], got {float(value)}\n")
 
 
 def _no_walk(g, mask):
@@ -432,21 +446,6 @@ def test_verify_giant_expansion_names_admissible_alpha(capsys):
     assert captured.out == ""
 
 
-def test_verify_p_judges_the_stream_at_its_own_epsilon(capsys):
-    # coins drawn at p = 0.13 on d = 10 drift at eps = 0.3; judged at the
-    # default eps = 0.2 they fail, e.g. at t=303 (8.64 against 8.0)
-    rr2000 = ["--family", "random_regular", "--n", "2000", "--d", "10", "--graph-seed", "3"]
-    rc = main(["verify", *rr2000, "--checker", "stream", "--seed", "7", "--p", "0.13",
-               "--epsilon", "0.2"])
-    (report,) = _json_stream(capsys.readouterr().out)
-    assert rc == 0 and report["pass"]
-    assert report["meta"]["epsilon"] == pytest.approx(0.3)
-    rc = main(["verify", *rr2000, "--checker", "stream", "--seed", "7", "--p", "0.07",
-               "--regime", "sub"])
-    (report,) = _json_stream(capsys.readouterr().out)
-    assert report["meta"]["epsilon"] == pytest.approx(0.3)
-
-
 def test_verify_rejects_checkers_that_check_nothing(capsys):
     rc = main(["verify", *_GRAPH, "--checker", "mixing,lemma_2_4",
                "--seed", "1", "--pairs", "-5", "--subsets", "0", "--alpha", "0.2"])
@@ -468,7 +467,8 @@ def test_verify_rejects_an_empty_checker_list(capsys):
 def test_verify_unknown_checker(capsys):
     assert main(["verify", *_GRAPH, "--checker", "psychic", "--seed", "1"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: unknown checker ids ['psychic']; known: ['stream', ")
+    # the message of the config check a sweep runs
+    assert captured.err.startswith("error: unknown checker id 'psychic'; known: ('stream', ")
     assert captured.out == ""
 
 
@@ -486,13 +486,59 @@ def test_infeasible_spec_is_a_clean_error(capsys, command):
 @pytest.mark.parametrize("checker", ["corollary_2_3", "lemma_2_4", None])
 @pytest.mark.parametrize("value", ["nan", "5", "-1"])
 def test_alpha_outside_the_unit_interval_is_rejected_before_the_graph(
-        capsys, monkeypatch, checker, value):
+        capsys, no_graph, checker, value):
     # a sweep rejects these through delta_of_alpha; verify and spectrum do too,
     # before building the graph (spectrum also before its 35 s run at n=200k)
-    monkeypatch.setattr(cli, "generate", _no_generate)
     command = ["verify", "--checker", checker, "--seed", "1"] if checker else ["spectrum"]
     assert main([*command, *_GRAPH, "--alpha", value]) == 1
     assert capsys.readouterr() == ("", f"error: alpha must be in (0, 1], got {float(value)}\n")
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--pairs", "0", "pairs must be at least 1, got 0"),
+    ("--subsets", "0", "subsets must be at least 1, got 0"),
+    ("--samples", "0", "samples must be at least 1, got 0"),
+    ("--beta-test", "nan", "beta_test must be finite, got nan"),
+    ("--spectrum-tol", "nan", "spectrum_tol must be finite, got nan"),
+    ("--k-max", "0", "k_max must be at least 1, got 0"),
+])
+def test_verify_rejects_before_the_graph_what_a_sweep_rejects(capsys, no_graph, flag, value,
+                                                              error):
+    # verify runs a one-trial sweep config: its values are checked even where
+    # the named checker would not read them, as a sweep's are
+    assert main(["verify", *_GRAPH, "--checker", "stream", "--seed", "1", flag, value]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["sweep"], ["--trial", "3", "--eps", "0.2", "--pa", "100"]),
+    (["verify", *_GRAPH, "--checker", "stream", "--seed", "1"], ["--p", "0.13"]),
+])
+def test_flag_prefixes_are_not_flags(capsys, no_graph, command, flags):
+    # a prefix would silently set another config key: --trial trials, --p pairs
+    with pytest.raises(SystemExit) as info:
+        main([*command, *flags])
+    assert info.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(flags)}\n" in capsys.readouterr().err
+
+
+def test_closed_stdout_is_no_error():
+    # the reader of the output left (`percolab theory ... | head -1`): stop quietly,
+    # whether stdout is buffered or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "percolab.cli", "theory", "--n", "2000", "--d", "8",
+                 "--epsilon", "0.2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**env, **unbuffered, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, ""), unbuffered
 
 
 def test_cli_requires_subcommand(capsys):

@@ -22,6 +22,7 @@ from percolab.harness import (
     config_from_mapping,
     load_config_file,
     run_sweep,
+    trial_at_seed,
 )
 from percolab.rng import trial_seed
 from percolab.spectral import compute_spectrum
@@ -377,6 +378,19 @@ def test_sweep_releases_the_heap_only_before_a_pool(tmp_path, monkeypatch, worke
     monkeypatch.setattr(harness.multiprocessing, "get_context", RecordingContext)
     run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=3, workers=workers))
     assert events == expected
+
+
+def test_trial_at_seed_is_the_sweep_trial_of_that_seed(tmp_path):
+    # verify's path: the sweep's own set-up and trial body, reached by trial seed
+    cfg = _small_cfg(out=str(tmp_path / "r.jsonl"), trials=2, spectrum=True,
+                     checkers=("stream", "mixing", "corollary_2_3", "lemma_2_4"))
+    run_sweep(cfg)
+    with open(cfg.out, encoding="utf-8") as fh:
+        trials = [r for r in map(json.loads, fh) if r["kind"] == "trial"]
+    assert len(trials) == 2 and all(len(t["checks"]) == 4 for t in trials)
+    for t in trials:
+        rec = {**trial_at_seed(cfg, t["seed"]), "trial_index": t["trial_index"]}
+        assert harness._dumps(rec) == harness._dumps(t)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
