@@ -8,103 +8,84 @@ component labels and the long-cycle bound alike.  With every coin heads
 over a given sample it builds the same forest the exploration that drew
 the sample built.
 
-The kernel writes its accepted vertices in acceptance order.  An epoch
+The kernel lists its accepted vertices in acceptance order.  An epoch
 ends with an empty stack before the next root is tried, so each epoch is
 a contiguous run of that order, and the caller scatters labels and
 depths to vertex-indexed arrays with numpy; the kernel never touches a
 per-vertex output.
 
-The kernel is a plain function over preallocated flat arrays: numba
-compiles it and passes numpy arrays when it is installed, and otherwise
-the interpreter runs it on bytearrays and memoryviews of the same
-arrays (see _accel).  So the body only indexes, assigns and takes
-``len`` of its arrays, and allocates nothing: the caller passes every
-output and scratch array.  Keep the signature primitive: flat int32
-adjacency, uint8 states and coins, scalar ints.
+The interpreter runs it, so it hands every run of work it can to C.
+Between epochs it places a whole run of tails coins at once: bytes.find
+finds the next heads coin, bytearray.find and count walk the state to
+the vertex that coin reaches, skipping runs of touched vertices, and
+one slice assignment marks the skipped vertices touched.  Within an
+epoch the stack holds iterators over memoryview slices of the rows, so
+each vertex resumes its scan where it left it.
 """
 
 from __future__ import annotations
 
-from ._accel import njit
-
 __all__ = ["dfs_explore"]
 
 
-# state codes used by dfs_explore; only T_UNVISITED is falsy
-T_UNVISITED = 0
-U_STACK = 1
-S_DONE = 2
-W_REJECTED = 3
-
-
-@njit
-def dfs_explore(nbrs, d, coins, state, acc, accd, starts, estart, stack, ptr):
+def dfs_explore(rows, d, coins, state):
     """Stack exploration driven by one coin per first-touched vertex.
 
-    nbrs: flat (n*d) neighbor table, scanned row by row in stored order.
-    Roots are tried in vertex order; state (length n) may start vertices
-    as W_REJECTED to keep them out.  coins: uint8 coin stream, one entry
-    per touched vertex.  Outputs, in acceptance order: acc[i] = the i-th
-    accepted vertex and accd[i] = the stack depth it was pushed at (0 for
-    a root); starts[j] = the coin that opened epoch j and estart[j] = the
-    offset into acc of its root.  Each has room for one entry per coin.
-    stack (one entry per coin) and ptr (length n) are scratch: ptr[v] is
-    v's scan cursor into nbrs while v sits below the top of the stack.
-    Returns (coins_used, n_epochs, n_accepted).
+    rows: memoryview of the flat (n*d) neighbor table, scanned row by row
+    in stored order.  state: bytearray of length n, scratch, nonzero once
+    a vertex is touched; a caller keeps vertices out by starting them
+    nonzero.  Roots are tried in vertex order.  coins: bytes of 0/1, one
+    per vertex that state starts at 0, in the order they are touched.
+    Returns (coins_used, acc, accd, starts, estart), the last four lists
+    in acceptance order: acc[i] is the i-th accepted vertex and accd[i]
+    the stack depth it was pushed at (0 for a root); starts[j] is the coin
+    that opened epoch j and estart[j] the offset into acc of its root.
     """
-    n = len(state)
-    coin_i = 0
-    ne = 0
-    na = 0
-    for r in range(n):
-        if state[r]:
-            continue
-        if not coins[coin_i]:
-            state[r] = W_REJECTED
-            coin_i += 1
-            continue
-        starts[ne] = coin_i
-        estart[ne] = na
-        ne += 1
-        coin_i += 1
-        state[r] = U_STACK
-        acc[na] = r
-        accd[na] = 0
-        na += 1
-        # the top of the stack is v, scanning nbrs[p:end]
+    acc, accd, starts, estart = [], [], [], []
+    used = 0
+    r = 0  # every vertex below r is touched
+    while True:
+        heads = coins.find(1, used)
+        if heads < 0:  # the coins left are tails, one per untouched vertex
+            return used + state.count(0, r), acc, accd, starts, estart
+        # the heads - used tails before it reject as many untouched
+        # vertices as roots; the next untouched vertex is the root
+        need = heads - used
+        s = r
+        while need:
+            s = state.find(0, s)
+            s, need = s + need, need - state.count(0, s, s + need)
+        root = state.find(0, s)
+        if heads > used:
+            state[r:root] = b"\1" * (root - r)
+        starts.append(heads)
+        estart.append(len(acc))
+        used = heads + 1
+        r = root + 1
+        state[root] = 1
+        acc.append(root)
+        accd.append(0)
+        # the top of the stack resumes `it`; below holds the iterators of
+        # the vertices under it, top is its depth
+        it = iter(rows[root * d:root * d + d])
+        below = []
         top = 0
-        stack[0] = r
-        v = r
-        p = r * d
-        end = p + d
         while True:
-            if p < end:
-                w = nbrs[p]
+            for w in it:
                 if state[w]:
-                    p += 1
                     continue
-                heads = coins[coin_i]
-                coin_i += 1
-                if heads:
-                    state[w] = U_STACK
-                    ptr[v] = p + 1
+                state[w] = 1
+                if coins[used]:
+                    used += 1
                     top += 1
-                    stack[top] = w
-                    acc[na] = w
-                    accd[na] = top
-                    na += 1
-                    v = w
-                    p = w * d
-                    end = p + d
-                else:
-                    state[w] = W_REJECTED
-                    p += 1
+                    acc.append(w)
+                    accd.append(top)
+                    below.append(it)
+                    it = iter(rows[w * d:w * d + d])
+                    break
+                used += 1
             else:
-                state[v] = S_DONE
-                if top == 0:
+                if not top:
                     break
                 top -= 1
-                v = stack[top]
-                p = ptr[v]
-                end = v * d + d
-    return coin_i, ne, na
+                it = below.pop()

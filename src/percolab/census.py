@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .graph_core import RegularGraph
 from .percolation import DfsTrace, PercolationSample, _explore
 
@@ -132,12 +131,12 @@ def take_census(
 
 def _sample_forest(g: RegularGraph, mask):
     """(labels, depth) of the DFS forest that dfs_explore builds over the
-    sample (roots ascending, every coin heads, the rest rejected), both
-    -1 off the sample.  It is the forest of the exploration that drew
-    the sample, so labels and depth equal its component_of and depth."""
-    state = np.where(mask, _kernels.T_UNVISITED, _kernels.W_REJECTED).astype(np.uint8)
+    sample (roots ascending, every coin heads, the vertices off the
+    sample kept out), both -1 off the sample.  It is the forest of the
+    exploration that drew the sample, so labels and depth equal its
+    component_of and depth."""
     coins = np.ones(np.count_nonzero(mask), dtype=np.uint8)
-    return _explore(g.neighbors, g.d, coins, state)[1:3]
+    return _explore(g.neighbors, g.d, coins, ~mask)[1:3]
 
 
 def _longest_back_edge(g: RegularGraph, kept, rows, hit, depth):

@@ -90,7 +90,7 @@ def _config_flags(p: argparse.ArgumentParser, keys: str, required: str = "",
 
 def _cmd_spectrum(args) -> int:
     delta = None if args.alpha is None else delta_of_alpha(args.alpha)
-    require_positive("tol", args.spectrum_tol)  # as compute_spectrum does, before building
+    require_positive("spectrum_tol", args.spectrum_tol)  # before building, as the config check
     report = compute_spectrum(generate(gen_spec_from_mapping(vars(args))), tol=args.spectrum_tol)
     obj = report.to_dict()
     if delta is not None:

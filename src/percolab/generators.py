@@ -2,8 +2,7 @@
 
 Families: uniform-ish random d-regular graphs via the stub-pairing
 (configuration) model, hypercubes, blow-ups of a base graph, and the
-disjoint-clique-union negative control.  Plus the cycle, a small
-deterministic graph.
+disjoint-clique-union negative control.
 
 Pairing model: vertices contribute d stubs each; stubs are shuffled and
 paired.  Self-loops and repeated edges are resolved by re-shuffling the
@@ -39,7 +38,6 @@ __all__ = [
     "GenSpec",
     "GenSpecError",
     "GenerationError",
-    "cycle_graph",
     "generate",
 ]
 
@@ -226,13 +224,3 @@ def _blowup(base: RegularGraph, s: int) -> RegularGraph:
     expanded = (base_rows[:, :, None] * s + np.arange(s, dtype=np.int64)).reshape(n0, d)
     nbrs = np.repeat(expanded, s, axis=0)  # (n, d), rows stay sorted
     return RegularGraph.from_edges(n, d, *_upper_edges(nbrs))
-
-
-# ----------------------------------------------------------------------
-# small closed-form reference
-# ----------------------------------------------------------------------
-def cycle_graph(n: int) -> RegularGraph:
-    if n < 3:
-        raise GenSpecError("cycle needs n >= 3")
-    verts = np.arange(n, dtype=np.int64)
-    return RegularGraph.from_edges(n, 2, verts, (verts + 1) % n)

@@ -32,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from statistics import median
 
 from .census import take_census
-from .generators import GenSpec, cycle_graph, generate
+from .generators import GenSpec, generate
 from .graph_core import RegularGraph, VertexSet
 from .percolation import CoinStream, PercolationSample, require_probability, run_dfs
 from .rng import TAG_SUBSETS, make_generator, trial_seed
@@ -633,7 +633,6 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     have = {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
     missing = [i for i in range(cfg.trials) if i not in have]
 
-    percolate(cycle_graph(6), 0.5, 7, 4)  # compiles the jitted kernel once, before any fork
     _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
     try:
         if cfg.workers > 1 and missing:

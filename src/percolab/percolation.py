@@ -154,27 +154,23 @@ def run_dfs(g: RegularGraph, stream: CoinStream) -> DfsTrace:
 
 
 def _explore(nbrs, d, coins, state):
-    """dfs_explore with fresh outputs: (coins_used, comp, depth,
-    epoch_starts, n_accepted), epoch_starts trimmed; comp and depth are
-    -1 off the forest.  Each epoch is the run of acceptance order from
-    its root's offset to the next root's, so comp is scattered from the
-    run lengths.  The scratch holds vertex ids, coin indices and offsets
-    below n, so it is int32; ptr holds offsets into nbrs, up to n*d."""
-    n, m = state.size, coins.size
-    acc = np.empty(m, dtype=np.int32)
-    accd = np.empty(m, dtype=np.int32)
-    starts = np.empty(m, dtype=np.int32)
-    estart = np.empty(m, dtype=np.int32)
-    used, ne, na = _kernels.dfs_explore(
-        nbrs, d, coins, state, acc, accd, starts, estart,
-        np.empty(m, dtype=np.int32), np.empty(n, dtype=np.int64),
-    )
-    acc = acc[:na]
+    """dfs_explore on arrays, with fresh outputs: (coins_used, comp, depth,
+    epoch_starts, n_accepted); comp and depth are -1 off the forest.
+    state (length n) keeps its nonzero vertices out and is not written;
+    coins holds one coin per other vertex.  Each epoch is the run of
+    acceptance order from its root's offset to the next root's, so comp
+    is scattered from the run lengths."""
+    n = state.size
+    used, acc, accd, starts, estart = _kernels.dfs_explore(
+        memoryview(nbrs), d, coins.tobytes(), bytearray(state))
+    na, ne = len(acc), len(starts)
+    acc = np.array(acc, dtype=np.int32)
     comp = np.full(n, -1, dtype=np.int32)
-    comp[acc] = np.repeat(np.arange(ne, dtype=np.int32), np.diff(estart[:ne], append=na))
+    comp[acc] = np.repeat(np.arange(ne, dtype=np.int32),
+                          np.diff(np.array(estart, dtype=np.int64), append=na))
     depth = np.full(n, -1, dtype=np.int32)
-    depth[acc] = accd[:na]
-    return int(used), comp, depth, starts[:ne].astype(np.int64), int(na)
+    depth[acc] = accd
+    return used, comp, depth, np.array(starts, dtype=np.int64), na
 
 
 def _induced_csr(g: RegularGraph, mask: np.ndarray):

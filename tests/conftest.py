@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import petersen_graph
-from percolab.generators import GenSpec, cycle_graph, generate
+from oracles import cycle_graph, petersen_graph
+from percolab.generators import GenSpec, generate
 
 
 @pytest.fixture(scope="session")

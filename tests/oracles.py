@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from percolab.generators import GenSpecError
 from percolab.graph_core import RegularGraph, external_neighborhood
 from percolab.percolation import CoinStream, DfsTrace, PercolationSample
 from percolab.rng import make_generator
@@ -26,6 +27,13 @@ from percolab.theory import _check_eps, _log_term_edge_mass
 from percolab.verify import ViolationReport
 
 TAG_SAMPLE = "vertex_sample"
+
+
+def cycle_graph(n: int) -> RegularGraph:
+    if n < 3:
+        raise GenSpecError("cycle needs n >= 3")
+    verts = np.arange(n, dtype=np.int64)
+    return RegularGraph.from_edges(n, 2, verts, (verts + 1) % n)
 
 
 def petersen_graph() -> RegularGraph:

@@ -207,6 +207,22 @@ def test_exploration_depth_is_sample_forest_depth(gspec):
             assert walked.cycle_lb == longest_cycle_lower_bound(g, sample)
 
 
+def test_sample_forest_of_a_sparse_sample(rr_10k):
+    # at p=0.01 the walk skips long runs of vertices outside the sample
+    # between roots; its labels are still the scipy oracle's and its forest
+    # the exploration's
+    for seed in (0, 1):
+        trace = run_dfs(rr_10k, CoinStream(rr_10k.n, 0.01, seed))
+        sample = PercolationSample.from_membership(0.01, seed, trace.accepted_mask())
+        labels, depth = _sample_forest(rr_10k, sample.membership)
+        assert np.array_equal(labels, components_oracle(rr_10k, sample))
+        assert np.array_equal(labels, trace.component_of)
+        assert np.array_equal(depth, trace.depth)
+        drawn = sample_vertices(rr_10k.n, 0.01, seed)
+        assert np.array_equal(_sample_forest(rr_10k, drawn.membership)[0],
+                              components_oracle(rr_10k, drawn))
+
+
 def test_census_rejects_a_trace_of_another_sample(rr_small):
     trace = run_dfs(rr_small, CoinStream(rr_small.n, 0.5, 1))
     mask = trace.accepted_mask()

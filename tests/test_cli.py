@@ -113,7 +113,7 @@ def test_spectrum_rejects_a_non_finite_tol(capsys, no_graph, value):
     capsys.readouterr()
     assert main(["spectrum", *_GRAPH, "--spectrum-tol", value]) == 1
     captured = capsys.readouterr()
-    assert f"error: tol must be finite, got {value}" in captured.err
+    assert f"error: spectrum_tol must be finite, got {value}" in captured.err
     assert captured.out == ""
 
 

@@ -5,12 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import has_edge, petersen_graph
+from oracles import cycle_graph, has_edge, petersen_graph
 from percolab.generators import (
     GenSpec,
     GenSpecError,
     _first_occurrence,
-    cycle_graph,
     generate,
 )
 

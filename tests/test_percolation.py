@@ -67,14 +67,30 @@ def _traces_equal(a, b):
     )
 
 
-@pytest.mark.parametrize("gname", ["k4", "c6", "q4", "petersen", "rr_small"])
+# graphs the seeded sweep adds to the fixtures: random regular graphs of
+# every degree from 3 to 12, a hypercube, a clique union and a blow-up
+_SWEEP_GRAPHS = {
+    **{f"rr_d{d}": GenSpec("random_regular", n=60, d=d, seed=d) for d in range(3, 13)},
+    "q5": GenSpec("hypercube", n=32, d=5),
+    "cliques": GenSpec("clique_union", n=48, d=5),
+    "blowup": GenSpec("blowup", n=60, d=6, seed=2, blowup_factor=2,
+                      base_family="random_regular"),
+}
+
+
+@pytest.mark.parametrize("gname", ["k4", "c6", "q4", "petersen", "rr_small", *_SWEEP_GRAPHS])
 def test_kernel_matches_reference(gname, request):
-    g = request.getfixturevalue(gname)
-    for seed in range(10):
-        p = [0.0, 0.25, 0.5, 0.75, 1.0][seed % 5]
-        tr_k = run_dfs(g, CoinStream(g.n, p, seed))
-        tr_r = run_dfs_reference(g, CoinStream(g.n, p, seed))
-        assert _traces_equal(tr_k, tr_r), f"{gname} seed={seed} p={p}"
+    g = generate(_SWEEP_GRAPHS[gname]) if gname in _SWEEP_GRAPHS else request.getfixturevalue(gname)
+    tails_ends = 0
+    # none, subcritical, the acceptance config's (1+eps)/d at eps=0.2, dense, all
+    for p in (0.0, 1 / (2 * g.d), 1.2 / g.d, 0.25, 0.5, 0.75, 1.0):
+        for seed in range(3):
+            stream = CoinStream(g.n, p, seed)
+            tails_ends += p > 0 and not stream.flips[-1]
+            tr_k = run_dfs(g, stream)
+            tr_r = run_dfs_reference(g, CoinStream(g.n, p, seed))
+            assert _traces_equal(tr_k, tr_r), f"{gname} seed={seed} p={p}"
+    assert tails_ends  # some streams that draw heads end in a tails run
 
 
 def test_hand_worked_clique_trace(k4):

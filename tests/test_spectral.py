@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from percolab.generators import GenSpec, cycle_graph, generate
+from oracles import cycle_graph
+from percolab.generators import GenSpec, generate
 from percolab.spectral import compute_spectrum, delta_of_alpha
 
 # closed-form (lambda2, lambdaN) pairs

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from oracles import check_blowup_pairs, clique_expansion_demo, sample_vertices
+from oracles import check_blowup_pairs, clique_expansion_demo, cycle_graph, sample_vertices
 from percolab.census import take_census
-from percolab.generators import GenSpec, cycle_graph, generate
+from percolab.generators import GenSpec, generate
 from percolab.graph_core import VertexSet, edge_count_between
 from percolab.percolation import CoinStream, PercolationSample
 from percolab.spectral import SpectrumReport, compute_spectrum
