@@ -12,15 +12,15 @@ exactly uniform but its success probability decays like exp(-(d^2-1)/4),
 which is ~5e-44 at d=20, so the repair variant (the standard practical
 sampler, asymptotically uniform for d = O(n^{1/3})) is used instead.
 
-Cost: one shuffle of the n*d stubs, then per round a sort of that
-round's edge keys and a linear merge of the new ones into the sorted
-accepted set; later rounds touch only the few re-paired stubs.  A
-restart repeats the whole attempt, shuffle included, so a graph seed
-that needs k attempts costs about k times as much.  One attempt plus
-the CSR build (``RegularGraph.from_edges``, one int64 sort of the n*d
-directed edge keys) takes 0.55-0.70 s at n=200k, d=20 on 2 vCPUs,
-0.22-0.31 s of it the shuffle.  Attempts and rounds are logged at DEBUG
-on ``percolab.generators``.
+Cost: one shuffle of the n*d int32 stubs, then per round one sort of
+that round's int64 edge keys; the sorted copy, bar the few keys refused,
+is the round's new keys, inserted into the sorted accepted set.  Later
+rounds touch only the few re-paired stubs.  A restart repeats the whole
+attempt, shuffle included, so a graph seed that needs k attempts costs
+about k times as much.  One attempt plus the CSR build (``from_edges``)
+takes 0.30-0.36 s at n=200k, d=20 on 2 vCPUs, 0.11-0.20 s of it the
+shuffle, and holds at most 17 bytes of arrays per stub (65 MiB there).
+Attempts and rounds are logged at DEBUG on ``percolab.generators``.
 """
 
 from __future__ import annotations
@@ -124,17 +124,16 @@ def generate(spec: GenSpec) -> RegularGraph:
 # ----------------------------------------------------------------------
 # random regular: stub pairing with per-round repair
 # ----------------------------------------------------------------------
-def _first_occurrence(key: np.ndarray, n: int) -> np.ndarray:
+def _first_occurrence(key: np.ndarray, srt: np.ndarray, n: int) -> np.ndarray:
     """Mask of the first occurrence of each value of ``key`` (edge keys
-    lo*n+hi).
+    lo*n+hi), given ``srt``, the keys sorted.
 
     Repeats are rare, so only the keys that carry a repeated value go
     through the stable ``np.unique(return_index=True)``; a table over
     the low endpoint picks them out without a search per key.
     """
     first = np.ones(key.size, dtype=bool)
-    s = np.sort(key)
-    rep = np.unique(s[1:][s[1:] == s[:-1]])
+    rep = np.unique(srt[1:][srt[1:] == srt[:-1]])
     if rep.size:
         rep_lo = np.zeros(n, dtype=bool)
         rep_lo[rep // n] = True
@@ -147,54 +146,57 @@ def _first_occurrence(key: np.ndarray, n: int) -> np.ndarray:
 
 
 def _try_pairing(n: int, d: int, rng: np.random.Generator):
-    """One pairing attempt: ``(keys, rounds)``, where ``keys`` holds the
-    sorted edge keys lo*n+hi, or is None at a dead end."""
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    rng.shuffle(stubs)
+    """One pairing attempt: ``(edges, rounds)``, where ``edges`` is the
+    int32 pair (lo, hi) of the edges sorted by (lo, hi), or None at a dead end."""
+    pending = np.repeat(np.arange(n, dtype=np.int32), d)  # the stubs
+    rng.shuffle(pending)
     accepted = np.empty(0, dtype=np.int64)  # sorted edge keys lo*n+hi
-    pending = stubs
     stall = 0
     rounds = 0
     while pending.size:
         rounds += 1
         u = pending[0::2]
         v = pending[1::2]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = lo * n + hi
+        key = np.minimum(u, v, dtype=np.int64) * n + np.maximum(u, v)
+        srt = np.sort(key)
         # keep only the first occurrence of each key within this round
-        good = _first_occurrence(key, n)
-        good &= lo != hi
+        first = _first_occurrence(key, srt, n)
+        good = first & (u != v)
         if accepted.size:
             pos = np.searchsorted(accepted, key)
             pos[pos == accepted.size] = 0
             good &= accepted[pos] != key
-        new = np.sort(key[good])
+        # the round's new keys, sorted, are srt's distinct values bar the
+        # few whose first occurrence is a self-loop or already accepted
+        refused = key[first & ~good]
+        bad = ~good
+        pending = np.concatenate([u[bad], v[bad]])
+        del u, v, key  # the round's stubs and keys go before srt's new keys are copied
+        keep = np.r_[True, srt[1:] != srt[:-1]]
+        keep[np.searchsorted(srt, refused)] = False
+        new = srt[keep]
         if new.size:
-            # a stable sort of two sorted runs is a linear merge
-            accepted = np.concatenate((accepted, new))
-            accepted.sort(kind="stable")
+            accepted = (np.insert(accepted, np.searchsorted(accepted, new), new)
+                        if accepted.size else new)
             stall = 0
         else:
             stall += 1
             if stall >= _STALL_ROUNDS:
                 return None, rounds  # dead end; caller restarts
-        bad = ~good
-        pending = np.concatenate([u[bad], v[bad]])
         rng.shuffle(pending)
-    return accepted, rounds
+    return ((accepted // n).astype(np.int32), (accepted % n).astype(np.int32)), rounds
 
 
 def _random_regular(n: int, d: int, seed: int) -> RegularGraph:
     rng = make_generator(seed, TAG_GRAPH)
     for attempt in range(1, RESTART_CAP + 1):
-        keys, rounds = _try_pairing(n, d, rng)
+        edges, rounds = _try_pairing(n, d, rng)
         log.debug(
             "random_regular n=%d d=%d seed=%d: pairing attempt %d %s after %d rounds",
-            n, d, seed, attempt, "dead end" if keys is None else "done", rounds,
+            n, d, seed, attempt, "dead end" if edges is None else "done", rounds,
         )
-        if keys is not None:
-            return RegularGraph.from_edges(n, d, keys // n, keys % n)
+        if edges is not None:
+            return RegularGraph.from_edges(n, d, *edges)
     raise GenerationError(
         f"pairing model failed after {RESTART_CAP} restarts for n={n} d={d}"
     )

@@ -63,15 +63,19 @@ class RegularGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_edges(cls, n: int, d: int, u: np.ndarray, v: np.ndarray) -> "RegularGraph":
-        """Build and validate from an undirected edge list (each edge once)."""
+        """Build and validate from an undirected edge list: each edge once,
+        either way round, in any order.  Row v is v's lower neighbours, in
+        the order of one sort of the keys hi*n+lo, then its upper ones, in
+        the order of the keys lo*n+hi, sorted only if they are not already."""
         if n <= 0:
             raise RegularityError("vertex count must be positive")
         if d < 1:
             raise RegularityError("degree must be >= 1")
         if n * d % 2 != 0:
             raise RegularityError(f"n*d must be even, got n={n} d={d}")
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        # generate's int32 edges are read as they are, any others as int64
+        u, v = (x if x.dtype == np.int32 else x.astype(np.int64, copy=False)
+                for x in map(np.asarray, (u, v)))
         if u.shape != v.shape or u.ndim != 1:
             raise RegularityError("edge arrays must be equal-length 1-d")
         if u.size != n * d // 2:
@@ -83,28 +87,30 @@ class RegularGraph:
         if np.any(u == v):
             bad = int(u[np.argmax(u == v)])
             raise RegularityError(f"self-loop at vertex {bad}")
-
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        deg = np.bincount(src, minlength=n)
+        deg = np.bincount(u, minlength=n)
+        deg += np.bincount(v, minlength=n)
         if np.any(deg != d):
             bad = int(np.argmax(deg != d))
             raise RegularityError(
                 f"vertex {bad} has degree {int(deg[bad])}, expected {d}"
             )
-        # one in-place sort of the int64 key src*n + dst orders the entries
-        # by (src, dst), so key % n holds the sorted rows back to back
-        key = src
-        key *= n
-        key += dst
-        del dst
-        key.sort()
-        nbrs = np.remainder(key, n, out=key)
-        rows = nbrs.reshape(n, d)
-        if d > 1 and np.any(np.diff(rows, axis=1) <= 0):
-            bad = int(np.argmax(np.any(np.diff(rows, axis=1) <= 0, axis=1)))
+        upper = np.minimum(u, v, dtype=np.int64) * n + np.maximum(u, v)  # keys lo*n+hi
+        if np.any(upper[1:] < upper[:-1]):
+            upper.sort()
+        repeat = upper[1:] == upper[:-1]
+        if np.any(repeat):  # the first repeated edge's lo is the least such vertex
+            bad = int(upper[np.argmax(repeat)] // n)
             raise RegularityError(f"repeated neighbor at vertex {bad}")
-        return cls(n=n, d=d, neighbors=nbrs.astype(np.int32))
+        # a row's upper neighbours fill its last slots, in the keys' order
+        ups = np.diff(np.searchsorted(upper, np.arange(n + 1, dtype=np.int64) * n))
+        is_upper = np.arange(d) >= d - ups[:, None]
+        rows = np.empty((n, d), dtype=np.int32)
+        rows[is_upper] = np.remainder(upper, n, out=upper)
+        del upper
+        lower = np.maximum(u, v, dtype=np.int64) * n + np.minimum(u, v)  # keys hi*n+lo
+        lower.sort()
+        rows[~is_upper] = np.remainder(lower, n, out=lower)
+        return cls(n=n, d=d, neighbors=rows.ravel())
 
     # ------------------------------------------------------------------
     # queries

@@ -12,9 +12,10 @@ Both files are written whole to a
 temp file and then moved over the old one, so a sweep killed while
 writing leaves the previous files for --resume to read.
 
-Trials run serially or on a fork pool.  Before the pool forks,
+A sweep of W workers is W processes: the parent runs every W-th missing
+trial and a fork pool of W - 1 helpers the rest.  Before the pool forks,
 release_free_heap hands the allocator's free pages back to the OS, so
-the workers do not inherit set-up's freed temporaries.
+the helpers do not inherit set-up's freed temporaries.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ _WORKER_STATE: dict = {}
 
 
 def _trial_worker(trial_index: int) -> dict:
-    """One trial on the sweep in _WORKER_STATE, serial or in a pool worker."""
+    """One trial on the sweep in _WORKER_STATE, in the parent or a pool helper."""
     t0 = time.perf_counter()  # logged, never serialized: records must be replay-identical
     cfg = _WORKER_STATE["cfg"]
     try:
@@ -582,11 +583,11 @@ def release_free_heap() -> None:
     """Return the C allocator's free pages to the OS: glibc's
     malloc_trim(0), a no-op where the C library lacks it.
 
-    Generating a graph at n=200k, d=20 leaves 100 MB of freed
+    Generating a graph at n=200k, d=20 leaves 56 MB of freed
     temporaries resident on the heap: the live adjacency sits above
-    them, so free() cannot shrink the heap, and a forked worker would
+    them, so free() cannot shrink the heap, and a forked helper would
     map those pages too.  malloc_trim also releases free pages in the
-    middle of the heap (RSS 179 -> 79 MB there)."""
+    middle of the heap (RSS 135 -> 79 MB there)."""
     try:
         trim = ctypes.CDLL(None).malloc_trim
     except (OSError, AttributeError):
@@ -633,22 +634,25 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
     have = {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
     missing = [i for i in range(cfg.trials) if i not in have]
 
+    # the parent runs every workers-th missing trial, workers - 1 forked helpers the rest
+    mine, theirs = missing[::cfg.workers], [i for k, i in enumerate(missing) if k % cfg.workers]
     _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
     try:
-        if cfg.workers > 1 and missing:
-            setup_s, rss_mb = time.perf_counter() - t_start, _resident_mb()
-            release_free_heap()
-            log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free heap; "
-                     "forking %d workers", setup_s, rss_mb, _resident_mb(), cfg.workers)
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(cfg.workers) as pool:
-                fresh = pool.map(_trial_worker, missing, chunksize=1)
-        else:
-            fresh = [_trial_worker(i) for i in missing]
+        with contextlib.ExitStack() as stack:
+            if theirs:
+                setup_s, rss_mb = time.perf_counter() - t_start, _resident_mb()
+                release_free_heap()
+                log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free "
+                         "heap; forking %d of %d workers", setup_s, rss_mb, _resident_mb(),
+                         cfg.workers - 1, cfg.workers)
+                pool = stack.enter_context(
+                    multiprocessing.get_context("fork").Pool(cfg.workers - 1))
+                pending = pool.map_async(_trial_worker, theirs, chunksize=1)
+            have.update((i, _trial_worker(i)) for i in mine)
+            if theirs:
+                have.update(zip(theirs, pending.get()))
     finally:
         _WORKER_STATE.clear()
-    for i, obj in zip(missing, fresh):
-        have[i] = obj
     trials = [have[i] for i in range(cfg.trials)]
 
     summary = _summary_obj(cfg, trials, pred)

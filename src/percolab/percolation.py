@@ -161,6 +161,9 @@ def _explore(nbrs, d, coins, state):
     acceptance order from its root's offset to the next root's, so comp
     is scattered from the run lengths."""
     n = state.size
+    untouched = n - np.count_nonzero(state)
+    if coins.size != untouched:  # else the kernel's root search can run past state's end
+        raise ValueError(f"{coins.size} coins for {untouched} untouched vertices; need one each")
     used, acc, accd, starts, estart = _kernels.dfs_explore(
         memoryview(nbrs), d, coins.tobytes(), bytearray(state))
     na, ne = len(acc), len(starts)

@@ -62,7 +62,7 @@ def test_pool_workers_log_each_trial(tmp_path):
     release = [x for x in proc.stderr.splitlines() if "percolab.harness: set-up " in x]
     assert len(release) == 1
     assert re.search(r"set-up \d+\.\d{3}s; resident \d+\.\d MB, \d+\.\d MB after releasing "
-                     r"the free heap; forking 2 workers$", release[0])
+                     r"the free heap; forking 1 of 2 workers$", release[0])
     assert "resident" not in (tmp_path / "r.jsonl").read_text()
     assert "resident" not in (tmp_path / "r.jsonl.csv").read_text()
 

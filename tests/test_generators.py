@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -109,7 +110,26 @@ def test_first_occurrence_matches_full_unique():
         _, idx = np.unique(key, return_index=True)
         expected = np.zeros(size, dtype=bool)
         expected[idx] = True
-        assert np.array_equal(_first_occurrence(key, n), expected)
+        assert np.array_equal(_first_occurrence(key, np.sort(key), n), expected)
+
+
+def test_generation_peak_memory_is_bounded():
+    # n*d = 10^6 stubs.  At most these are live at once, in bytes per stub:
+    # the int32 stubs (4); the round's n*d/2 int64 keys, their sorted copy
+    # and the keys' low endpoints (4 each); a few n*d/2 bool masks.  The
+    # CSR build holds less: the int32 edge halves and rows (4 each), one
+    # int64 key array (4) and its int32 temporary (2).  About 18 bytes per
+    # stub; 20 leaves room for small arrays and allocator noise.
+    n, d = 50_000, 20
+    generate(GenSpec("random_regular", n=500, d=4, seed=1))  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        g = generate(GenSpec("random_regular", n=n, d=d, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.neighbors.nbytes == 4 * n * d
+    assert peak <= 20 * n * d, f"generate peaked at {peak / (n * d):.1f} bytes per stub"
 
 
 # SHA-256 of ``neighbors`` (int32 bytes) for fixed specs, paired with the

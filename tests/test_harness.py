@@ -331,11 +331,28 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
 
 
 def test_sweep_worker_count_invisible_in_records(tmp_path):
+    # 7 trials: the parent's share and the helpers' differ in size
     out = str(tmp_path / "w.jsonl")
-    run_sweep(_small_cfg(out=out, trials=6))
-    serial = open(out, "rb").read()
-    run_sweep(_small_cfg(out=out, trials=6, workers=3))
-    assert open(out, "rb").read() == serial
+    run_sweep(_small_cfg(out=out, trials=7))
+    serial = open(out, "rb").read(), open(out + ".csv", "rb").read()
+    for workers in (2, 3):
+        run_sweep(_small_cfg(out=out, trials=7, workers=workers))
+        assert (open(out, "rb").read(), open(out + ".csv", "rb").read()) == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_resume_fills_scattered_gaps(tmp_path, workers):
+    out = str(tmp_path / "gaps.jsonl")
+    cfg = _small_cfg(out=out, trials=7)
+    run_sweep(cfg)
+    whole = open(out, "rb").read(), open(out + ".csv", "rb").read()
+    lines = whole[0].splitlines(keepends=True)
+    # the config line and trials 0, 2, 3 and 6: trials 1, 4 and 5 are missing
+    with open(out, "wb") as fh:
+        fh.writelines(lines[i] for i in (0, 1, 3, 4, 7))
+    os.remove(out + ".csv")
+    run_sweep(replace(cfg, workers=workers), resume=True)
+    assert (open(out, "rb").read(), open(out + ".csv", "rb").read()) == whole
 
 
 def _has_malloc_trim() -> bool:
@@ -361,7 +378,9 @@ def test_release_free_heap_returns_generation_temporaries():
     assert float(before) - float(after) >= 10.0, (before, after)
 
 
-@pytest.mark.parametrize("workers, expected", [(1, []), (2, ["release", "pool"])])
+# the parent runs its share of the trials, so a pool has workers - 1 processes
+@pytest.mark.parametrize("workers, expected", [(1, []), (2, ["release", "pool of 1"]),
+                                               (3, ["release", "pool of 2"])])
 def test_sweep_releases_the_heap_only_before_a_pool(tmp_path, monkeypatch, workers, expected):
     events = []
     real_get_context = multiprocessing.get_context
@@ -370,9 +389,9 @@ def test_sweep_releases_the_heap_only_before_a_pool(tmp_path, monkeypatch, worke
         def __init__(self, method):
             self._ctx = real_get_context(method)
 
-        def Pool(self, *args, **kwargs):
-            events.append("pool")
-            return self._ctx.Pool(*args, **kwargs)
+        def Pool(self, processes):
+            events.append(f"pool of {processes}")
+            return self._ctx.Pool(processes)
 
     monkeypatch.setattr(harness, "release_free_heap", lambda: events.append("release"))
     monkeypatch.setattr(harness.multiprocessing, "get_context", RecordingContext)
@@ -396,24 +415,27 @@ def test_trial_at_seed_is_the_sweep_trial_of_that_seed(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_names_the_failing_trial(tmp_path, monkeypatch, workers):
     real_run_trial = harness._run_trial
-
-    def fail_trial_3(g, cfg, spect, trial_index):
-        if trial_index == 3:
-            raise ZeroDivisionError("boom in trial three")
-        return real_run_trial(g, cfg, spect, trial_index)
-
-    monkeypatch.setattr(harness, "_run_trial", fail_trial_3)
     cfg = _small_cfg(out=str(tmp_path / "f.jsonl"), trials=5, workers=workers)
-    seed = trial_seed(cfg.master_seed, 3)
-    with pytest.raises(RuntimeError) as info:
-        run_sweep(cfg)
-    assert str(info.value) == (
-        f"trial 3 (seed {seed}) failed: ZeroDivisionError: boom in trial three")
-    # a pool worker's traceback reaches the parent as text
-    assert "boom in trial three" in str(info.value.__cause__)
-    if workers == 1:
-        assert isinstance(info.value.__cause__, ZeroDivisionError)
-    assert not (tmp_path / "f.jsonl").exists()
+    # with 2 workers the parent runs trials 0, 2 and 4, and the helper 1 and 3
+    for failing in (2, 3):
+        def fail_one(g, cfg, spect, trial_index, failing=failing):
+            if trial_index == failing:
+                raise ZeroDivisionError(f"boom in trial {failing}")
+            return real_run_trial(g, cfg, spect, trial_index)
+
+        monkeypatch.setattr(harness, "_run_trial", fail_one)
+        seed = trial_seed(cfg.master_seed, failing)
+        with pytest.raises(RuntimeError) as info:
+            run_sweep(cfg)
+        assert str(info.value) == (
+            f"trial {failing} (seed {seed}) failed: ZeroDivisionError: boom in trial {failing}")
+        # a helper's traceback reaches the parent as text
+        assert f"boom in trial {failing}" in str(info.value.__cause__)
+        if failing % workers == 0:  # the parent's own share
+            assert isinstance(info.value.__cause__, ZeroDivisionError)
+        else:
+            assert not isinstance(info.value.__cause__, ZeroDivisionError)
+        assert not (tmp_path / "f.jsonl").exists()
 
 
 def test_sweep_failed_write_leaves_previous_records(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from percolab import _kernels
+from percolab.generators import GenSpec, generate
 from percolab.percolation import _explore
 
 
@@ -41,3 +43,16 @@ def test_dfs_all_tails_opens_no_epoch(c6):
     assert (used, accepted, epoch_starts.size) == (6, 0, 0)
     assert comp.tolist() == [-1] * 6
     assert depth.tolist() == [-1] * 6
+
+
+def test_explore_rejects_a_coin_count_other_than_the_untouched_vertices():
+    # the kernel's root search runs past the end of state given extra
+    # coins (it hung on some streams), so the count is checked before it runs
+    g = generate(GenSpec("random_regular", n=30, d=3, seed=4))
+    state = np.zeros(30, dtype=np.uint8)
+    state[[3, 17]] = 1
+    rng = np.random.default_rng(8)
+    for size in (29, 30, 31, 32, 27):
+        coins = (rng.random(size) < 0.5).astype(np.uint8)
+        with pytest.raises(ValueError, match=f"^{size} coins for 28 untouched vertices"):
+            _explore(g.neighbors, g.d, coins, state)
