@@ -7,20 +7,28 @@ disjoint-clique-union negative control.
 Pairing model: vertices contribute d stubs each; stubs are shuffled and
 paired.  Self-loops and repeated edges are resolved by re-shuffling the
 offending stubs only; a full restart happens when 50 rounds in a row
-make no progress.  A whole-matching restart on every collision would be
-exactly uniform but its success probability decays like exp(-(d^2-1)/4),
-which is ~5e-44 at d=20, so the repair variant (the standard practical
-sampler, asymptotically uniform for d = O(n^{1/3})) is used instead.
+make no progress.  A round that leaves one refused pair settles the
+attempt at once: that pair is a self-loop or an accepted edge, so every
+later round refuses it too.  The attempt still draws the shuffles of the
+stall rounds to come and counts them, so the RNG stream, the graph and
+the logged round count are those of the full loop.  A whole-matching
+restart on every collision would be exactly uniform but its success
+probability decays like exp(-(d^2-1)/4), which is ~5e-44 at d=20, so
+the repair variant (the standard practical sampler, asymptotically
+uniform for d = O(n^{1/3})) is used instead.
 
-Cost: one shuffle of the n*d int32 stubs, then per round one sort of
-that round's int64 edge keys; the sorted copy, bar the few keys refused,
-is the round's new keys, inserted into the sorted accepted set.  Later
-rounds touch only the few re-paired stubs.  A restart repeats the whole
-attempt, shuffle included, so a graph seed that needs k attempts costs
-about k times as much.  One attempt plus the CSR build (``from_edges``)
-takes 0.30-0.36 s at n=200k, d=20 on 2 vCPUs, 0.11-0.20 s of it the
-shuffle, and holds at most 17 bytes of arrays per stub (65 MiB there).
-Attempts and rounds are logged at DEBUG on ``percolab.generators``.
+Cost: one shuffle of the n*d stubs as int64 (numpy's shuffle swaps
+8-byte items fastest, with the same draws for any dtype), cast to int32;
+then per round one in-place sort of that round's int64 edge keys
+lo << 32 | hi.  The sorted keys, bar the few refused, are the round's
+new keys; those of later rounds, which touch only the few re-paired
+stubs, join round 1's in one insert at the end.  A restart repeats the
+whole attempt, shuffle included, so a graph seed that needs k attempts
+costs about k times as much.  One attempt plus the CSR build
+(``from_edges``) takes 0.31-0.37 s at n=200k, d=20 on 2 vCPUs, 0.16-0.23 s
+of it the shuffle, and holds at most 15.3 bytes of arrays per stub
+(58.4 MiB there).  Attempts and rounds are logged at DEBUG on
+``percolab.generators``.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import RegularGraph, _upper_edges
+from .graph_core import RegularGraph, _pair_keys, _upper_edges
 from .rng import TAG_GRAPH, make_generator
 
 __all__ = [
@@ -124,22 +132,24 @@ def generate(spec: GenSpec) -> RegularGraph:
 # ----------------------------------------------------------------------
 # random regular: stub pairing with per-round repair
 # ----------------------------------------------------------------------
-def _first_occurrence(key: np.ndarray, srt: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the first occurrence of each value of ``key`` (edge keys
-    lo*n+hi), given ``srt``, the keys sorted.
+def _first_occurrence(lo: np.ndarray, hi: np.ndarray, srt: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the first occurrence of each pair (lo, hi), given ``srt``,
+    their keys (``_pair_keys``) sorted.
 
-    Repeats are rare, so only the keys that carry a repeated value go
+    Repeats are rare, so only the pairs that carry a repeated key go
     through the stable ``np.unique(return_index=True)``; a table over
-    the low endpoint picks them out without a search per key.
+    the low endpoint picks them out without a search per pair.
     """
-    first = np.ones(key.size, dtype=bool)
+    first = np.ones(lo.size, dtype=bool)
     rep = np.unique(srt[1:][srt[1:] == srt[:-1]])
     if rep.size:
         rep_lo = np.zeros(n, dtype=bool)
-        rep_lo[rep // n] = True
-        cand = np.flatnonzero(rep_lo[key // n])
-        carry = cand[np.isin(key[cand], rep)]
+        rep_lo[rep >> 32] = True
+        cand = np.flatnonzero(rep_lo[lo])
+        key = _pair_keys(lo[cand], hi[cand])
+        carry = np.isin(key, rep)
         _, idx = np.unique(key[carry], return_index=True)
+        carry = cand[carry]
         first[carry] = False
         first[carry[idx]] = True
     return first
@@ -148,43 +158,69 @@ def _first_occurrence(key: np.ndarray, srt: np.ndarray, n: int) -> np.ndarray:
 def _try_pairing(n: int, d: int, rng: np.random.Generator):
     """One pairing attempt: ``(edges, rounds)``, where ``edges`` is the
     int32 pair (lo, hi) of the edges sorted by (lo, hi), or None at a dead end."""
-    pending = np.repeat(np.arange(n, dtype=np.int32), d)  # the stubs
-    rng.shuffle(pending)
-    accepted = np.empty(0, dtype=np.int64)  # sorted edge keys lo*n+hi
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    rng.shuffle(stubs)  # the same draws for any dtype, and the fastest swap for 8-byte items
+    pending = stubs.astype(np.int32)
+    del stubs
+    # sorted edge keys: round 1's, and the few of later rounds, merged
+    # into round 1's once the attempt succeeds
+    accepted = late = np.empty(0, dtype=np.int64)
     stall = 0
     rounds = 0
     while pending.size:
         rounds += 1
         u = pending[0::2]
         v = pending[1::2]
-        key = np.minimum(u, v, dtype=np.int64) * n + np.maximum(u, v)
-        srt = np.sort(key)
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        srt = _pair_keys(lo, hi)
+        srt.sort()  # in place: a pair's key is rebuilt from (lo, hi) where it is needed
         # keep only the first occurrence of each key within this round
-        first = _first_occurrence(key, srt, n)
-        good = first & (u != v)
+        first = _first_occurrence(lo, hi, srt, n)
+        good = first & (lo != hi)
         if accepted.size:
-            pos = np.searchsorted(accepted, key)
-            pos[pos == accepted.size] = 0
-            good &= accepted[pos] != key
+            key = _pair_keys(lo, hi)
+            for done in (accepted, late):
+                if done.size:
+                    pos = np.searchsorted(done, key)
+                    pos[pos == done.size] = 0
+                    good &= done[pos] != key
         # the round's new keys, sorted, are srt's distinct values bar the
         # few whose first occurrence is a self-loop or already accepted
-        refused = key[first & ~good]
+        refused = first & ~good
+        refused = _pair_keys(lo[refused], hi[refused])
         bad = ~good
         pending = np.concatenate([u[bad], v[bad]])
-        del u, v, key  # the round's stubs and keys go before srt's new keys are copied
-        keep = np.r_[True, srt[1:] != srt[:-1]]
+        del u, v, lo, hi, first, good, bad  # before srt's new keys are copied
+        keep = np.empty(srt.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(srt[1:], srt[:-1], out=keep[1:])
         keep[np.searchsorted(srt, refused)] = False
         new = srt[keep]
         if new.size:
-            accepted = (np.insert(accepted, np.searchsorted(accepted, new), new)
-                        if accepted.size else new)
+            if accepted.size:
+                late = np.insert(late, np.searchsorted(late, new), new)
+            else:
+                accepted = new
             stall = 0
         else:
             stall += 1
             if stall >= _STALL_ROUNDS:
                 return None, rounds  # dead end; caller restarts
         rng.shuffle(pending)
-    return ((accepted // n).astype(np.int32), (accepted % n).astype(np.int32)), rounds
+        if pending.size == 2:
+            # one refused pair: a self-loop or an accepted edge, refused in
+            # every later round too.  Draw the shuffles of the stall rounds
+            # to come, so the stream stays as if they had run
+            for _ in range(_STALL_ROUNDS - stall - 1):
+                rng.shuffle(pending)
+            return None, rounds + _STALL_ROUNDS - stall
+    if late.size:
+        accepted = np.insert(accepted, np.searchsorted(accepted, late), late)
+    lo = np.right_shift(accepted, 32, out=np.empty(accepted.size, np.int32), casting="unsafe")
+    hi = np.bitwise_and(accepted, 0xFFFFFFFF, out=np.empty(accepted.size, np.int32),
+                        casting="unsafe")
+    return (lo, hi), rounds
 
 
 def _random_regular(n: int, d: int, seed: int) -> RegularGraph:

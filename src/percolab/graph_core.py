@@ -65,8 +65,8 @@ class RegularGraph:
     def from_edges(cls, n: int, d: int, u: np.ndarray, v: np.ndarray) -> "RegularGraph":
         """Build and validate from an undirected edge list: each edge once,
         either way round, in any order.  Row v is v's lower neighbours, in
-        the order of one sort of the keys hi*n+lo, then its upper ones, in
-        the order of the keys lo*n+hi, sorted only if they are not already."""
+        the order of one sort of the pairs (hi, lo), then its upper ones, in
+        the order of the pairs (lo, hi), sorted only if they are not already."""
         if n <= 0:
             raise RegularityError("vertex count must be positive")
         if d < 1:
@@ -82,34 +82,37 @@ class RegularGraph:
             raise RegularityError(
                 f"expected {n * d // 2} edges for n={n} d={d}, got {u.size}"
             )
-        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        if np.all(u < v):  # as generate and _upper_edges give them: no copies
+            lo, hi = u, v
+        else:
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if u.size and (lo.min() < 0 or hi.max() >= n):
             raise RegularityError("vertex id out of range")
-        if np.any(u == v):
-            bad = int(u[np.argmax(u == v)])
+        if np.any(lo == hi):
+            bad = int(lo[np.argmax(lo == hi)])
             raise RegularityError(f"self-loop at vertex {bad}")
-        deg = np.bincount(u, minlength=n)
-        deg += np.bincount(v, minlength=n)
+        ups = np.bincount(lo, minlength=n)  # a row's upper neighbours fill its last slots
+        deg = ups + np.bincount(hi, minlength=n)
         if np.any(deg != d):
             bad = int(np.argmax(deg != d))
             raise RegularityError(
                 f"vertex {bad} has degree {int(deg[bad])}, expected {d}"
             )
-        upper = np.minimum(u, v, dtype=np.int64) * n + np.maximum(u, v)  # keys lo*n+hi
-        if np.any(upper[1:] < upper[:-1]):
-            upper.sort()
-        repeat = upper[1:] == upper[:-1]
+        keys = _pair_keys(lo, hi)
+        if np.any(keys[1:] < keys[:-1]):  # put the edges in (lo, hi) order
+            keys.sort()
+            lo, hi = keys >> 32, keys & 0xFFFFFFFF
+        repeat = keys[1:] == keys[:-1]
         if np.any(repeat):  # the first repeated edge's lo is the least such vertex
-            bad = int(upper[np.argmax(repeat)] // n)
+            bad = int(lo[np.argmax(repeat)])
             raise RegularityError(f"repeated neighbor at vertex {bad}")
-        # a row's upper neighbours fill its last slots, in the keys' order
-        ups = np.diff(np.searchsorted(upper, np.arange(n + 1, dtype=np.int64) * n))
-        is_upper = np.arange(d) >= d - ups[:, None]
+        keys = _pair_keys(hi, lo)  # sorted, each row's lower neighbours in order
+        keys.sort()
+        # row v's mask is row d - ups[v] of the table of all d + 1 masks
+        is_upper = (np.arange(d) >= np.arange(d + 1)[:, None]).take(d - ups, axis=0)
         rows = np.empty((n, d), dtype=np.int32)
-        rows[is_upper] = np.remainder(upper, n, out=upper)
-        del upper
-        lower = np.maximum(u, v, dtype=np.int64) * n + np.minimum(u, v)  # keys hi*n+lo
-        lower.sort()
-        rows[~is_upper] = np.remainder(lower, n, out=lower)
+        rows[is_upper] = hi
+        rows[~is_upper] = np.bitwise_and(keys, 0xFFFFFFFF, out=keys)
         return cls(n=n, d=d, neighbors=rows.ravel())
 
     # ------------------------------------------------------------------
@@ -130,6 +133,14 @@ class RegularGraph:
             and self.d == other.d
             and np.array_equal(self.neighbors, other.neighbors)
         )
+
+
+def _pair_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The int64 edge keys lo << 32 | hi, which sort as the pairs (lo, hi) do."""
+    key = lo.astype(np.int64)
+    key <<= 32
+    key |= hi
+    return key
 
 
 def _upper_edges(nbrs) -> tuple[np.ndarray, np.ndarray]:

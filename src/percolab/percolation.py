@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from .graph_core import RegularGraph
@@ -180,6 +178,8 @@ def _induced_csr(g: RegularGraph, mask: np.ndarray):
     """(kept, adj): kept = flatnonzero(mask), and adj the CSR adjacency of
     the subgraph induced on it in local ids, row i for vertex kept[i],
     each row's columns ascending like the graph's own rows."""
+    from scipy.sparse import csr_matrix  # scipy loads only where it is used
+
     kept = np.flatnonzero(mask)
     rows = g.nbrs2d[kept]
     hit = mask[rows]
@@ -196,6 +196,8 @@ def components_oracle(g: RegularGraph, sample: PercolationSample) -> np.ndarray:
     connected_components: ids 0..k-1 by smallest member vertex, -1 for
     vertices outside the sample.  Independent of run_dfs: the tests'
     oracle for the exploration's labels."""
+    from scipy.sparse.csgraph import connected_components
+
     labels = np.full(g.n, -1, dtype=np.int64)
     kept, adj = _induced_csr(g, sample.membership)
     _, labels[kept] = connected_components(adj, directed=False)

@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 __all__ = [
     "SpectralConvergenceError",
@@ -154,6 +152,9 @@ def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
 
     Raises SpectralConvergenceError if a residual exceeds ``tol``.
     """
+    from scipy.sparse import csr_matrix  # scipy loads only where it is used
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     require_positive("tol", tol)
     n, d = g.n, g.d
     if n < 3:  # eigsh needs k=2 < ncv <= n

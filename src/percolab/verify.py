@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
 
 from .census import ComponentCensus
 from .graph_core import RegularGraph, VertexSet, edge_count_between, external_neighborhood
@@ -257,6 +256,8 @@ def check_giant_expansion(
     window start fails the check as one instance, with the cause in
     meta, so one small-giant trial does not end a sweep.
     """
+    from scipy.sparse.csgraph import breadth_first_order  # scipy loads only where it is used
+
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     require_positive("beta_test", beta_test)

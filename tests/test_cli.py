@@ -67,6 +67,21 @@ def test_pool_workers_log_each_trial(tmp_path):
     assert "resident" not in (tmp_path / "r.jsonl.csv").read_text()
 
 
+def test_stream_only_sweep_loads_no_scipy(tmp_path):
+    # scipy is imported only inside the spectrum, the giant_expansion checker
+    # and the tests' labelling oracle, none of which a stream-only sweep runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
+    argv = ["sweep", "--family", "random_regular", "--n", "400", "--d", "8", "--graph-seed", "2",
+            "--epsilon", "0.6", "--regime", "sub", "--seed", "11", "--trials", "3",
+            "--checkers", "stream", "--out", str(tmp_path / "r.jsonl")]
+    code = ("import sys; from percolab.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "r.jsonl").exists()
+
+
 def test_spectrum_needs_three_vertices(capsys):
     assert main(["spectrum", "--family", "clique_union", "--n", "2", "--d", "1"]) == 1
     assert "error: the spectrum needs n >= 3, got n=2" in capsys.readouterr().err

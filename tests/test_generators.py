@@ -106,11 +106,12 @@ def test_first_occurrence_matches_full_unique():
     rng = np.random.default_rng(3)
     for n, size in ((5, 6), (40, 300), (1000, 2000), (10**6, 50)):
         lo = rng.integers(0, n, size)
-        key = lo * n + np.maximum(lo, rng.integers(0, n, size))
+        hi = np.maximum(lo, rng.integers(0, n, size))
+        key = lo << 32 | hi
         _, idx = np.unique(key, return_index=True)
         expected = np.zeros(size, dtype=bool)
         expected[idx] = True
-        assert np.array_equal(_first_occurrence(key, np.sort(key), n), expected)
+        assert np.array_equal(_first_occurrence(lo, hi, np.sort(key), n), expected)
 
 
 def test_generation_peak_memory_is_bounded():
@@ -164,3 +165,38 @@ def test_generation_is_pinned(spec, attempts, digest, caplog):
     tried = [r for r in caplog.records if "pairing attempt" in r.getMessage()]
     assert len(tried) == attempts
     assert all("dead end" in r.getMessage() for r in tried[:-1])
+
+
+def _debug_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "percolab.generators"]
+
+
+# SHA-256 over 200 specs that restart often (185 dead ends, most of them a
+# round that leaves one refused pair): each graph's neighbors, then its
+# debug lines (attempts and rounds).  Computed with every stall round run
+# in full, so it holds the dead-end shortcut to that loop's RNG stream,
+# graphs and log.
+_RESTART_DIGEST = "91da451bb2e9dec12da9f45e4577eef9b9881270e3301fad380570ab405c517a"
+
+
+def test_dead_end_shortcut_keeps_graphs_and_log(caplog):
+    sha = hashlib.sha256()
+    with caplog.at_level(logging.DEBUG, logger="percolab.generators"):
+        for n, d in ((30, 4), (100, 20)):
+            for seed in range(100):
+                caplog.clear()
+                g = generate(GenSpec("random_regular", n=n, d=d, seed=seed))
+                sha.update(g.neighbors.tobytes())
+                for line in _debug_lines(caplog):
+                    sha.update(line.encode())
+    assert sha.hexdigest() == _RESTART_DIGEST
+
+
+def test_one_pair_dead_end_counts_its_stall_rounds(caplog):
+    # attempt 1 leaves one refused pair after round 2; the 50 stall rounds
+    # that would follow count, as the loop would have run them
+    with caplog.at_level(logging.DEBUG, logger="percolab.generators"):
+        generate(GenSpec("random_regular", n=30, d=4, seed=0))
+    lines = _debug_lines(caplog)
+    assert lines[0] == "random_regular n=30 d=4 seed=0: pairing attempt 1 dead end after 52 rounds"
+    assert lines[-1].endswith("done after 2 rounds") and len(lines) == 4

@@ -61,6 +61,28 @@ def test_from_edges_rejects_wrong_degree():
         RegularGraph.from_edges(4, 3, u, v)
 
 
+def test_from_edges_degree_message_on_sorted_keys():
+    u = np.array([0, 0, 0, 1, 1, 1])
+    v = np.array([1, 2, 3, 2, 3, 3])  # (lo, hi) order; 1 has four, 2 two
+    for dtype in (np.int32, np.int64):
+        with pytest.raises(RegularityError, match="^vertex 1 has degree 4, expected 3$"):
+            RegularGraph.from_edges(4, 3, u.astype(dtype), v.astype(dtype))
+
+
+def test_from_edges_repeat_message_names_the_least_vertex():
+    # 2-regular with three doubled edges: 0-5, 1-4 and 2-3
+    u = np.array([0, 0, 1, 1, 2, 2])
+    v = np.array([5, 5, 4, 4, 3, 3])
+    msg = "^repeated neighbor at vertex 0$"
+    with pytest.raises(RegularityError, match=msg):
+        RegularGraph.from_edges(6, 2, u.astype(np.int32), v.astype(np.int32))
+    # shuffled and flipped, int64: vertex 2's repeat comes first in input order
+    su = np.array([3, 2, 4, 5, 1, 0], dtype=np.int64)
+    sv = np.array([2, 3, 1, 0, 4, 5], dtype=np.int64)
+    with pytest.raises(RegularityError, match=msg):
+        RegularGraph.from_edges(6, 2, su, sv)
+
+
 def test_from_edges_rejects_duplicate_edge():
     u = np.array([0, 0, 0, 1, 1, 1])
     v = np.array([1, 2, 3, 2, 3, 2])
@@ -92,6 +114,18 @@ def test_from_edges_ignores_edge_order(rr_small):
     assert g.neighbors.dtype == np.int32
     assert np.array_equal(g.neighbors, rr_small.neighbors)
     assert g.structurally_equal(RegularGraph.from_edges(rr_small.n, rr_small.d, u, v))
+
+
+def test_from_edges_int32_and_int64_give_equal_rows(rr_small):
+    n, d = rr_small.n, rr_small.d
+    u, v = rr_small.edge_list()
+    perm = np.random.default_rng(7).permutation(u.size)
+    for a, b in ((u, v), (v[perm], u[perm])):  # sorted, then shuffled and flipped
+        wide = RegularGraph.from_edges(n, d, a.astype(np.int64), b.astype(np.int64))
+        narrow = RegularGraph.from_edges(n, d, a.astype(np.int32), b.astype(np.int32))
+        assert narrow.neighbors.dtype == wide.neighbors.dtype == np.int32
+        assert np.array_equal(narrow.neighbors, rr_small.neighbors)
+        assert np.array_equal(wide.neighbors, rr_small.neighbors)
 
 
 def test_degree_one_graph_allowed():

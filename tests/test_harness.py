@@ -284,7 +284,6 @@ def test_production_never_labels_with_scipy(tmp_path, monkeypatch):
         raise AssertionError("production code labelled components with scipy")
 
     for module, name in ((percolation, "components_oracle"), (percolab, "components_oracle"),
-                         (percolation, "connected_components"),
                          (scipy.sparse.csgraph, "connected_components")):
         monkeypatch.setattr(module, name, oracle)
     _, trace, _, census = harness.percolate(generate(GenSpec("random_regular", n=500, d=8,
