@@ -93,9 +93,8 @@ def take_census(
         raise ValueError("trace must accept exactly the sample's vertices")
     kept = np.flatnonzero(mask)
     labels = all_labels[kept]
-    # kept is ascending, so a label's first kept vertex is its smallest member
-    _, first = np.unique(labels, return_index=True)
-    roots = kept[first]
+    # each tree's root, its smallest member, is at depth 0, and the labels ascend with it
+    roots = np.flatnonzero(depth == 0)
     sizes = np.bincount(labels).astype(np.int64)
     rows = g.nbrs2d[kept]
     hit = mask[rows]

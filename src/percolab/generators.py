@@ -22,13 +22,13 @@ Cost: one shuffle of the n*d stubs as int64 (numpy's shuffle swaps
 then per round one in-place sort of that round's int64 edge keys
 lo << 32 | hi.  The sorted keys, bar the few refused, are the round's
 new keys; those of later rounds, which touch only the few re-paired
-stubs, join round 1's in one insert at the end.  A restart repeats the
-whole attempt, shuffle included, so a graph seed that needs k attempts
-costs about k times as much.  One attempt plus the CSR build
-(``from_edges``) takes 0.31-0.37 s at n=200k, d=20 on 2 vCPUs, 0.16-0.23 s
-of it the shuffle, and holds at most 15.3 bytes of arrays per stub
-(58.4 MiB there).  Attempts and rounds are logged at DEBUG on
-``percolab.generators``.
+stubs, are inserted into the accepted ones, one copy of them per round.
+A restart repeats the whole attempt, shuffle included, so a graph seed
+that needs k attempts costs about k times as much.  One attempt plus
+the CSR build (``from_edges``) takes 0.31-0.37 s at n=200k, d=20 on 2
+vCPUs, 0.16-0.23 s of it the shuffle, and holds at most 15.3 bytes of
+arrays per stub (58.4 MiB there).  Attempts and rounds are logged at
+DEBUG on ``percolab.generators``.
 """
 
 from __future__ import annotations
@@ -132,24 +132,27 @@ def generate(spec: GenSpec) -> RegularGraph:
 # ----------------------------------------------------------------------
 # random regular: stub pairing with per-round repair
 # ----------------------------------------------------------------------
+def _in_sorted(srt: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``key`` found in ``srt``, sorted and nonempty."""
+    return srt[np.minimum(np.searchsorted(srt, key), srt.size - 1)] == key
+
+
 def _first_occurrence(lo: np.ndarray, hi: np.ndarray, srt: np.ndarray, n: int) -> np.ndarray:
     """Mask of the first occurrence of each pair (lo, hi), given ``srt``,
     their keys (``_pair_keys``) sorted.
 
     Repeats are rare, so only the pairs that carry a repeated key go
-    through the stable ``np.unique(return_index=True)``; a table over
-    the low endpoint picks them out without a search per pair.
+    through the stable ``np.unique(return_index=True)``, picked out by a
+    table over the low endpoint, then ``_in_sorted`` on srt's repeated keys.
     """
     first = np.ones(lo.size, dtype=bool)
-    rep = np.unique(srt[1:][srt[1:] == srt[:-1]])
+    rep = srt[1:][srt[1:] == srt[:-1]]
     if rep.size:
         rep_lo = np.zeros(n, dtype=bool)
         rep_lo[rep >> 32] = True
         cand = np.flatnonzero(rep_lo[lo])
-        key = _pair_keys(lo[cand], hi[cand])
-        carry = np.isin(key, rep)
-        _, idx = np.unique(key[carry], return_index=True)
-        carry = cand[carry]
+        carry = cand[_in_sorted(rep, _pair_keys(lo[cand], hi[cand]))]
+        _, idx = np.unique(_pair_keys(lo[carry], hi[carry]), return_index=True)
         first[carry] = False
         first[carry[idx]] = True
     return first
@@ -162,9 +165,7 @@ def _try_pairing(n: int, d: int, rng: np.random.Generator):
     rng.shuffle(stubs)  # the same draws for any dtype, and the fastest swap for 8-byte items
     pending = stubs.astype(np.int32)
     del stubs
-    # sorted edge keys: round 1's, and the few of later rounds, merged
-    # into round 1's once the attempt succeeds
-    accepted = late = np.empty(0, dtype=np.int64)
+    accepted = np.empty(0, dtype=np.int64)  # sorted edge keys
     stall = 0
     rounds = 0
     while pending.size:
@@ -179,12 +180,7 @@ def _try_pairing(n: int, d: int, rng: np.random.Generator):
         first = _first_occurrence(lo, hi, srt, n)
         good = first & (lo != hi)
         if accepted.size:
-            key = _pair_keys(lo, hi)
-            for done in (accepted, late):
-                if done.size:
-                    pos = np.searchsorted(done, key)
-                    pos[pos == done.size] = 0
-                    good &= done[pos] != key
+            good &= ~_in_sorted(accepted, _pair_keys(lo, hi))
         # the round's new keys, sorted, are srt's distinct values bar the
         # few whose first occurrence is a self-loop or already accepted
         refused = first & ~good
@@ -199,7 +195,7 @@ def _try_pairing(n: int, d: int, rng: np.random.Generator):
         new = srt[keep]
         if new.size:
             if accepted.size:
-                late = np.insert(late, np.searchsorted(late, new), new)
+                accepted = np.insert(accepted, np.searchsorted(accepted, new), new)
             else:
                 accepted = new
             stall = 0
@@ -215,8 +211,6 @@ def _try_pairing(n: int, d: int, rng: np.random.Generator):
             for _ in range(_STALL_ROUNDS - stall - 1):
                 rng.shuffle(pending)
             return None, rounds + _STALL_ROUNDS - stall
-    if late.size:
-        accepted = np.insert(accepted, np.searchsorted(accepted, late), late)
     lo = np.right_shift(accepted, 32, out=np.empty(accepted.size, np.int32), casting="unsafe")
     hi = np.bitwise_and(accepted, 0xFFFFFFFF, out=np.empty(accepted.size, np.int32),
                         casting="unsafe")

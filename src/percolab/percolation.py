@@ -61,26 +61,25 @@ def require_probability(p: float) -> None:
 
 
 class CoinStream:
-    """Pre-drawn Bernoulli(p) coins; draw i is a pure function of (seed, i)."""
+    """Pre-drawn read-only Bernoulli(p) coins; draw i is a pure function of (seed, i)."""
 
-    __slots__ = ("seed", "p", "flips", "consumed")
+    __slots__ = ("flips",)
 
     def __init__(self, n: int, p: float, seed: int):
         require_probability(p)
         rng = make_generator(seed, TAG_COINS)
-        self.seed = seed
-        self.p = p
         self.flips = (rng.random(n) < p).astype(np.uint8)
-        self.consumed = 0
 
     @classmethod
-    def from_bits(cls, bits, p: float = 0.5, seed: int = -1) -> "CoinStream":
-        """Adversarial/explicit stream for tests and stream checkers."""
+    def from_bits(cls, bits) -> "CoinStream":
+        """Explicit 1-D 0/1 (or bool) coins, for tests and stream checkers."""
+        flips = np.asarray(bits)
+        if flips.ndim != 1:
+            raise ValueError(f"coins must be 1-D, got shape {flips.shape}")
+        if ((flips != 0) & (flips != 1)).any():
+            raise ValueError(f"coins must be 0 or 1, got {np.setdiff1d(flips, (0, 1))}")
         obj = cls.__new__(cls)
-        obj.seed = seed
-        obj.p = p
-        obj.flips = np.ascontiguousarray(bits, dtype=np.uint8)
-        obj.consumed = 0
+        obj.flips = flips.astype(np.uint8)
         return obj
 
     @property
@@ -136,9 +135,7 @@ class DfsTrace:
 
 
 def run_dfs(g: RegularGraph, stream: CoinStream) -> DfsTrace:
-    """Run the exploration; consumes exactly g.n coins from a fresh stream."""
-    if stream.consumed != 0:
-        raise ValueError("coin stream already partially consumed")
+    """Run the exploration; it reads exactly g.n coins, one per vertex."""
     if stream.n != g.n:
         raise ValueError(f"stream has {stream.n} coins, graph needs {g.n}")
     n = g.n
@@ -146,7 +143,6 @@ def run_dfs(g: RegularGraph, stream: CoinStream) -> DfsTrace:
         g.neighbors, g.d, stream.flips, np.zeros(n, dtype=np.uint8)
     )
     assert used == n, "exploration must consume exactly one coin per vertex"
-    stream.consumed = used
     return DfsTrace(epoch_starts=epoch_starts, component_of=comp, depth=depth,
                     accepted_count=accepted)
 

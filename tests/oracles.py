@@ -118,7 +118,6 @@ def run_dfs_reference(g: RegularGraph, stream: CoinStream) -> DfsTrace:
                 depth[r] = len(on_stack) - 1
             coin_i += 1
     assert coin_i == n
-    stream.consumed = coin_i
     return DfsTrace(epoch_starts=np.array(epoch_starts, dtype=np.int64), component_of=comp,
                     depth=depth, accepted_count=accepted)
 

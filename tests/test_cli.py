@@ -69,16 +69,19 @@ def test_pool_workers_log_each_trial(tmp_path):
 
 def test_stream_only_sweep_loads_no_scipy(tmp_path):
     # scipy is imported only inside the spectrum, the giant_expansion checker
-    # and the tests' labelling oracle, none of which a stream-only sweep runs
+    # and the tests' labelling oracle, none of which a stream-only sweep runs;
+    # nor does generation load numpy.ma (np.unique without return_index, and
+    # np.isin, import it)
     src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
     argv = ["sweep", "--family", "random_regular", "--n", "400", "--d", "8", "--graph-seed", "2",
             "--epsilon", "0.6", "--regime", "sub", "--seed", "11", "--trials", "3",
             "--checkers", "stream", "--out", str(tmp_path / "r.jsonl")]
     code = ("import sys; from percolab.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.ma' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 [] False"
     assert (tmp_path / "r.jsonl").exists()
 
 

@@ -39,19 +39,26 @@ def test_coin_stream_basics():
     s = CoinStream(100, 0.5, 3)
     t = CoinStream(100, 0.5, 3)
     assert np.array_equal(s.flips, t.flips)
-    assert s.n == 100 and s.consumed == 0
+    assert s.n == 100
     u = CoinStream.from_bits([1, 0, 1])
     assert u.flips.tolist() == [1, 0, 1]
     with pytest.raises(ValueError):
         CoinStream(4, -0.1, 0)
+    assert CoinStream.from_bits(np.array([True, False, True])).flips.tolist() == [1, 0, 1]
+    assert CoinStream.from_bits([]).n == 0
+    # a 2 would read as tails in the root search and as heads at a stack top
+    for bits in ([2, 1, 1, 1, 1, 1], [1, 2, 1, 1, 1, 1], [1, 0.5], [-1, 0]):
+        with pytest.raises(ValueError, match="coins must be 0 or 1, got"):
+            CoinStream.from_bits(bits)
+    for bits in ([[1, 0], [1, 1]], 1):
+        with pytest.raises(ValueError, match="coins must be 1-D, got shape"):
+            CoinStream.from_bits(bits)
 
 
 def test_run_dfs_stream_guards(q4):
     s = CoinStream(16, 0.5, 0)
-    run_dfs(q4, s)
-    assert s.consumed == 16
-    with pytest.raises(ValueError, match="consumed"):
-        run_dfs(q4, s)
+    # nothing writes the coins, so exploring one stream twice gives one trace
+    assert _traces_equal(run_dfs(q4, s), run_dfs(q4, s))
     with pytest.raises(ValueError, match="coins"):
         run_dfs(q4, CoinStream(8, 0.5, 0))
 
