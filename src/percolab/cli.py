@@ -108,6 +108,7 @@ def _cmd_percolate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    delta_of_alpha(args.alpha)  # rejects an alpha outside (0, 1], as a sweep does
     pred = predict(args.n, args.d, args.epsilon, args.alpha, args.k_max)
     d = pred.to_dict()
     admissible = d.pop("admissible")

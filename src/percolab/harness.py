@@ -12,8 +12,9 @@ Both files are written whole to a
 temp file and then moved over the old one, so a sweep killed while
 writing leaves the previous files for --resume to read.
 
-A sweep of W workers is W processes: the parent runs every W-th missing
-trial and a fork pool of W - 1 helpers the rest.  Before the pool forks,
+A sweep of W workers runs in P = min(W, trials left to run) processes:
+the parent runs every P-th missing trial and a fork pool of P - 1
+helpers the rest.  Before the pool forks,
 release_free_heap hands the allocator's free pages back to the OS, so
 the helpers do not inherit set-up's freed temporaries.
 """
@@ -38,7 +39,7 @@ from .graph_core import RegularGraph, VertexSet
 from .percolation import CoinStream, PercolationSample, require_probability, run_dfs
 from .rng import TAG_SUBSETS, make_generator, trial_seed
 from .spectral import SpectrumReport, compute_spectrum, delta_of_alpha, require_positive
-from .theory import TheoryPrediction, giant_expansion_window, predict
+from .theory import TheoryPrediction, _check_eps, giant_expansion_window, predict
 from .verify import (
     check_corollary_2_3,
     check_giant_expansion,
@@ -113,8 +114,7 @@ class ExperimentConfig:
         self.gen.validate()
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_eps(self.epsilon)  # before p: a nan or inf epsilon is named as such
         delta_of_alpha(self.alpha)  # rejects an alpha outside (0, 1], naming it
         for name in ("spectrum_tol", "beta_test"):
             require_positive(name, getattr(self, name))
@@ -144,7 +144,7 @@ class ExperimentConfig:
         for key, (part, name, _) in CONFIG_KEYS.items():
             value = getattr(self.gen if part == "gen" else self, name)
             if value is not None and key not in ("workers", "out"):
-                obj[key] = list(value) if key == "checkers" else value
+                obj[key] = value
         return obj
 
 
@@ -306,28 +306,22 @@ def trial_at_seed(cfg: ExperimentConfig, seed: int) -> dict:
     return _trial(graph, cfg, spect, seed)
 
 
-def _run_trial(g: RegularGraph | None, cfg: ExperimentConfig, spect: SpectrumReport | None,
-               trial_index: int) -> dict:
-    """The trial record of one trial: a pure function of (cfg, trial_index)."""
-    seed = trial_seed(cfg.master_seed, trial_index)
-    if cfg.regen_graph:
-        g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, trial_index)))
-        if cfg.spectrum:  # the parent graph's lambda does not certify this one
-            spect = compute_spectrum(g, tol=cfg.spectrum_tol)
-    return {**_trial(g, cfg, spect, seed), "trial_index": trial_index}
-
-
 _WORKER_STATE: dict = {}
 
 
 def _trial_worker(trial_index: int) -> dict:
-    """One trial on the sweep in _WORKER_STATE, in the parent or a pool helper."""
+    """The trial record of one trial of the sweep in _WORKER_STATE, in the
+    parent or a pool helper: a pure function of (cfg, trial_index)."""
     t0 = time.perf_counter()  # logged, never serialized: records must be replay-identical
-    cfg = _WORKER_STATE["cfg"]
+    cfg, g, spect = _WORKER_STATE["cfg"], _WORKER_STATE["graph"], _WORKER_STATE["spect"]
+    seed = trial_seed(cfg.master_seed, trial_index)
     try:
-        rec = _run_trial(_WORKER_STATE["graph"], cfg, _WORKER_STATE["spect"], trial_index)
+        if cfg.regen_graph:
+            g = generate(replace(cfg.gen, seed=trial_seed(cfg.gen.seed, trial_index)))
+            if cfg.spectrum:  # the parent graph's lambda does not certify this one
+                spect = compute_spectrum(g, tol=cfg.spectrum_tol)
+        rec = {**_trial(g, cfg, spect, seed), "trial_index": trial_index}
     except Exception as exc:
-        seed = trial_seed(cfg.master_seed, trial_index)
         raise RuntimeError(f"trial {trial_index} (seed {seed}) failed: "
                            f"{type(exc).__name__}: {exc}") from exc
     log.info("trial %d: %.3fs", trial_index, time.perf_counter() - t0)
@@ -629,13 +623,15 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
 
     # a resumed file's trials by index; its torn tail is recomputed
     records = _read_records(cfg.out)[1] if resume and os.path.exists(cfg.out) else []
-    if records and records[0] != config_obj:
+    if records and _dumps(records[0]) != _dumps(config_obj):
         raise ValueError(f"{cfg.out}: existing records were produced by a different config")
     have = {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
     missing = [i for i in range(cfg.trials) if i not in have]
 
-    # the parent runs every workers-th missing trial, workers - 1 forked helpers the rest
-    mine, theirs = missing[::cfg.workers], [i for k, i in enumerate(missing) if k % cfg.workers]
+    # no more processes than trials to run (at least one: missing[::0] raises);
+    # the parent runs every procs-th missing trial, procs - 1 forked helpers the rest
+    procs = max(1, min(cfg.workers, len(missing)))
+    mine, theirs = missing[::procs], [i for k, i in enumerate(missing) if k % procs]
     _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
     try:
         with contextlib.ExitStack() as stack:
@@ -644,9 +640,8 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
                 release_free_heap()
                 log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free "
                          "heap; forking %d of %d workers", setup_s, rss_mb, _resident_mb(),
-                         cfg.workers - 1, cfg.workers)
-                pool = stack.enter_context(
-                    multiprocessing.get_context("fork").Pool(cfg.workers - 1))
+                         procs - 1, procs)
+                pool = stack.enter_context(multiprocessing.get_context("fork").Pool(procs - 1))
                 pending = pool.map_async(_trial_worker, theirs, chunksize=1)
             have.update((i, _trial_worker(i)) for i in mine)
             if theirs:

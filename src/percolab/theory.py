@@ -42,11 +42,12 @@ _ROOT_TOL = 1e-12
 
 
 def _check_eps(epsilon: float) -> None:
-    # Positivity is mathematically required.  Values above 1 leave the
-    # small-eps asymptotic regime but every formula stays well defined
-    # (and p = (1+eps)/d = 1 smoke runs need them), so they are allowed.
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    # Positivity is mathematically required, and finiteness for the roots'
+    # brackets.  Values above 1 leave the small-eps asymptotic regime but
+    # every formula stays well defined (and p = (1+eps)/d = 1 smoke runs
+    # need them), so they are allowed.
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -238,15 +239,15 @@ class TheoryPrediction:
     admissible: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # lists, as a record reads back: resume compares the config record with !=
-        return {**asdict(self), "T_k_pred": list(self.T_k_pred),
-                "T_k_pred_finite_d": list(self.T_k_pred_finite_d)}
+        return asdict(self)
 
 
 def predict(n: int, d: int, epsilon: float, alpha: float, k_max: int = 4) -> TheoryPrediction:
     _check_eps(epsilon)
-    if n <= 0 or d <= 0 or k_max < 1:
-        raise ValueError("n, d, k_max must be positive")
+    if not 1 <= d < n:  # as GenSpec.validate: log(n/d) must be positive
+        raise ValueError(f"need 1 <= d < n, got n={n} d={d}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     x = solve_x(epsilon)
     y = solve_y(epsilon)
     assert abs(x + y - (1.0 + epsilon)) <= 1e-10

@@ -174,6 +174,28 @@ def test_theory_command(capsys):
     assert window_rows and all(row[1] in ("yes", "no") for row in window_rows)
 
 
+_THEORY = ["theory", "--n", "2000", "--d", "8", "--epsilon"]
+_SWEEP = ["sweep", *_GRAPH, "--trials", "1", "--seed", "1", "--epsilon"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["theory", "--n", "20", "--d", "20", "--epsilon", "0.2"], "need 1 <= d < n, got n=20 d=20"),
+    (["theory", "--n", "3", "--d", "20", "--epsilon", "0.2"], "need 1 <= d < n, got n=3 d=20"),
+    ([*_THEORY, "inf"], "epsilon must be positive and finite, got inf"),
+    ([*_THEORY, "0.2", "--alpha", "5"], "alpha must be in (0, 1], got 5.0"),
+    ([*_THEORY, "0.2", "--alpha", "0"], "alpha must be in (0, 1], got 0.0"),
+    ([*_SWEEP, "nan"], "epsilon must be positive and finite, got nan"),
+    ([*_SWEEP, "inf"], "epsilon must be positive and finite, got inf"),
+    (["verify", *_GRAPH, "--checker", "stream", "--seed", "1", "--epsilon", "inf"],
+     "epsilon must be positive and finite, got inf"),
+], ids=["d_equals_n", "d_above_n", "theory_eps_inf", "alpha_5", "alpha_0", "sweep_eps_nan",
+        "sweep_eps_inf", "verify_eps_inf"])
+def test_malformed_theory_inputs_are_named(capsys, no_graph, argv, error):
+    # an error line naming the value, not a traceback or a table of a negative log
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_sweep_and_compare_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

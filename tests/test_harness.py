@@ -359,22 +359,27 @@ def _has_malloc_trim() -> bool:
 
 
 @pytest.mark.skipif(not _has_malloc_trim(), reason="needs Linux with glibc's malloc_trim")
-def test_release_free_heap_returns_generation_temporaries():
-    # a fresh interpreter, so no earlier test's heap is in the figures
+def test_release_free_heap_returns_the_free_pages_below_a_live_block():
+    # a fresh interpreter, so no earlier test's heap is in the figures: 640
+    # blocks of 64 KiB, below glibc's mmap threshold, come from the heap, and
+    # once freed under a live block free() cannot shrink the heap past them
     script = (
-        "from percolab.generators import GenSpec, generate\n"
+        "import numpy as np\n"
         "from percolab.harness import _resident_mb, release_free_heap\n"
-        "g = generate(GenSpec('random_regular', n=50_000, d=20, seed=1))\n"
+        "blocks = [np.ones(8192) for _ in range(640)]\n"
+        "live = np.ones(8192)\n"
+        "del blocks\n"
         "before = _resident_mb()\n"
         "release_free_heap()\n"
-        "print(before, _resident_mb(), g.n)\n"
+        "print(before, _resident_mb(), live.sum())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    before, after, n = proc.stdout.split()
-    assert n == "50000"  # the graph is still alive after the release
-    assert float(before) - float(after) >= 10.0, (before, after)
+    before, after, live = proc.stdout.split()
+    assert live == "8192.0"  # the live block is untouched by the release
+    freed_mb = 640 * 64 / 1024
+    assert float(before) - float(after) >= 0.9 * freed_mb, (before, after)
 
 
 # the parent runs its share of the trials, so a pool has workers - 1 processes
@@ -398,6 +403,44 @@ def test_sweep_releases_the_heap_only_before_a_pool(tmp_path, monkeypatch, worke
     assert events == expected
 
 
+@pytest.mark.parametrize("workers, trials, expected", [(64, 3, 2), (3, 2, 1)])
+def test_sweep_pool_has_no_more_processes_than_helper_trials(tmp_path, monkeypatch, workers,
+                                                             trials, expected):
+    # the parent runs at least one trial, so at most trials - 1 helpers have
+    # one to run; a larger pool is refused before it forks anything
+    sizes = []
+    real_get_context = multiprocessing.get_context
+
+    class RefusingContext:
+        def __init__(self, method):
+            self._ctx = real_get_context(method)
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            assert processes <= trials - 1, f"a pool of {processes} for {trials - 1} trials"
+            return self._ctx.Pool(processes)
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", RefusingContext)
+    summary = run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=trials,
+                                   workers=workers))
+    assert sizes == [expected] and summary["trials"] == trials
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_resume_of_a_complete_file_runs_no_trial(tmp_path, monkeypatch, workers):
+    out = tmp_path / "done.jsonl"
+    cfg = _small_cfg(out=str(out), trials=3, checkers=("stream",))
+    run_sweep(cfg)
+    whole = out.read_bytes(), (tmp_path / "done.jsonl.csv").read_bytes()
+
+    def no_trial(*args):
+        raise AssertionError("a resumed complete sweep ran a trial")
+
+    monkeypatch.setattr(harness, "_trial", no_trial)
+    run_sweep(replace(cfg, workers=workers), resume=True)
+    assert (out.read_bytes(), (tmp_path / "done.jsonl.csv").read_bytes()) == whole
+
+
 def test_trial_at_seed_is_the_sweep_trial_of_that_seed(tmp_path):
     # verify's path: the sweep's own set-up and trial body, reached by trial seed
     cfg = _small_cfg(out=str(tmp_path / "r.jsonl"), trials=2, spectrum=True,
@@ -413,21 +456,23 @@ def test_trial_at_seed_is_the_sweep_trial_of_that_seed(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_names_the_failing_trial(tmp_path, monkeypatch, workers):
-    real_run_trial = harness._run_trial
+    real_trial = harness._trial
     cfg = _small_cfg(out=str(tmp_path / "f.jsonl"), trials=5, workers=workers)
     # with 2 workers the parent runs trials 0, 2 and 4, and the helper 1 and 3
     for failing in (2, 3):
-        def fail_one(g, cfg, spect, trial_index, failing=failing):
-            if trial_index == failing:
-                raise ZeroDivisionError(f"boom in trial {failing}")
-            return real_run_trial(g, cfg, spect, trial_index)
+        failing_seed = trial_seed(cfg.master_seed, failing)
 
-        monkeypatch.setattr(harness, "_run_trial", fail_one)
-        seed = trial_seed(cfg.master_seed, failing)
+        def fail_one(g, cfg, spect, seed, failing=failing, failing_seed=failing_seed):
+            if seed == failing_seed:
+                raise ZeroDivisionError(f"boom in trial {failing}")
+            return real_trial(g, cfg, spect, seed)
+
+        monkeypatch.setattr(harness, "_trial", fail_one)
         with pytest.raises(RuntimeError) as info:
             run_sweep(cfg)
         assert str(info.value) == (
-            f"trial {failing} (seed {seed}) failed: ZeroDivisionError: boom in trial {failing}")
+            f"trial {failing} (seed {failing_seed}) failed: ZeroDivisionError: "
+            f"boom in trial {failing}")
         # a helper's traceback reaches the parent as text
         assert f"boom in trial {failing}" in str(info.value.__cause__)
         if failing % workers == 0:  # the parent's own share
@@ -497,15 +542,16 @@ def test_sweep_resume_from_renamed_torn_file(tmp_path, monkeypatch):
     with open(renamed, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
     ran = []
-    real = harness._run_trial
+    real = harness._trial
 
-    def counting(g, c, spect, i):
-        ran.append(i)
-        return real(g, c, spect, i)
+    def counting(g, c, spect, seed):
+        ran.append(seed)
+        return real(g, c, spect, seed)
 
-    monkeypatch.setattr(harness, "_run_trial", counting)
+    monkeypatch.setattr(harness, "_trial", counting)
     run_sweep(replace(cfg, out=renamed), resume=True)
-    assert ran == [2, 3, 4]  # the two intact trial lines were reused
+    # the two intact trial lines were reused
+    assert ran == [trial_seed(cfg.master_seed, i) for i in (2, 3, 4)]
     assert open(renamed, "r", encoding="utf-8").read() == whole
 
 
@@ -638,19 +684,19 @@ def test_regen_sweep_generates_the_setup_graph_only_for_the_spectrum(tmp_path, m
 
 def test_fixed_graph_sweep_keeps_its_setup_graph_for_every_trial(tmp_path, monkeypatch):
     setup, alive = [], []
-    real_generate, real_trial = harness.generate, harness._run_trial
+    real_generate, real_trial = harness.generate, harness._trial
 
     def tracked_generate(spec):
         g = real_generate(spec)
         setup.append(weakref.ref(g))
         return g
 
-    def watched_trial(g, cfg, spect, trial_index):
+    def watched_trial(g, cfg, spect, seed):
         alive.append(setup[0]() is g)
-        return real_trial(g, cfg, spect, trial_index)
+        return real_trial(g, cfg, spect, seed)
 
     monkeypatch.setattr(harness, "generate", tracked_generate)
-    monkeypatch.setattr(harness, "_run_trial", watched_trial)
+    monkeypatch.setattr(harness, "_trial", watched_trial)
     run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=3))
     assert len(setup) == 1 and alive == [True] * 3
 

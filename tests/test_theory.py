@@ -229,7 +229,7 @@ def test_finite_d_pinned_values():
     assert finite_d_tree_prediction(200_000, 20, p, 2) == pred.T_k_pred_finite_d[1]
     d = pred.to_dict()
     assert d["L1_pred_finite_d"] == pred.L1_pred_finite_d
-    assert d["T_k_pred_finite_d"] == list(pred.T_k_pred_finite_d)
+    assert list(d["T_k_pred_finite_d"]) == list(pred.T_k_pred_finite_d)
 
 
 def test_finite_d_full_retention():
