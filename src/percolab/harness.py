@@ -8,9 +8,9 @@ are counter-derived, floats serialize via repr, keys are sorted, and
 wall-clock time is logged but never serialized.  A companion CSV table
 holds one row per trial; its columns, the summary's medians and the
 type of each trial-record field come from one table, _TRIAL_FIELDS.
-Both files are written whole to a
-temp file and then moved over the old one, so a sweep killed while
-writing leaves the previous files for --resume to read.
+Each file streams to path + ".tmp", moved over path once complete: a
+killed or interrupted sweep leaves the previous files whole and its lines
+so far in <out>.tmp, where --resume continues it.
 
 A sweep of W workers runs in P = min(W, trials left to run) processes:
 the parent runs every P-th missing trial and a fork pool of P - 1
@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import ctypes
-import io
 import json
 import logging
 import multiprocessing
@@ -507,9 +506,9 @@ _FORMAT = 5
 def _read_records(path: str) -> tuple:
     """(config, records, torn) of a JSON-lines record file: the config of
     its first record, its records up to the first line that does not
-    parse, and the cause naming that line (None if all parse).  A killed
-    write leaves only such a torn tail; a line that parses but is no
-    record of this format raises ValueError naming the line."""
+    parse, and the cause naming that line (None if all parse).  A sweep
+    killed mid-line leaves such a torn tail in <out>.tmp; a line that parses
+    but is no record of this format raises ValueError naming the line."""
     cfg, records = None, []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -552,22 +551,24 @@ def _head_config(path: str, head: dict) -> ExperimentConfig:
 
 def _write_csv(path: str, trials: list) -> None:
     rows = [_labelled(t, _CSV) for t in trials]
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
-    _publish(path, [buf.getvalue()])
+    with _publish(path) as fh:
+        w = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
 
 
-def _publish(path: str, chunks) -> None:
-    """Write the text chunks to a temp file beside path, then move it over
-    path: a process killed while writing leaves the previous file whole."""
+@contextlib.contextmanager
+def _publish(path: str):
+    """A line-buffered handle on the temp file path + ".tmp", moved over
+    path when the block ends.  A process killed or interrupted meanwhile
+    leaves the previous file whole and the temp file holding every line
+    written so far; an error removes the temp file."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        with open(tmp, "w", encoding="utf-8", newline="", buffering=1) as fh:
+            yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except Exception:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
@@ -621,37 +622,41 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
         "format": _FORMAT,
     }
 
-    # a resumed file's trials by index; its torn tail is recomputed
-    records = _read_records(cfg.out)[1] if resume and os.path.exists(cfg.out) else []
+    # a resumed sweep's trials by index, read from the temp file a killed or
+    # interrupted sweep leaves, else from the published file; a torn tail is recomputed
+    source = next((f for f in (cfg.out + ".tmp", cfg.out) if resume and os.path.exists(f)), None)
+    records = _read_records(source)[1] if source else []
     if records and _dumps(records[0]) != _dumps(config_obj):
-        raise ValueError(f"{cfg.out}: existing records were produced by a different config")
+        raise ValueError(f"{source}: existing records were produced by a different config")
     have = {r["trial_index"]: r for r in records if r.get("kind") == "trial"}
     missing = [i for i in range(cfg.trials) if i not in have]
 
     # no more processes than trials to run (at least one: missing[::0] raises);
     # the parent runs every procs-th missing trial, procs - 1 forked helpers the rest
     procs = max(1, min(cfg.workers, len(missing)))
-    mine, theirs = missing[::procs], [i for k, i in enumerate(missing) if k % procs]
-    _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
-    try:
-        with contextlib.ExitStack() as stack:
-            if theirs:
-                setup_s, rss_mb = time.perf_counter() - t_start, _resident_mb()
-                release_free_heap()
-                log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free "
-                         "heap; forking %d of %d workers", setup_s, rss_mb, _resident_mb(),
-                         procs - 1, procs)
-                pool = stack.enter_context(multiprocessing.get_context("fork").Pool(procs - 1))
-                pending = pool.map_async(_trial_worker, theirs, chunksize=1)
-            have.update((i, _trial_worker(i)) for i in mine)
-            if theirs:
-                have.update(zip(theirs, pending.get()))
-    finally:
-        _WORKER_STATE.clear()
-    trials = [have[i] for i in range(cfg.trials)]
-
-    summary = _summary_obj(cfg, trials, pred)
-    _publish(cfg.out, (_dumps(obj) + "\n" for obj in [config_obj, *trials, summary]))
+    mine, theirs = set(missing[::procs]), [i for k, i in enumerate(missing) if k % procs]
+    with contextlib.ExitStack() as stack:
+        _WORKER_STATE.update(graph=graph, cfg=cfg, spect=spect)
+        stack.callback(_WORKER_STATE.clear)
+        if theirs:
+            setup_s, rss_mb = time.perf_counter() - t_start, _resident_mb()
+            release_free_heap()
+            log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free "
+                     "heap; forking %d of %d workers", setup_s, rss_mb, _resident_mb(),
+                     procs - 1, procs)
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(procs - 1))
+            theirs = pool.imap(_trial_worker, theirs)
+        # opened after the fork, so no helper inherits the handle; each line is
+        # written once it and every line before it are in
+        fh = stack.enter_context(_publish(cfg.out))
+        fh.write(_dumps(config_obj) + "\n")
+        for i in range(cfg.trials):
+            if i not in have:
+                have[i] = _trial_worker(i) if i in mine else next(theirs)
+            fh.write(_dumps(have[i]) + "\n")
+        trials = [have[i] for i in range(cfg.trials)]
+        summary = _summary_obj(cfg, trials, pred)
+        fh.write(_dumps(summary) + "\n")
     _write_csv(cfg.out + ".csv", trials)
     log.info("sweep finished in %.3fs (%d trials)", time.perf_counter() - t_start, cfg.trials)
     return summary

@@ -50,6 +50,11 @@ def _check_eps(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
+def _check_n_d(n: int, d: int) -> None:
+    if not 1 <= d < n:  # as GenSpec.validate: log(n/d) must be positive
+        raise ValueError(f"need 1 <= d < n, got n={n} d={d}")
+
+
 def _bisect(f, lo: float, hi: float) -> float:
     """Root of f in [lo, hi], where f < 0 left of the root and f >= 0 right of it.
 
@@ -202,6 +207,7 @@ def admissibility_flags(n: int, d: int, epsilon: float, alpha: float) -> dict:
 
     Recorded, never enforced: out-of-window exploration stays possible.
     """
+    _check_n_d(n, d)
     lo_sqrt = 2.0 * math.sqrt(d / n)
     lo_log = 2.0 / math.log(n / d)
     e2, e3, e4, e8 = epsilon ** 2, epsilon ** 3, epsilon ** 4, epsilon ** 8
@@ -244,8 +250,7 @@ class TheoryPrediction:
 
 def predict(n: int, d: int, epsilon: float, alpha: float, k_max: int = 4) -> TheoryPrediction:
     _check_eps(epsilon)
-    if not 1 <= d < n:  # as GenSpec.validate: log(n/d) must be positive
-        raise ValueError(f"need 1 <= d < n, got n={n} d={d}")
+    _check_n_d(n, d)
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     x = solve_x(epsilon)

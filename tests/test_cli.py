@@ -2,8 +2,10 @@ import argparse
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import MISSING, fields
 
 import pytest
@@ -65,6 +67,57 @@ def test_pool_workers_log_each_trial(tmp_path):
                      r"the free heap; forking 1 of 2 workers$", release[0])
     assert "resident" not in (tmp_path / "r.jsonl").read_text()
     assert "resident" not in (tmp_path / "r.jsonl.csv").read_text()
+
+
+# a regenerating sweep of about 0.1 s a trial: slow enough to kill after two
+_KILLED_SWEEP = ["sweep", "--n", "50000", "--d", "10", "--graph-seed", "1", "--epsilon", "0.2",
+                 "--regime", "sub", "--seed", "1", "--trials", "24", "--regen-graph"]
+
+
+def _sweep_cli(*argv, **kw):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "percolab.cli", "--log-level", "info",
+                             *_KILLED_SWEEP, *argv], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, **kw)
+
+
+@pytest.fixture(scope="module")
+def unkilled_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("unkilled") / "r.jsonl"
+    assert _sweep_cli("--workers", "2", "--out", str(out)).wait(timeout=300) == 0
+    return out.read_bytes(), out.with_name("r.jsonl.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_killed_sweep_resumes_to_identical_records(tmp_path, unkilled_sweep, workers):
+    out, tmp = tmp_path / "r.jsonl", tmp_path / "r.jsonl.tmp"
+    # its own session, so the kill reaches the pool helpers too
+    proc = _sweep_cli("--workers", workers, "--out", str(out), start_new_session=True)
+    deadline = time.monotonic() + 120
+    while not (tmp.exists() and tmp.read_bytes().count(b"\n") >= 3):
+        assert proc.poll() is None, "the sweep ended before it could be killed"
+        assert time.monotonic() < deadline, "the sweep wrote no two trial lines in 120 s"
+        time.sleep(0.005)
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.communicate(timeout=60)
+    while True:  # the group empties once the pool helpers are reaped
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process of the killed sweep is still running"
+        time.sleep(0.01)
+    assert not out.exists()
+    kept = tmp.read_text().split("\n")[1:-1]  # the trial lines; the last is torn or empty
+    resumed = _sweep_cli("--workers", workers, "--out", str(out), "--resume")
+    _, log = resumed.communicate(timeout=300)
+    assert resumed.returncode == 0, log
+    ran = [int(x.split(": trial ")[1].split(":")[0]) for x in log.splitlines()
+           if "percolab.harness: trial " in x]
+    # only the trials the killed sweep had not written ran again
+    assert len(kept) >= 2 and sorted(ran) == list(range(len(kept), 24))
+    assert (out.read_bytes(), (tmp_path / "r.jsonl.csv").read_bytes()) == unkilled_sweep
+    assert not tmp.exists()
 
 
 def test_stream_only_sweep_loads_no_scipy(tmp_path):

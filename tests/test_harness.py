@@ -532,6 +532,20 @@ def test_sweep_output_path_invisible_in_records(tmp_path):
     assert "tolerances" not in head["config"]
 
 
+def _counting_trials(monkeypatch, stop_at=None):
+    """The trial seeds the sweep runs from now on; KeyboardInterrupt at trial seed stop_at."""
+    ran, real = [], harness._trial
+
+    def counting(g, c, spect, seed):
+        if seed == stop_at:
+            raise KeyboardInterrupt
+        ran.append(seed)
+        return real(g, c, spect, seed)
+
+    monkeypatch.setattr(harness, "_trial", counting)
+    return ran
+
+
 def test_sweep_resume_from_renamed_torn_file(tmp_path, monkeypatch):
     out = str(tmp_path / "first.jsonl")
     cfg = _small_cfg(out=out, trials=5)
@@ -541,14 +555,7 @@ def test_sweep_resume_from_renamed_torn_file(tmp_path, monkeypatch):
     renamed = str(tmp_path / "renamed.jsonl")
     with open(renamed, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
-    ran = []
-    real = harness._trial
-
-    def counting(g, c, spect, seed):
-        ran.append(seed)
-        return real(g, c, spect, seed)
-
-    monkeypatch.setattr(harness, "_trial", counting)
+    ran = _counting_trials(monkeypatch)
     run_sweep(replace(cfg, out=renamed), resume=True)
     # the two intact trial lines were reused
     assert ran == [trial_seed(cfg.master_seed, i) for i in (2, 3, 4)]
@@ -560,6 +567,47 @@ def test_sweep_resume_rejects_other_config(tmp_path):
     run_sweep(_small_cfg(out=out))
     with pytest.raises(ValueError, match="different config"):
         run_sweep(_small_cfg(out=out, epsilon=0.3), resume=True)
+
+
+def test_interrupted_sweep_keeps_its_lines_for_resume(tmp_path, monkeypatch):
+    out = tmp_path / "i.jsonl"
+    cfg = _small_cfg(out=str(out), trials=6, checkers=("stream",))
+    run_sweep(cfg)
+    whole = out.read_bytes(), (tmp_path / "i.jsonl.csv").read_bytes()
+    _counting_trials(monkeypatch, stop_at=trial_seed(cfg.master_seed, 3))
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(cfg)
+    # the previous files stay whole; the temp file holds the config line and trials 0-2
+    assert (out.read_bytes(), (tmp_path / "i.jsonl.csv").read_bytes()) == whole
+    assert (tmp_path / "i.jsonl.tmp").read_bytes() == b"".join(
+        whole[0].splitlines(keepends=True)[:4])
+    monkeypatch.undo()
+    ran = _counting_trials(monkeypatch)
+    run_sweep(cfg, resume=True)
+    assert ran == [trial_seed(cfg.master_seed, i) for i in (3, 4, 5)]
+    assert (out.read_bytes(), (tmp_path / "i.jsonl.csv").read_bytes()) == whole
+    assert sorted(os.listdir(tmp_path)) == ["i.jsonl", "i.jsonl.csv"]
+
+
+def test_sweep_resume_reads_the_temp_file_before_the_records(tmp_path, monkeypatch):
+    out = tmp_path / "t.jsonl"
+    cfg = _small_cfg(out=str(out), trials=4)
+    run_sweep(cfg)
+    whole = out.read_bytes(), (tmp_path / "t.jsonl.csv").read_bytes()
+    # a temp file of the config line and trial 0 beside the complete records
+    (tmp_path / "t.jsonl.tmp").write_bytes(b"".join(whole[0].splitlines(keepends=True)[:2]))
+    ran = _counting_trials(monkeypatch)
+    run_sweep(cfg, resume=True)
+    assert ran == [trial_seed(cfg.master_seed, i) for i in (1, 2, 3)]
+    assert (out.read_bytes(), (tmp_path / "t.jsonl.csv").read_bytes()) == whole
+    # a temp file of another config is rejected by name, and nothing is written
+    run_sweep(replace(cfg, out=str(tmp_path / "other.jsonl"), epsilon=0.3))
+    os.replace(tmp_path / "other.jsonl", tmp_path / "t.jsonl.tmp")
+    files = {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+    with pytest.raises(ValueError) as info:
+        run_sweep(cfg, resume=True)
+    assert str(info.value) == f"{out}.tmp: existing records were produced by a different config"
+    assert {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)} == files
 
 
 def test_sweep_resume_names_the_record_format(tmp_path):

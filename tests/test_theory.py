@@ -145,6 +145,13 @@ def test_admissibility_windows():
     assert predict(200_000, 20, 0.2, 0.03).admissible["giant_expansion_window"] is False
 
 
+@pytest.mark.parametrize("n, d", [(20, 20), (3, 20)])
+def test_admissibility_flags_need_d_below_n(n, d):
+    # log(n/d) is zero at d = n (a division by it) and negative above
+    with pytest.raises(ValueError, match=rf"^need 1 <= d < n, got n={n} d={d}$"):
+        admissibility_flags(n, d, 0.2, 0.1)
+
+
 # ----------------------------------------------------------------------
 # finite-d branching process: forward degree Bin(d-1, p)
 # ----------------------------------------------------------------------
