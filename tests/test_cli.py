@@ -84,7 +84,9 @@ def _sweep_cli(*argv, **kw):
 @pytest.fixture(scope="module")
 def unkilled_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("unkilled") / "r.jsonl"
-    assert _sweep_cli("--workers", "2", "--out", str(out)).wait(timeout=300) == 0
+    proc = _sweep_cli("--workers", "2", "--out", str(out))
+    _, log = proc.communicate(timeout=300)
+    assert proc.returncode == 0, log
     return out.read_bytes(), out.with_name("r.jsonl.csv").read_bytes()
 
 
