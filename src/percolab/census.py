@@ -2,7 +2,7 @@
 
 A census reads everything it knows about the components off one
 depth-first forest of the sample: the exploration's own (its DfsTrace)
-when there is one, otherwise one dfs_explore walk of the sample, which
+when there is one, otherwise one _explore walk of the sample, which
 builds the same forest.  Its trees are the components, and its longest
 back edge gives the long-cycle bound.  scipy's connected_components
 labels nothing here; it stays the tests' independent oracle.
@@ -129,13 +129,13 @@ def take_census(
 
 
 def _sample_forest(g: RegularGraph, mask):
-    """(labels, depth) of the DFS forest that dfs_explore builds over the
+    """(labels, depth) of the DFS forest that _explore builds over the
     sample (roots ascending, every coin heads, the vertices off the
     sample kept out), both -1 off the sample.  It is the forest of the
     exploration that drew the sample, so labels and depth equal its
     component_of and depth."""
     coins = np.ones(np.count_nonzero(mask), dtype=np.uint8)
-    return _explore(g.neighbors, g.d, coins, ~mask)[1:3]
+    return _explore(g, coins, ~mask)[1:3]
 
 
 def _longest_back_edge(g: RegularGraph, kept, rows, hit, depth):
@@ -154,7 +154,7 @@ def _longest_back_edge(g: RegularGraph, kept, rows, hit, depth):
 
 def longest_cycle_lower_bound(g: RegularGraph, sample: PercolationSample, with_witness: bool = False):
     """Longest cycle closed by one back edge of a depth-first forest of
-    the retained subgraph (the forest dfs_explore builds with every coin
+    the retained subgraph (the forest _explore builds with every coin
     heads): a lower bound on the true longest cycle length (0 if the
     subgraph is a forest).  With with_witness=True also returns the
     vertex sequence of a cycle achieving the bound, or None."""

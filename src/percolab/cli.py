@@ -128,7 +128,13 @@ def _cmd_sweep(args) -> int:
     mapping = load_config_file(args.config) if args.config else {}
     mapping.update((k, getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k) is not None)
     cfg = config_from_mapping(mapping)
-    summary = run_sweep(cfg, resume=args.resume)
+    try:
+        summary = run_sweep(cfg, resume=args.resume)
+    except KeyboardInterrupt:
+        if os.path.exists(cfg.out + ".tmp"):
+            raise KeyboardInterrupt(f"{cfg.out}.tmp keeps the trials written so far; "
+                                    "rerun with --resume to continue the sweep") from None
+        raise
     _print_table(summary["rows"], _ROW_COLUMNS)
     print(f"records: {cfg.out}  trials: {summary['trials']}  pass: {summary['pass']}")
     return 0 if summary["pass"] else 1
@@ -217,6 +223,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:  # Ctrl-C: one line, no traceback
+        print(f"error: interrupted{f'; {exc}' if exc.args else ''}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

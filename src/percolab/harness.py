@@ -28,6 +28,7 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from statistics import median
@@ -644,7 +645,10 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
             log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free "
                      "heap; forking %d of %d workers", setup_s, rss_mb, _resident_mb(),
                      procs - 1, procs)
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(procs - 1))
+            # the helpers ignore Ctrl-C: the parent alone handles it, and the
+            # pool's exit terminates them
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
+                procs - 1, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
             theirs = pool.imap(_trial_worker, theirs)
         # opened after the fork, so no helper inherits the handle; each line is
         # written once it and every line before it are in

@@ -1,11 +1,11 @@
 """Seeded site percolation and the stack exploration process.
 
-The exploration walks the graph with four vertex pools: unvisited,
-active stack, completed, and rejected.  While the stack is nonempty the
-top vertex queries its unvisited neighbors in ascending order and one
-coin is flipped for the first hit (heads pushes it, tails rejects it);
-a top with no unvisited neighbors is completed.  While the stack is
-empty the smallest unvisited vertex gets a coin, and a heads there
+The exploration keeps one byte per vertex, touched or not, and a stack
+of accepted vertices.  While the stack is nonempty the top vertex scans
+its neighbors in ascending order and one coin is flipped for the first
+untouched hit (heads pushes it, tails rejects it; either way it is
+touched); a top with no untouched neighbors is popped.  While the stack
+is empty the smallest untouched vertex gets a coin, and a heads there
 opens a new epoch.  Every vertex consumes exactly one coin, so the
 accepted set is distributed exactly like an independent Bernoulli(p)
 vertex sample, and epochs are exactly the connected components of the
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .graph_core import RegularGraph
 from .rng import TAG_COINS, make_generator
 
@@ -138,36 +137,97 @@ def run_dfs(g: RegularGraph, stream: CoinStream) -> DfsTrace:
     """Run the exploration; it reads exactly g.n coins, one per vertex."""
     if stream.n != g.n:
         raise ValueError(f"stream has {stream.n} coins, graph needs {g.n}")
-    n = g.n
-    used, comp, depth, epoch_starts, accepted = _explore(
-        g.neighbors, g.d, stream.flips, np.zeros(n, dtype=np.uint8)
-    )
-    assert used == n, "exploration must consume exactly one coin per vertex"
+    used, comp, depth, epoch_starts, accepted = _explore(g, stream.flips)
+    assert used == g.n, "exploration must consume exactly one coin per vertex"
     return DfsTrace(epoch_starts=epoch_starts, component_of=comp, depth=depth,
                     accepted_count=accepted)
 
 
-def _explore(nbrs, d, coins, state):
-    """dfs_explore on arrays, with fresh outputs: (coins_used, comp, depth,
-    epoch_starts, n_accepted); comp and depth are -1 off the forest.
-    state (length n) keeps its nonzero vertices out and is not written;
-    coins holds one coin per other vertex.  Each epoch is the run of
-    acceptance order from its root's offset to the next root's, so comp
-    is scattered from the run lengths."""
-    n = state.size
-    untouched = n - np.count_nonzero(state)
-    if coins.size != untouched:  # else the kernel's root search can run past state's end
+def _explore(g: RegularGraph, coins: np.ndarray, keep_out: np.ndarray | None = None):
+    """The exploration's depth-first walk, for run_dfs and the census.
+
+    keep_out (bool, length n, not written) marks vertices the walk never
+    touches; coins holds one 0/1 coin per other vertex, read in the order
+    the walk touches them, roots tried in vertex order.  Returns
+    (coins_used, comp, depth, epoch_starts, n_accepted): comp[w] is w's
+    epoch and depth[w] the stack depth it was pushed at (0 for a root),
+    both -1 off the forest; epoch_starts[j] is the coin that opened epoch
+    j.  The stack is always a path in g, so the epochs are the components
+    of the accepted subgraph and the push edges a depth-first forest of
+    it; with every coin heads over a sample the walk rebuilds the forest
+    of the exploration that drew it.
+
+    Each coin acts on the stack the last one left, so the interpreter
+    walks it, handing every run of work it can to C.  Accepted vertices
+    and their depths are listed in acceptance order, where each epoch is
+    the run that its depth-0 root opens, and numpy scatters them at the
+    end.  Between epochs a whole run of tails is placed at once:
+    bytes.find finds the next heads coin, bytearray.find and count walk
+    the state to the vertex it reaches, skipping touched runs, and one
+    slice assignment marks the skipped vertices touched.  Within an epoch
+    the stack holds iterators over memoryview slices of the rows, so each
+    vertex resumes its scan where it left it.
+    """
+    n, d = g.n, g.d
+    state = bytearray(n if keep_out is None else np.asarray(keep_out, dtype=bool).tobytes())
+    if coins.size != (untouched := state.count(0)):  # else the root search runs past state's end
         raise ValueError(f"{coins.size} coins for {untouched} untouched vertices; need one each")
-    used, acc, accd, starts, estart = _kernels.dfs_explore(
-        memoryview(nbrs), d, coins.tobytes(), bytearray(state))
-    na, ne = len(acc), len(starts)
-    acc = np.array(acc, dtype=np.int32)
+    rows = memoryview(g.neighbors)
+    coins = coins.tobytes()
+    acc, accd, starts = [], [], []
+    used = 0
+    r = 0  # every vertex below r is touched
+    while True:
+        heads = coins.find(1, used)
+        if heads < 0:  # the coins left are tails, one per untouched vertex
+            used += state.count(0, r)
+            break
+        # the heads - used tails before it reject as many untouched
+        # vertices as roots; the next untouched vertex is the root
+        need = heads - used
+        s = r
+        while need:
+            s = state.find(0, s)
+            s, need = s + need, need - state.count(0, s, s + need)
+        root = state.find(0, s)
+        if heads > used:
+            state[r:root] = b"\1" * (root - r)
+        starts.append(heads)
+        used = heads + 1
+        r = root + 1
+        state[root] = 1
+        acc.append(root)
+        accd.append(0)
+        # the top of the stack resumes `it`; below holds the iterators of
+        # the vertices under it, top is its depth
+        it = iter(rows[root * d:root * d + d])
+        below = []
+        top = 0
+        while True:
+            for w in it:
+                if state[w]:
+                    continue
+                state[w] = 1
+                if coins[used]:
+                    used += 1
+                    top += 1
+                    acc.append(w)
+                    accd.append(top)
+                    below.append(it)
+                    it = iter(rows[w * d:w * d + d])
+                    break
+                used += 1
+            else:
+                if not top:
+                    break
+                top -= 1
+                it = below.pop()
+    acc, accd = np.array(acc, dtype=np.int32), np.array(accd, dtype=np.int32)
     comp = np.full(n, -1, dtype=np.int32)
-    comp[acc] = np.repeat(np.arange(ne, dtype=np.int32),
-                          np.diff(np.array(estart, dtype=np.int64), append=na))
+    comp[acc] = np.cumsum(accd == 0) - 1  # each root opens the next epoch
     depth = np.full(n, -1, dtype=np.int32)
     depth[acc] = accd
-    return used, comp, depth, np.array(starts, dtype=np.int64), na
+    return used, comp, depth, np.array(starts, dtype=np.int64), acc.size
 
 
 def _induced_csr(g: RegularGraph, mask: np.ndarray):

@@ -19,7 +19,7 @@ from .graph_core import RegularGraph, VertexSet, edge_count_between, external_ne
 from .percolation import CoinStream, PercolationSample, _induced_csr
 from .rng import TAG_GROWTH, TAG_PAIRS, TAG_SUBSETS, make_generator
 from .spectral import SpectrumReport, delta_of_alpha, require_positive
-from .theory import giant_expansion_window
+from .theory import _check_eps, giant_expansion_window
 
 __all__ = [
     "ViolationReport",
@@ -112,13 +112,12 @@ def check_mixing(g: RegularGraph, report: SpectrumReport, pairs: int, seed: int)
 def check_corollary_2_3(g: RegularGraph, report: SpectrumReport, B: VertexSet, alpha: float) -> ViolationReport:
     """Degree-into-B outliers: both the high side (>= (1+a)|B|d/n) and the
     low side (<= (1-a)|B|d/n) hold at most (2/a^2)(lambda/d)^2 n vertices."""
+    delta_of_alpha(alpha)  # rejects an alpha outside (0, 1], nan included
     if B.mask.size != g.n:
         raise ValueError(f"reference set is over {B.mask.size} vertices, graph has n={g.n}")
     nb = B.cardinality
     if nb < g.n / 2:
         raise ValueError(f"reference set must hold at least half the vertices, got {nb} < {g.n}/2")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     lam = report.lambda_eff
     base = g.d * nb / g.n
     deg = np.count_nonzero(B.mask[g.nbrs2d], axis=1)  # degree into B, all vertices
@@ -152,6 +151,7 @@ def check_lemma_2_4(
     """
     if subsets < 1:
         raise ValueError(f"subsets must be at least 1, got {subsets}")
+    delta_alpha = delta_of_alpha(alpha)  # rejects an alpha outside (0, 1], nan included
     n, d = g.n, g.d
     m_lo = math.ceil(alpha * n / d)
     m_hi = math.floor(n / (3 * d))
@@ -169,12 +169,12 @@ def check_lemma_2_4(
         "p": sample.p,
         "p_le_2_over_d": sample.p <= 2.0 / d,
         "alpha_window_ok": 2.0 * math.sqrt(d / n) < alpha < 1.0,
-        "delta_alpha": delta_of_alpha(alpha),
+        "delta_alpha": delta_alpha,
         "seed": seed,
     }
     if report is not None:
         meta["spectral_ratio"] = report.ratio
-        meta["ratio_le_delta"] = report.ratio <= delta_of_alpha(alpha)
+        meta["ratio_le_delta"] = report.ratio <= delta_alpha
     rng = make_generator(seed, TAG_SUBSETS)
     out = ViolationReport("lemma_2_4", subsets, meta=meta)
     for i in range(subsets):
@@ -205,8 +205,7 @@ def check_stream_properties(stream: CoinStream, epsilon: float, d: int,
     """
     if mode not in ("sub", "super"):
         raise ValueError(f"mode must be 'sub' or 'super', got {mode!r}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_eps(epsilon)
     flips = stream.flips
     n = flips.size
     k = (4.0 / epsilon ** 2) * math.log(n / d)

@@ -151,7 +151,7 @@ def test_cycle_bound_matches_census(q4):
 _BLOWUP = GenSpec("blowup", n=60, d=8, seed=2, blowup_factor=2, base_family="random_regular")
 
 # cycle_lb at p = 0, 0.2, 0.35, 0.6, 1 for sample seeds 0 and 3, as the
-# stand-alone cycle scan that preceded the dfs_explore forest computed them
+# stand-alone cycle scan that preceded the exploration's forest computed them
 _PINNED_CYCLE_LB = [
     (GenSpec("random_regular", n=200, d=6, seed=1), [0, 0, 4, 6, 7, 31, 65, 83, 168, 168]),
     (GenSpec("random_regular", n=1000, d=10, seed=2),

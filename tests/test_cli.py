@@ -90,36 +90,61 @@ def unkilled_sweep(tmp_path_factory):
     return out.read_bytes(), out.with_name("r.jsonl.csv").read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_killed_sweep_resumes_to_identical_records(tmp_path, unkilled_sweep, workers):
+def _signal_sweep(tmp_path, workers, sig):
+    """Start a sweep in its own session, send sig to its process group once
+    its temp file holds two trial lines, and wait until the group is empty.
+    Returns the sweep's exit code, its log and the trial lines it kept."""
     out, tmp = tmp_path / "r.jsonl", tmp_path / "r.jsonl.tmp"
-    # its own session, so the kill reaches the pool helpers too
+    # its own session, so the signal reaches the pool helpers too
     proc = _sweep_cli("--workers", workers, "--out", str(out), start_new_session=True)
     deadline = time.monotonic() + 120
     while not (tmp.exists() and tmp.read_bytes().count(b"\n") >= 3):
-        assert proc.poll() is None, "the sweep ended before it could be killed"
+        assert proc.poll() is None, "the sweep ended before it could be signalled"
         assert time.monotonic() < deadline, "the sweep wrote no two trial lines in 120 s"
         time.sleep(0.005)
-    os.killpg(proc.pid, signal.SIGKILL)
-    proc.communicate(timeout=60)
+    os.killpg(proc.pid, sig)
+    _, log = proc.communicate(timeout=60)
     while True:  # the group empties once the pool helpers are reaped
         try:
             os.killpg(proc.pid, 0)
         except ProcessLookupError:
             break
-        assert time.monotonic() < deadline, "a process of the killed sweep is still running"
+        assert time.monotonic() < deadline, "a process of the signalled sweep is still running"
         time.sleep(0.01)
     assert not out.exists()
-    kept = tmp.read_text().split("\n")[1:-1]  # the trial lines; the last is torn or empty
+    # the trial lines; the last is torn or empty
+    return proc.returncode, log, tmp.read_text().split("\n")[1:-1]
+
+
+def _assert_resumes_to(unkilled_sweep, tmp_path, workers, kept):
+    out = tmp_path / "r.jsonl"
     resumed = _sweep_cli("--workers", workers, "--out", str(out), "--resume")
     _, log = resumed.communicate(timeout=300)
     assert resumed.returncode == 0, log
     ran = [int(x.split(": trial ")[1].split(":")[0]) for x in log.splitlines()
            if "percolab.harness: trial " in x]
-    # only the trials the killed sweep had not written ran again
+    # only the trials the signalled sweep had not written ran again
     assert len(kept) >= 2 and sorted(ran) == list(range(len(kept), 24))
     assert (out.read_bytes(), (tmp_path / "r.jsonl.csv").read_bytes()) == unkilled_sweep
-    assert not tmp.exists()
+    assert not (tmp_path / "r.jsonl.tmp").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_killed_sweep_resumes_to_identical_records(tmp_path, unkilled_sweep, workers):
+    _, _, kept = _signal_sweep(tmp_path, workers, signal.SIGKILL)
+    _assert_resumes_to(unkilled_sweep, tmp_path, workers, kept)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_interrupted_sweep_ends_in_one_line_and_resumes(tmp_path, unkilled_sweep, workers):
+    # Ctrl-C at a terminal signals the whole group: the pool helpers ignore
+    # it, and the parent names the temp file and --resume in one line
+    code, log, kept = _signal_sweep(tmp_path, workers, signal.SIGINT)
+    assert code == 130 and "Traceback" not in log, log
+    assert log.splitlines()[-1] == (f"error: interrupted; {tmp_path / 'r.jsonl.tmp'} keeps the "
+                                    "trials written so far; rerun with --resume to continue the "
+                                    "sweep")
+    _assert_resumes_to(unkilled_sweep, tmp_path, workers, kept)
 
 
 def test_stream_only_sweep_loads_no_scipy(tmp_path):

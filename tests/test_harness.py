@@ -393,9 +393,9 @@ def test_sweep_releases_the_heap_only_before_a_pool(tmp_path, monkeypatch, worke
         def __init__(self, method):
             self._ctx = real_get_context(method)
 
-        def Pool(self, processes):
+        def Pool(self, processes, **kw):
             events.append(f"pool of {processes}")
-            return self._ctx.Pool(processes)
+            return self._ctx.Pool(processes, **kw)
 
     monkeypatch.setattr(harness, "release_free_heap", lambda: events.append("release"))
     monkeypatch.setattr(harness.multiprocessing, "get_context", RecordingContext)
@@ -415,10 +415,10 @@ def test_sweep_pool_has_no_more_processes_than_helper_trials(tmp_path, monkeypat
         def __init__(self, method):
             self._ctx = real_get_context(method)
 
-        def Pool(self, processes):
+        def Pool(self, processes, **kw):
             sizes.append(processes)
             assert processes <= trials - 1, f"a pool of {processes} for {trials - 1} trials"
-            return self._ctx.Pool(processes)
+            return self._ctx.Pool(processes, **kw)
 
     monkeypatch.setattr(harness.multiprocessing, "get_context", RefusingContext)
     summary = run_sweep(_small_cfg(out=str(tmp_path / "r.jsonl"), trials=trials,

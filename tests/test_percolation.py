@@ -7,6 +7,7 @@ from oracles import TAG_SAMPLE, run_dfs_reference, sample_vertices
 from percolab.percolation import (
     CoinStream,
     PercolationSample,
+    _explore,
     _induced_csr,
     components_oracle,
     run_dfs,
@@ -121,6 +122,47 @@ def test_all_tails_and_all_heads(c6):
     tr1 = run_dfs(c6, CoinStream.from_bits([1] * 6))
     assert tr1.num_epochs == 1 and tr1.accepted_count == 6
     assert tr1.epoch_sizes().tolist() == [6]
+
+
+def test_explore_leaves_the_keep_out_mask_unwritten(c6):
+    # cycle 0-1-2-3-4-5-0; vertex 0 is kept out, so the five coins (fewer
+    # than n) accept the path 1-2-3-4-5 as one epoch
+    keep_out = np.array([True, False, False, False, False, False])
+    used, comp, depth, epoch_starts, accepted = _explore(c6, np.ones(5, dtype=np.uint8), keep_out)
+    assert (used, accepted, epoch_starts.tolist()) == (5, 5, [0])
+    assert comp.tolist() == [-1, 0, 0, 0, 0, 0]
+    assert depth.tolist() == [-1, 0, 1, 2, 3, 4]
+    assert keep_out.tolist() == [True, False, False, False, False, False]
+
+
+def test_dfs_epochs_in_acceptance_order(c6):
+    # root 0 heads, then tails for 1 and 5: a one-vertex epoch; root 2
+    # heads, 3 heads, 4 tails: a second epoch; 1, 4 and 5 are rejected
+    coins = np.array([1, 0, 0, 1, 1, 0], dtype=np.uint8)
+    used, comp, depth, epoch_starts, accepted = _explore(c6, coins)
+    assert (used, accepted, epoch_starts.tolist()) == (6, 3, [0, 3])
+    assert comp.tolist() == [0, -1, 1, 1, -1, -1]
+    assert depth.tolist() == [0, -1, 0, 1, -1, -1]
+
+
+def test_dfs_all_tails_opens_no_epoch(c6):
+    used, comp, depth, epoch_starts, accepted = _explore(c6, np.zeros(6, dtype=np.uint8))
+    assert (used, accepted, epoch_starts.size) == (6, 0, 0)
+    assert comp.tolist() == [-1] * 6
+    assert depth.tolist() == [-1] * 6
+
+
+def test_explore_rejects_a_coin_count_other_than_the_untouched_vertices():
+    # the root search runs past the end of the state given extra coins
+    # (it hung on some streams), so the count is checked before it runs
+    g = generate(GenSpec("random_regular", n=30, d=3, seed=4))
+    keep_out = np.zeros(30, dtype=bool)
+    keep_out[[3, 17]] = True
+    rng = np.random.default_rng(8)
+    for size in (29, 30, 31, 32, 27):
+        coins = (rng.random(size) < 0.5).astype(np.uint8)
+        with pytest.raises(ValueError, match=f"^{size} coins for 28 untouched vertices"):
+            _explore(g, coins, keep_out)
 
 
 def test_epochs_are_components(rr_small):

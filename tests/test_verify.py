@@ -152,9 +152,11 @@ def test_degree_outliers_preconditions(rr_small):
     small = VertexSet.from_indices(rr_small.n, [0, 1, 2])
     with pytest.raises(ValueError, match="half"):
         check_corollary_2_3(rr_small, rep, small, alpha=0.2)
-    with pytest.raises(ValueError, match="alpha"):
-        check_corollary_2_3(rr_small, rep, VertexSet.from_indices(rr_small.n, np.arange(rr_small.n)),
-                            alpha=0.0)
+    every = VertexSet.from_indices(rr_small.n, np.arange(rr_small.n))
+    # a nan or inf alpha once passed a graph whose lambda is understated to 0
+    for alpha in (0.0, -0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"alpha must be in \\(0, 1\\], got {alpha}"):
+            check_corollary_2_3(rr_small, _fake_spectrum(rr_small.d, 0.0), every, alpha=alpha)
     # a set over another n: only 10 of its 610 members are vertices of the graph
     foreign = VertexSet.from_indices(1000, np.r_[0:10, 200:800])
     with pytest.raises(ValueError, match=f"over 1000 vertices, graph has n={rr_small.n}"):
@@ -211,6 +213,10 @@ def test_subset_expansion_window_errors(rr2000):
     with pytest.raises(ValueError, match="below the smallest subset size"):
         empty = PercolationSample.from_membership(0.0, 0, np.zeros(rr2000.n, dtype=bool))
         check_lemma_2_4(rr2000, empty, alpha=0.3, subsets=5, seed=0)
+    sample = sample_vertices(rr2000.n, 0.12, 3)
+    for alpha in (0.0, -0.3, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"alpha must be in \\(0, 1\\], got {alpha}"):
+            check_lemma_2_4(rr2000, sample, alpha=alpha, subsets=5, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -316,8 +322,10 @@ def test_stream_argument_errors():
     s = CoinStream.from_bits([0, 1])
     with pytest.raises(ValueError, match="mode"):
         check_stream_properties(s, 0.2, 10, "critical")
-    with pytest.raises(ValueError, match="epsilon"):
-        check_stream_properties(s, 0.0, 10, "sub")
+    for mode in ("sub", "super"):
+        for eps in (0.0, -0.2, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"epsilon must be positive and finite, got {eps}"):
+                check_stream_properties(s, eps, 10, mode)
 
 
 def test_stream_sampled_coins_pass_at_scale():
