@@ -10,10 +10,9 @@ from .census import (
     longest_cycle_lower_bound,
     take_census,
 )
-from .generators import GenSpec, GenSpecError, GenerationError, generate
+from .generators import GenSpec, generate
 from .graph_core import (
     RegularGraph,
-    RegularityError,
     VertexSet,
     edge_count_between,
     external_neighborhood,
@@ -26,7 +25,7 @@ from .percolation import (
     components_oracle,
     run_dfs,
 )
-from .spectral import SpectralConvergenceError, SpectrumReport, compute_spectrum, delta_of_alpha
+from .spectral import SpectrumReport, compute_spectrum, delta_of_alpha
 from .theory import TheoryPrediction, predict, solve_x, solve_y
 from .verify import (
     ViolationReport,
@@ -45,12 +44,8 @@ __all__ = [
     "DfsTrace",
     "ExperimentConfig",
     "GenSpec",
-    "GenSpecError",
-    "GenerationError",
     "PercolationSample",
     "RegularGraph",
-    "RegularityError",
-    "SpectralConvergenceError",
     "SpectrumReport",
     "TheoryPrediction",
     "VertexSet",

@@ -9,6 +9,13 @@ is named by its gen keys alone: spectrum, percolate and verify build it
 from the same flags a sweep's config record stores.  verify is a one-trial
 sweep.  ``--log-level``, given before the subcommand, sets what the
 library logs to stderr; no flag may be given by a prefix of its name.
+
+Errors: the library raises ValueError for an input it rejects and
+RuntimeError for a computation that failed (a trial, the pairing model,
+the spectrum); main reports either, or an OSError, in one ``error:``
+line and exits 1, with the traceback logged at ``--log-level debug``.
+A TypeError (a bool mask passed as vertex ids) is a caller's bug and
+stays a traceback.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .harness import (
     CONFIG_KEYS,
     REGIMES,
     SPECTRUM_CHECKERS,
+    _checker_ids,
     compare,
     config_from_mapping,
     gen_spec_from_mapping,
@@ -141,7 +149,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checkers = [c.strip() for c in args.checker.split(",") if c.strip()]
+    checkers = _checker_ids(args.checker)
     if not checkers:  # no checker passes vacuously
         raise ValueError(f"--checker names no checker id; known: {list(CHECKER_IDS)}")
     # a one-trial sweep config, validated as a sweep's is; --seed is its trial seed
@@ -220,7 +228,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left: stop quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        logging.getLogger("percolab.cli").debug("the error's traceback", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt as exc:  # Ctrl-C: one line, no traceback

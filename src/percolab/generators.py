@@ -44,8 +44,6 @@ from .rng import TAG_GRAPH, make_generator
 __all__ = [
     "FAMILIES",
     "GenSpec",
-    "GenSpecError",
-    "GenerationError",
     "generate",
 ]
 
@@ -55,14 +53,6 @@ FAMILIES = ("random_regular", "hypercube", "blowup", "clique_union")
 
 RESTART_CAP = 1000
 _STALL_ROUNDS = 50
-
-
-class GenSpecError(ValueError):
-    """Infeasible or inconsistent generation spec."""
-
-
-class GenerationError(RuntimeError):
-    """Sampler failed within its restart budget."""
 
 
 @dataclass(frozen=True)
@@ -87,33 +77,31 @@ class GenSpec:
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
-            raise GenSpecError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {self.family!r}")
         for key in ("blowup_factor", "base_family"):
             if self.family != "blowup" and getattr(self, key) is not None:
-                raise GenSpecError(f"{key} applies only to family blowup, not {self.family}")
+                raise ValueError(f"{key} applies only to family blowup, not {self.family}")
         if self.family == "random_regular":
             if self.d < 1 or self.d >= self.n:
-                raise GenSpecError(f"need 1 <= d < n, got n={self.n} d={self.d}")
+                raise ValueError(f"need 1 <= d < n, got n={self.n} d={self.d}")
             if self.n * self.d % 2 != 0:
-                raise GenSpecError(f"n*d must be even, got n={self.n} d={self.d}")
+                raise ValueError(f"n*d must be even, got n={self.n} d={self.d}")
         elif self.family == "hypercube":
             if self.d < 1 or self.n != 2**self.d:
-                raise GenSpecError(f"hypercube needs n = 2^d, got n={self.n} d={self.d}")
+                raise ValueError(f"hypercube needs n = 2^d, got n={self.n} d={self.d}")
         elif self.family == "clique_union":
             if self.d < 1 or self.n % (self.d + 1) != 0:
-                raise GenSpecError(
-                    f"clique_union needs (d+1) | n, got n={self.n} d={self.d}"
-                )
+                raise ValueError(f"clique_union needs (d+1) | n, got n={self.n} d={self.d}")
         elif self.family == "blowup":
             s = self.blowup_factor
             if s is None or s < 2:
-                raise GenSpecError(f"blowup_factor must be an integer >= 2, got {s}")
+                raise ValueError(f"blowup_factor must be an integer >= 2, got {s}")
             if self.base_family in (None, "blowup"):
-                raise GenSpecError(f"blowup needs a base_family other than blowup, "
-                                   f"got {self.base_family}")
+                raise ValueError(f"blowup needs a base_family other than blowup, "
+                                 f"got {self.base_family}")
             if min(self.n, self.d) < 1 or self.n % s or self.d % s:
-                raise GenSpecError(f"blowup needs n and d positive multiples of "
-                                   f"blowup_factor {s}, got n={self.n} d={self.d}")
+                raise ValueError(f"blowup needs n and d positive multiples of "
+                                 f"blowup_factor {s}, got n={self.n} d={self.d}")
             self.base.validate()
 
 
@@ -227,9 +215,7 @@ def _random_regular(n: int, d: int, seed: int) -> RegularGraph:
         )
         if edges is not None:
             return RegularGraph.from_edges(n, d, *edges)
-    raise GenerationError(
-        f"pairing model failed after {RESTART_CAP} restarts for n={n} d={d}"
-    )
+    raise RuntimeError(f"pairing model failed after {RESTART_CAP} restarts for n={n} d={d}")
 
 
 # ----------------------------------------------------------------------

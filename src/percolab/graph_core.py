@@ -27,16 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RegularityError",
     "RegularGraph",
     "VertexSet",
     "edge_count_between",
     "external_neighborhood",
 ]
-
-
-class RegularityError(ValueError):
-    """Adjacency data violates the d-regular simple-graph invariants."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,36 +63,32 @@ class RegularGraph:
         the order of one sort of the pairs (hi, lo), then its upper ones, in
         the order of the pairs (lo, hi), sorted only if they are not already."""
         if n <= 0:
-            raise RegularityError("vertex count must be positive")
+            raise ValueError("vertex count must be positive")
         if d < 1:
-            raise RegularityError("degree must be >= 1")
+            raise ValueError("degree must be >= 1")
         if n * d % 2 != 0:
-            raise RegularityError(f"n*d must be even, got n={n} d={d}")
+            raise ValueError(f"n*d must be even, got n={n} d={d}")
         # generate's int32 edges are read as they are, any others as int64
         u, v = (x if x.dtype == np.int32 else x.astype(np.int64, copy=False)
                 for x in map(np.asarray, (u, v)))
         if u.shape != v.shape or u.ndim != 1:
-            raise RegularityError("edge arrays must be equal-length 1-d")
+            raise ValueError("edge arrays must be equal-length 1-d")
         if u.size != n * d // 2:
-            raise RegularityError(
-                f"expected {n * d // 2} edges for n={n} d={d}, got {u.size}"
-            )
+            raise ValueError(f"expected {n * d // 2} edges for n={n} d={d}, got {u.size}")
         if np.all(u < v):  # as generate and _upper_edges give them: no copies
             lo, hi = u, v
         else:
             lo, hi = np.minimum(u, v), np.maximum(u, v)
         if u.size and (lo.min() < 0 or hi.max() >= n):
-            raise RegularityError("vertex id out of range")
+            raise ValueError("vertex id out of range")
         if np.any(lo == hi):
             bad = int(lo[np.argmax(lo == hi)])
-            raise RegularityError(f"self-loop at vertex {bad}")
+            raise ValueError(f"self-loop at vertex {bad}")
         ups = np.bincount(lo, minlength=n)  # a row's upper neighbours fill its last slots
         deg = ups + np.bincount(hi, minlength=n)
         if np.any(deg != d):
             bad = int(np.argmax(deg != d))
-            raise RegularityError(
-                f"vertex {bad} has degree {int(deg[bad])}, expected {d}"
-            )
+            raise ValueError(f"vertex {bad} has degree {int(deg[bad])}, expected {d}")
         keys = _pair_keys(lo, hi)
         if np.any(keys[1:] < keys[:-1]):  # put the edges in (lo, hi) order
             keys.sort()
@@ -105,7 +96,7 @@ class RegularGraph:
         repeat = keys[1:] == keys[:-1]
         if np.any(repeat):  # the first repeated edge's lo is the least such vertex
             bad = int(lo[np.argmax(repeat)])
-            raise RegularityError(f"repeated neighbor at vertex {bad}")
+            raise ValueError(f"repeated neighbor at vertex {bad}")
         keys = _pair_keys(hi, lo)  # sorted, each row's lower neighbours in order
         keys.sort()
         # row v's mask is row d - ups[v] of the table of all d + 1 masks

@@ -446,7 +446,7 @@ def compare_rows(trials: list, pred: TheoryPrediction, regime: str) -> list:
 
     def row(metric, claim, measured, predicted, claim_bound, tolerance, passed):
         rows.append({"metric": metric, "claim": claim, "measured": float(measured),
-                     "predicted": None if predicted is None else float(predicted),
+                     "predicted": float(predicted),
                      "claim_bound": None if claim_bound is None else float(claim_bound),
                      "tolerance": float(tolerance), "pass": bool(passed)})
 
@@ -593,6 +593,24 @@ def release_free_heap() -> None:
     trim(0)
 
 
+def _start_helper(parent: int) -> None:
+    """A pool helper's initializer.  It ignores Ctrl-C: the parent alone
+    handles it, and the pool's exit terminates the helpers.  On Linux it
+    also dies with the parent, through prctl(PR_SET_PDEATHSIG, SIGKILL),
+    and exits at once if the parent died before that call; a helper left
+    alive would finish its trial and die on the broken pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _resident_mb() -> float:
     """This process's resident MB, from /proc/self/statm; nan without it."""
     try:
@@ -645,10 +663,8 @@ def run_sweep(cfg: ExperimentConfig, resume: bool = False) -> dict:
             log.info("set-up %.3fs; resident %.1f MB, %.1f MB after releasing the free "
                      "heap; forking %d of %d workers", setup_s, rss_mb, _resident_mb(),
                      procs - 1, procs)
-            # the helpers ignore Ctrl-C: the parent alone handles it, and the
-            # pool's exit terminates them
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
-                procs - 1, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
+                procs - 1, initializer=_start_helper, initargs=(os.getpid(),)))
             theirs = pool.imap(_trial_worker, theirs)
         # opened after the fork, so no helper inherits the handle; each line is
         # written once it and every line before it are in

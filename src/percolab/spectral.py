@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SpectralConvergenceError",
     "SpectrumReport",
     "compute_spectrum",
     "delta_of_alpha",
@@ -65,10 +64,6 @@ FILTER_NCV = 24
 _FILTER_FLOOR = 1 / math.cosh(math.acosh(1e8) / FILTER_DEGREE)
 
 log = logging.getLogger("percolab.spectral")
-
-
-class SpectralConvergenceError(RuntimeError):
-    """A solver's eigenpair missed the residual tolerance."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ def _rayleigh(shifted, vec: np.ndarray) -> tuple[float, float]:
 def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
     """Extreme eigenvalues of the adjacency operator.
 
-    Raises SpectralConvergenceError if a residual exceeds ``tol``.
+    Raises RuntimeError if a residual exceeds ``tol``.
     """
     from scipy.sparse import csr_matrix  # scipy loads only where it is used
     from scipy.sparse.linalg import LinearOperator, eigsh
@@ -192,7 +187,7 @@ def compute_spectrum(g, tol: float = 1e-8) -> SpectrumReport:
     log.debug("spectrum: filter c=%.6g degree %d, %d products in the probe, %d in the filtered "
               "run; residuals %.3e, %.3e", c, degree, probe, run, r2, rn)
     if r2 > tol or rn > tol:
-        raise SpectralConvergenceError(f"residuals ({r2:.3e}, {rn:.3e}) exceed tol {tol:.3e}")
+        raise RuntimeError(f"residuals ({r2:.3e}, {rn:.3e}) exceed tol {tol:.3e}")
     # lambda1 = d exactly: the all-ones vector is an exact eigenvector of a
     # regular graph, so the trivial eigenpair needs no solver
     return SpectrumReport(

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from dataclasses import MISSING, fields
 import pytest
 
 import percolab
-from percolab import census, cli, harness
+from percolab import census, cli, generators, harness
 from percolab.cli import build_parser, main
 from percolab.harness import CONFIG_KEYS, ExperimentConfig
 from percolab.spectral import delta_of_alpha
@@ -90,20 +91,22 @@ def unkilled_sweep(tmp_path_factory):
     return out.read_bytes(), out.with_name("r.jsonl.csv").read_bytes()
 
 
-def _signal_sweep(tmp_path, workers, sig):
-    """Start a sweep in its own session, send sig to its process group once
-    its temp file holds two trial lines, and wait until the group is empty.
+def _signal_sweep(tmp_path, workers, sig, kill=os.killpg, within=60.0):
+    """Start a sweep in its own session, send sig through kill (os.killpg to
+    its process group, os.kill to the parent alone) once its temp file holds
+    two trial lines, and wait until the group is empty.  Every process of
+    the sweep holds its stderr, so the log must close within ``within`` s.
     Returns the sweep's exit code, its log and the trial lines it kept."""
     out, tmp = tmp_path / "r.jsonl", tmp_path / "r.jsonl.tmp"
-    # its own session, so the signal reaches the pool helpers too
+    # its own session, so that the group holds the sweep and its helpers alone
     proc = _sweep_cli("--workers", workers, "--out", str(out), start_new_session=True)
     deadline = time.monotonic() + 120
     while not (tmp.exists() and tmp.read_bytes().count(b"\n") >= 3):
         assert proc.poll() is None, "the sweep ended before it could be signalled"
         assert time.monotonic() < deadline, "the sweep wrote no two trial lines in 120 s"
         time.sleep(0.005)
-    os.killpg(proc.pid, sig)
-    _, log = proc.communicate(timeout=60)
+    kill(proc.pid, sig)
+    _, log = proc.communicate(timeout=within)
     while True:  # the group empties once the pool helpers are reaped
         try:
             os.killpg(proc.pid, 0)
@@ -135,6 +138,15 @@ def test_killed_sweep_resumes_to_identical_records(tmp_path, unkilled_sweep, wor
     _assert_resumes_to(unkilled_sweep, tmp_path, workers, kept)
 
 
+def test_pool_helper_dies_with_its_killed_parent(tmp_path, unkilled_sweep):
+    # kill -9 of the parent alone: the helper is killed with it (its log
+    # closes at once), before it can finish its trial and die on the broken
+    # pipe with a traceback
+    _, log, kept = _signal_sweep(tmp_path, "2", signal.SIGKILL, kill=os.kill, within=1.0)
+    assert "Traceback" not in log, log
+    _assert_resumes_to(unkilled_sweep, tmp_path, "2", kept)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_interrupted_sweep_ends_in_one_line_and_resumes(tmp_path, unkilled_sweep, workers):
     # Ctrl-C at a terminal signals the whole group: the pool helpers ignore
@@ -145,6 +157,59 @@ def test_interrupted_sweep_ends_in_one_line_and_resumes(tmp_path, unkilled_sweep
                                     "trials written so far; rerun with --resume to continue the "
                                     "sweep")
     _assert_resumes_to(unkilled_sweep, tmp_path, workers, kept)
+
+
+# trial 1 of this sweep samples 22 vertices, fewer than lemma_2_4's smallest
+# subset (alpha n/d = 25); trials 0 and 2 sample 26 and 32
+_FAILING_SWEEP = ["sweep", "--n", "2000", "--d", "8", "--graph-seed", "7", "--epsilon", "0.9",
+                  "--regime", "sub", "--seed", "6", "--trials", "3", "--checkers", "lemma_2_4"]
+_TRIAL_1_FAILED = ("error: trial 1 (seed 7830167322593244149) failed: ValueError: sample holds "
+                   "22 vertices, below the smallest subset size 25")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failing_trial_ends_in_one_line(tmp_path, workers):
+    # trial 1 runs in the parent at 1 worker and in the pool helper at 2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(percolab.__file__)))
+    argv = [sys.executable, "-m", "percolab.cli", *_FAILING_SWEEP, "--workers", workers,
+            "--out", str(tmp_path / "r.jsonl")]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", _TRIAL_1_FAILED + "\n")
+    assert os.listdir(tmp_path) == []  # no temp file, no record file
+    # the traceback, with the trial's own error in its chain, is logged at debug
+    proc = subprocess.run(argv[:3] + ["--log-level", "debug"] + argv[3:], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 1 and proc.stderr.splitlines()[-1] == _TRIAL_1_FAILED
+    assert "Traceback" in proc.stderr and "\nValueError: sample holds 22" in proc.stderr
+
+
+def test_exhausted_pairing_model_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(generators, "_try_pairing", lambda n, d, rng: (None, 50))
+    assert main(["percolate", *_GRAPH, "--p", "0.3", "--seed", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: pairing model failed after 1000 restarts for n=300 d=6\n")
+
+
+def test_unconverged_spectrum_is_one_error_line(capsys):
+    # no residual reaches 1e-300: the solver's own rounding is about 1e-15
+    assert main(["spectrum", "--n", "200", "--d", "4", "--graph-seed", "1",
+                 "--spectrum-tol", "1e-300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(
+        r"error: residuals \(\S+, \S+\) exceed tol 1\.000e-300\n", err), err
+
+
+def test_the_installed_script_runs(capsys):
+    # the console script pyproject.toml installs resolves to a main that runs
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["percolab"]
+    module, _, name = target.partition(":")
+    with pytest.raises(SystemExit) as info:
+        getattr(importlib.import_module(module), name)(["--help"])
+    assert info.value.code == 0 and capsys.readouterr().out.startswith("usage: percolab")
 
 
 def test_stream_only_sweep_loads_no_scipy(tmp_path):
